@@ -24,12 +24,20 @@ behaviour.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import models as worked
 from .errors import LatticeError, OrderError, RegimeError, SeriesUnavailable
 from .levy import ModelPair, PowerScaling, lmgf
-from .twist import fast_expansion, slow_expansion, solve_twist, _twist_at_psi
+from .twist import (
+    _require_finite,
+    _solve_single_twist,
+    _solved,
+    fast_expansion,
+    slow_expansion,
+    solve_twist,
+)
 
 __all__ = [
     "RegimeInfo",
@@ -47,6 +55,7 @@ __all__ = [
 _BOUNDARY_EPS = 1e-9
 
 _LOG_TINY = math.log(5e-324)
+_LOG_HUGE = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -70,8 +79,9 @@ class AsymptoticEstimate:
     """A fully evaluated tail approximation.
 
     ``log_value`` is authoritative; ``value`` is its exponential and reads 0.0
-    when the probability underflows the float range.  ``exponent_terms`` holds
-    (label, value) pairs, the linear term first.
+    when the probability underflows the float range, and ``inf`` when the log
+    exceeds it (an approximation far outside its regime of validity).
+    ``exponent_terms`` holds (label, value) pairs, the linear term first.
     """
 
     prefactor: float
@@ -116,7 +126,12 @@ def lattice_factor(theta: float, span: float) -> float:
 
 def _assemble(prefactor, terms, mode, order, lattice) -> AsymptoticEstimate:
     log_value = math.log(prefactor) + sum(v for _, v in terms)
-    value = math.exp(log_value) if log_value > _LOG_TINY else 0.0
+    if log_value > _LOG_HUGE:
+        value = math.inf
+    elif log_value > _LOG_TINY:
+        value = math.exp(log_value)
+    else:
+        value = 0.0
     return AsymptoticEstimate(
         prefactor=prefactor,
         exponent_terms=tuple(terms),
@@ -143,6 +158,7 @@ def approx_fast(
     series mode the sublinear sum runs k = 2..M with M = ``order`` (default:
     the regime's own m_plus).
     """
+    _require_finite(n, u)
     info = classify(scaling)
     if info.regime != "fast":
         raise RegimeError(f"approx_fast requires f > 1, got f = {scaling.f}")
@@ -196,6 +212,7 @@ def approx_slow(
     (theta*, sigma_plus, n); the lattice span, when requested, is B's.  The
     series sum runs k = 1..M (M may be 0: empty sum).
     """
+    _require_finite(n, u)
     info = classify(scaling)
     if info.regime != "slow":
         raise RegimeError(f"approx_slow requires 0 < f < 1, got f = {scaling.f}")
@@ -243,7 +260,8 @@ def approx_single_timescale(model: ModelPair, n: float, u: float) -> AsymptoticE
 
         sigma_0^2 = beta''(alpha(t*)) alpha'(t*)^2 + beta'(alpha(t*)) alpha''(t*).
     """
-    sol = _twist_at_psi(model, 1.0, u)
+    _require_finite(n, u)
+    sol = _solved(model, u, _solve_single_twist)
     theta0 = sol.theta_n
     inner = model.A.deriv(theta0, 0)
     sigma0 = math.sqrt(
@@ -271,6 +289,6 @@ def log_asymptote(
     if info.regime == "slow":
         tau_star = slow_expansion(model, u, order=1).tau_star
         return (None, model.B.deriv(model.a * tau_star, 0) - tau_star * u)
-    sol = _twist_at_psi(model, 1.0, u)
+    sol = _solved(model, u, _solve_single_twist)
     inner = model.A.deriv(sol.theta_n, 0)
     return (model.B.deriv(inner, 0) - sol.theta_n * u, None)

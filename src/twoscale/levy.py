@@ -129,10 +129,16 @@ class ModelPair:
     ``B`` must be a subordinator; only its marginal increments matter here, so
     the check is on positivity of its mean.  The means ``a = alpha'(0)`` and
     ``b = beta'(0)`` are always recomputed from the exponents, never stored.
+
+    A pair remembers ``theta*``, ``tau*`` and the f = 1 twist for the last
+    ``u`` asked of it (they depend on the pair and ``u`` only), so its
+    exponents must be pure functions.  The memo takes no part in equality,
+    hashing or ``repr``.
     """
 
     A: CharExponent
     B: CharExponent
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.A.deriv(0.0, 0) != 0.0 or self.B.deriv(0.0, 0) != 0.0:

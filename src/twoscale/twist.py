@@ -75,27 +75,25 @@ class SlowExpansion:
 
 
 def _solve_increasing(
-    g: Callable[[float], float],
-    gprime: Callable[[float], float],
+    g_and_slope: Callable[[float], tuple[float, float]],
     lo: float,
     hi: float,
     scale: float,
 ) -> tuple[float, float, int]:
-    """Root of an increasing function with g(lo) < 0 < g(hi).
+    """Root of an increasing function g with g(lo) < 0 < g(hi).
 
-    Newton steps are clamped to the live bracket; any step that leaves it is
-    replaced by bisection.  Iterates to (near) machine precision; returns
-    (root, |g(root)|, iterations).
+    ``g_and_slope(x)`` returns ``(g(x), g'(x))``.  Newton steps are clamped to
+    the live bracket; any step that leaves it is replaced by bisection.
+    Iterates to (near) machine precision; returns (root, |g(root)|, iterations).
     """
     x = 0.5 * (lo + hi)
-    gx = g(x)
+    gx, dg = g_and_slope(x)
     best_x, best_g = x, abs(gx)
     for it in range(1, _MAX_NEWTON + 1):
         if gx > 0:
             hi = x
         else:
             lo = x
-        dg = gprime(x)
         if dg > 0 and math.isfinite(dg):
             cand = x - gx / dg
         else:
@@ -104,7 +102,7 @@ def _solve_increasing(
             cand = 0.5 * (lo + hi)
         step = abs(cand - x)
         x = cand
-        gx = g(x)
+        gx, dg = g_and_slope(x)
         if abs(gx) < best_g:
             best_x, best_g = x, abs(gx)
         if abs(gx) <= 1e-14 * scale and step <= 1e-15 * max(abs(x), 1.0):
@@ -112,6 +110,25 @@ def _solve_increasing(
         if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
             break
     return best_x, best_g, _MAX_NEWTON
+
+
+def _solved(model: ModelPair, u: float, solve: Callable[[ModelPair, float], object]):
+    """``solve(model, u)``, solved once per ``(model, u)``.
+
+    theta*, tau* and the f = 1 twist depend on the pair and ``u`` only, while
+    an n ladder at fixed ``u`` asks for them at every n.  ``model._memo`` keeps
+    them for the last ``u`` asked of the pair: a new ``u`` replaces the slot,
+    so every value in a slot was solved for that slot's ``u``.  A solve that
+    raises is not remembered.
+    """
+    slot = model._memo.get(u)
+    if slot is None:
+        model._memo.clear()
+        slot = model._memo[u] = {}
+    value = slot.get(solve)
+    if value is None:
+        value = slot[solve] = solve(model, u)
+    return value
 
 
 def _theta_max(model: ModelPair, psi: float) -> float:
@@ -146,41 +163,85 @@ def _theta_max(model: ModelPair, psi: float) -> float:
     return lo
 
 
+def _start_is_clear(model: ModelPair, psi: float, start: float) -> bool:
+    """Whether ``_theta_max(model, psi)`` provably leaves the bracket start alone.
+
+    The start is ``start`` clamped into ``[1e-12, 0.99] * theta_max``, so it
+    stands when theta_max lies in ``[start / 0.99, 1e12 * start]``.  alpha
+    increases on [0, inf), so ``alpha(low) < sup_b / psi`` puts theta_max at
+    or above ``low`` (less the bisection's 1e-15 tolerance), and
+    ``alpha(high) >= sup_b / psi`` (or an overflow) puts it below ``high``;
+    the margins in ``low`` and ``high`` cover the tolerance.  When B's domain
+    is unbounded, theta_max is A's domain supremum and costs nothing.
+    """
+    sup_b = model.B.domain_sup
+    if math.isinf(sup_b):
+        return False
+    target = sup_b / psi
+    sup_a = model.A.domain_sup
+    low, high = start / 0.98, 5e11 * start
+    try:
+        if not (low < sup_a and model.A.deriv(low, 0) < target):
+            return False
+    except OverflowError:
+        return False
+    if math.isfinite(sup_a):
+        return high >= sup_a
+    try:
+        return model.A.deriv(high, 0) >= target
+    except OverflowError:
+        return True
+
+
 def _twist_at_psi(model: ModelPair, psi: float, u: float) -> TwistSolution:
     """Core solve of ``beta'(alpha(theta) psi) alpha'(theta) = u`` on (0, theta_max)."""
+    A, B = model.A, model.B
 
     def g(theta: float) -> float:
         # The tilted mean blows past the float range well before theta_max
         # when psi is large; that still brackets the root from above.
         try:
-            return model.B.deriv(model.A.deriv(theta, 0) * psi, 1) * model.A.deriv(theta, 1) - u
+            return B.deriv(A.deriv(theta, 0) * psi, 1) * A.deriv(theta, 1) - u
         except OverflowError:
             return math.inf
 
-    def gprime(theta: float) -> float:
+    def g_and_slope(theta: float) -> tuple[float, float]:
+        # g and g' share alpha, alpha' and beta'(alpha psi), so each is
+        # evaluated once; the arithmetic matches g and g' term by term.
         try:
-            inner = model.A.deriv(theta, 0) * psi
-            return (
-                psi * model.B.deriv(inner, 2) * model.A.deriv(theta, 1) ** 2
-                + model.B.deriv(inner, 1) * model.A.deriv(theta, 2)
-            )
+            inner = A.deriv(theta, 0) * psi
+            b1 = B.deriv(inner, 1)
+            a1 = A.deriv(theta, 1)
         except OverflowError:
-            return math.inf
+            return math.inf, math.inf
+        try:
+            slope = psi * B.deriv(inner, 2) * a1 ** 2 + b1 * A.deriv(theta, 2)
+        except OverflowError:
+            slope = math.inf
+        return b1 * a1 - u, slope
 
-    theta_max = _theta_max(model, psi)
-
-    # Starting point per the bracket recipe: theta_star + 1 when available.
+    # Starting point per the bracket recipe: theta_star + 1 when available,
+    # kept inside the domain edge theta_max.  theta_max takes ~50 bisection
+    # steps, so it is computed only when it may move the start or the
+    # bracket has to grow towards it.
     try:
-        theta_star = _solve_theta_star(model, u)
+        theta_star = _solved(model, u, _solve_theta_star)
     except NoSolutionError:
         theta_star = None
-    if math.isfinite(theta_max):
-        hi = min((theta_star + 1.0) if theta_star is not None else 0.5 * theta_max, 0.99 * theta_max)
-        hi = max(hi, 1e-12 * theta_max)
+    if theta_star is not None and _start_is_clear(model, psi, theta_star + 1.0):
+        theta_max = None
+        hi = theta_star + 1.0
     else:
-        hi = (theta_star + 1.0) if theta_star is not None else 1.0
+        theta_max = _theta_max(model, psi)
+        if math.isfinite(theta_max):
+            hi = min((theta_star + 1.0) if theta_star is not None else 0.5 * theta_max, 0.99 * theta_max)
+            hi = max(hi, 1e-12 * theta_max)
+        else:
+            hi = (theta_star + 1.0) if theta_star is not None else 1.0
 
     ghi = g(hi)
+    if ghi < 0 and theta_max is None:
+        theta_max = _theta_max(model, psi)
     expansions = 0
     while ghi < 0:
         expansions += 1
@@ -188,7 +249,6 @@ def _twist_at_psi(model: ModelPair, psi: float, u: float) -> TwistSolution:
             raise NoSolutionError(
                 f"the tilted mean never reaches u = {u} on the admissible bracket"
             )
-        lo_candidate = hi
         if math.isfinite(theta_max):
             new_hi = theta_max - 0.5 * (theta_max - hi)
             if theta_max - new_hi <= math.ulp(theta_max) * 4:
@@ -201,7 +261,7 @@ def _twist_at_psi(model: ModelPair, psi: float, u: float) -> TwistSolution:
                 raise NoSolutionError(
                     f"the tilted mean is bounded below u = {u}; no twist exists"
                 )
-        hi, _ = new_hi, lo_candidate
+        hi = new_hi
         ghi = g(hi)
 
     lo = 0.5 * hi
@@ -212,7 +272,7 @@ def _twist_at_psi(model: ModelPair, psi: float, u: float) -> TwistSolution:
             # g(0+) = a*b - u < 0, so this cannot happen for admissible u.
             raise NoSolutionError("failed to bracket the twist from below")
 
-    root, gabs, iters = _solve_increasing(g, gprime, lo, hi, scale=u)
+    root, gabs, iters = _solve_increasing(g_and_slope, lo, hi, scale=u)
     residual = gabs / u
     if residual > RESIDUAL_TOL:
         raise NoSolutionError(
@@ -221,16 +281,30 @@ def _twist_at_psi(model: ModelPair, psi: float, u: float) -> TwistSolution:
     return TwistSolution(theta_n=root, residual=residual, iterations=iters, bracket=(lo, hi))
 
 
+def _solve_single_twist(model: ModelPair, u: float) -> TwistSolution:
+    """The twist at psi = 1, the f = 1 (single-timescale) equation."""
+    return _twist_at_psi(model, 1.0, u)
+
+
 def solve_twist(model: ModelPair, scaling: PowerScaling, n: float, u: float) -> TwistSolution:
     """Solve ``gamma_n'(theta) = u*n`` for the twisting factor ``theta_n``.
 
     Requires the rare direction ``u > a*b`` and ``n >= 1``.  The reported
     residual is ``|gamma_n'(theta_n) - u n| / (u n)``.
     """
+    _require_finite(n, u)
     if n < 1:
         raise ParamError(f"n must be >= 1, got {n}")
     _require_rare(model, u)
-    return _twist_at_psi(model, scaling.psi(n), u)
+    psi = scaling.psi(n)
+    if psi == 1.0:
+        return _solved(model, u, _solve_single_twist)
+    return _twist_at_psi(model, psi, u)
+
+
+def _require_finite(n: float, u: float) -> None:
+    if not (math.isfinite(n) and math.isfinite(u)):
+        raise ParamError(f"n and u must be finite, got n = {n}, u = {u}")
 
 
 def _require_rare(model: ModelPair, u: float) -> None:
@@ -246,8 +320,8 @@ def _solve_theta_star(model: ModelPair, u: float) -> float:
     def g(theta: float) -> float:
         return b * model.A.deriv(theta, 1) - u
 
-    def gprime(theta: float) -> float:
-        return b * model.A.deriv(theta, 2)
+    def g_and_slope(theta: float) -> tuple[float, float]:
+        return g(theta), b * model.A.deriv(theta, 2)
 
     sup_a = model.A.domain_sup
     if math.isfinite(sup_a):
@@ -271,7 +345,7 @@ def _solve_theta_star(model: ModelPair, u: float) -> float:
         lo *= 0.5
         if lo < 5e-324:
             raise NoSolutionError("failed to bracket theta_star from below")
-    root, gabs, _ = _solve_increasing(g, gprime, lo, hi, scale=u)
+    root, gabs, _ = _solve_increasing(g_and_slope, lo, hi, scale=u)
     if gabs / u > 1e-12:
         raise NoSolutionError(f"theta_star solve stalled at residual {gabs / u:.3e}")
     return root
@@ -284,8 +358,8 @@ def _solve_tau_star(model: ModelPair, u: float) -> float:
     def g(tau: float) -> float:
         return a * model.B.deriv(a * tau, 1) - u
 
-    def gprime(tau: float) -> float:
-        return a * a * model.B.deriv(a * tau, 2)
+    def g_and_slope(tau: float) -> tuple[float, float]:
+        return g(tau), a * a * model.B.deriv(a * tau, 2)
 
     sup_b = model.B.domain_sup
     if math.isfinite(sup_b):
@@ -308,7 +382,7 @@ def _solve_tau_star(model: ModelPair, u: float) -> float:
         lo *= 0.5
         if lo < 5e-324:
             raise NoSolutionError("failed to bracket tau_star from below")
-    root, gabs, _ = _solve_increasing(g, gprime, lo, hi, scale=u)
+    root, gabs, _ = _solve_increasing(g_and_slope, lo, hi, scale=u)
     if gabs / u > 1e-12:
         raise NoSolutionError(f"tau_star solve stalled at residual {gabs / u:.3e}")
     return root
@@ -330,7 +404,7 @@ def fast_expansion(model: ModelPair, u: float, order: int = 2) -> FastExpansion:
     if order not in (0, 1, 2):
         raise OrderError(f"fast expansion supports orders 0..2, got {order}")
     _require_rare(model, u)
-    theta_star = _solve_theta_star(model, u)
+    theta_star = _solved(model, u, _solve_theta_star)
     coeffs = [theta_star]
     if order >= 1:
         a0 = model.A.deriv(theta_star, 0)
@@ -365,7 +439,7 @@ def slow_expansion(model: ModelPair, u: float, order: int = 2) -> SlowExpansion:
     if model.a <= 0:
         raise UnsupportedSignError("slow expansion requires a = alpha'(0) > 0")
     _require_rare(model, u)
-    tau_star = _solve_tau_star(model, u)
+    tau_star = _solved(model, u, _solve_tau_star)
     coeffs = [tau_star]
     if order >= 2:
         def curved(x: float) -> float:

@@ -29,6 +29,19 @@ def rare_grid():
 RARE_GRID = rare_grid()
 
 
+def count_derivs(monkeypatch) -> list:
+    """Count every ``CharExponent.deriv`` call from now on; read ``calls[0]``."""
+    calls = [0]
+    deriv = CharExponent.deriv
+
+    def counting(self, t, order=0):
+        calls[0] += 1
+        return deriv(self, t, order)
+
+    monkeypatch.setattr(CharExponent, "deriv", counting)
+    return calls
+
+
 def matches_displayed(computed: float, displayed: float) -> bool:
     """Agreement with a 3-significant-digit reference value.
 

@@ -1,11 +1,13 @@
 """Regime classification and the tail approximations of both regimes."""
 
 import math
+import sys
 
 import pytest
 
 from twoscale import (
     LatticeError,
+    ParamError,
     PowerScaling,
     RegimeError,
     SeriesUnavailable,
@@ -21,7 +23,7 @@ from twoscale import (
 from twoscale.levy import CharExponent, ModelPair, lmgf
 from twoscale.models import exact_law, WorkedModel
 from twoscale.twist import solve_twist
-from conftest import gp_pair, pg_pair
+from conftest import count_derivs, gp_pair, pg_pair
 
 
 class TestClassify:
@@ -147,6 +149,15 @@ class TestApproxFast:
         assert math.isfinite(est.log_value)
         assert est.exponent_terms[0][0] == "linear"
         assert est.exponent_terms[0][1] < 0
+
+    def test_overflow_reports_inf(self):
+        # Far outside its regime of validity (f ~ 3, n = 1e8) the direct
+        # remainder dwarfs the linear term and the log exceeds the float range.
+        m = pg_pair(0.500943, 2.543, 3.90569)
+        est = approx_fast(m, PowerScaling(2.95107), 1e8, 1.44429, lattice=True)
+        assert est.value == math.inf
+        assert math.log(sys.float_info.max) < est.log_value < math.inf
+        assert est.log_value == math.log(est.prefactor) + est.exponent
 
     def test_ratio_to_exact_fast(self):
         # light version of the theorem-restated check at n = 1e3
@@ -298,3 +309,80 @@ class TestLogAsymptote:
         est = approx_fast(m, s, 1e4, 1.0, mode="direct", lattice=True)
         terms = dict(est.exponent_terms)
         assert abs(terms["sublinear_remainder"]) <= 1e-2
+
+
+def _drift_derivs(drift: float, var: float):
+    """Brownian motion with drift."""
+    return lambda t, o: (drift * t + 0.5 * var * t * t, drift + var * t, var, 0.0)[o]
+
+
+def _gamma_derivs(shape: float, rate: float):
+    def derivs(t, o):
+        if o == 0:
+            return shape * math.log(rate / (rate - t))
+        return shape * math.factorial(o - 1) / (rate - t) ** o
+
+    return derivs
+
+
+PAIRS = {
+    "pg": lambda: pg_pair(1.0, 1.0, 3.0),
+    "gp": lambda: gp_pair(1.0, 2.0, 1.0),
+    "custom": lambda: ModelPair(
+        CharExponent.custom(_drift_derivs(1.0, 1.0)),
+        CharExponent.custom(_gamma_derivs(1.0, 2.0), domain_sup=2.0),
+    ),
+}
+
+
+def _ladder_point(model, f, n, u):
+    """Everything an n ladder asks of one pair at (n, u)."""
+    s = PowerScaling(f)
+    if f == 1.0:
+        out = [approx_single_timescale(model, n, u)]
+    else:
+        fn = approx_fast if f > 1 else approx_slow
+        out = [fn(model, s, n, u)]
+        if model.A.kind != "custom":
+            out.append(fn(model, s, n, u, mode="series"))
+    return out + [solve_twist(model, s, n, u), log_asymptote(model, s, u)]
+
+
+class TestPairReuse:
+    @pytest.mark.parametrize("kind", sorted(PAIRS))
+    @pytest.mark.parametrize("f", [1.5, 0.6, 1.0])
+    def test_reused_pair_matches_fresh_pairs(self, monkeypatch, kind, f):
+        # One pair over an n ladder and then a second u gives exactly what a
+        # fresh pair gives on every call, with fewer derivative evaluations.
+        calls = count_derivs(monkeypatch)
+        reused = PAIRS[kind]()
+        ab = reused.a * reused.b
+        spent = {"reused": 0, "fresh": 0}
+        for u in (2.0 * ab, 3.0 * ab):
+            for n in (10.0, 1e3, 1e5, 1e8):
+                fresh = PAIRS[kind]()
+                start = calls[0]
+                got = _ladder_point(reused, f, n, u)
+                spent["reused"] += calls[0] - start
+                start = calls[0]
+                want = _ladder_point(fresh, f, n, u)
+                spent["fresh"] += calls[0] - start
+                assert got == want
+        assert spent["reused"] < spent["fresh"]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("n,u", [
+        (math.nan, 1.0), (math.inf, 1.0), (100.0, math.nan), (100.0, math.inf),
+    ])
+    @pytest.mark.parametrize("entry", [
+        lambda m, n, u: approx_fast(m, PowerScaling(1.5), n, u),
+        lambda m, n, u: approx_fast(m, PowerScaling(1.5), n, u, mode="series"),
+        lambda m, n, u: approx_slow(m, PowerScaling(0.6), n, u),
+        lambda m, n, u: approx_single_timescale(m, n, u),
+        lambda m, n, u: solve_twist(m, PowerScaling(1.5), n, u),
+        lambda m, n, u: solve_twist(m, PowerScaling(1.0), n, u),
+    ], ids=["fast", "fast-series", "slow", "single", "twist", "twist-f1"])
+    def test_rejected_as_param_error(self, entry, n, u):
+        with pytest.raises(ParamError):
+            entry(pg_pair(1.0, 1.0, 3.0), n, u)

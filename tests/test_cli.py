@@ -67,6 +67,16 @@ class TestApprox:
         assert code == 0
         assert json.loads(out)["regime"] == "single"
 
+    @pytest.mark.parametrize("n", ["nan", "inf"])
+    @pytest.mark.parametrize("f", ["1.5", "0.6", "1"])
+    def test_non_finite_n_exits_2(self, capsys, f, n):
+        code, out, err = run(
+            capsys, ["approx", "--poisson-gamma", "1", "1", "3", "--f", f, "--n", n, "--u", "1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "ParamError" in err
+
     def test_missing_required_flag_exits_2(self, pg_json, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["approx", "--model", pg_json, "--n", "100"])

@@ -1,5 +1,6 @@
 """Characteristic exponents, the composed log-mgf, and the moment split."""
 
+import dataclasses
 import math
 
 import pytest
@@ -14,9 +15,12 @@ from twoscale import (
     ParamError,
     PowerScaling,
     UnsupportedSignError,
+    fast_expansion,
     lmgf,
     load_model,
     mean_variance,
+    slow_expansion,
+    solve_twist,
 )
 from conftest import gp_pair, pg_pair
 
@@ -101,6 +105,19 @@ class TestModelPair:
         flat = CharExponent.custom(lambda t, o: 0.0)
         with pytest.raises(ParamError):
             ModelPair(CharExponent.poisson(1.0), flat)
+
+    def test_memo_stays_out_of_equality_and_hash(self):
+        # Exponents with hashable params, so that the pair itself hashes.
+        A = dataclasses.replace(CharExponent.poisson(1.0), params=(("lam", 1.0),))
+        B = dataclasses.replace(CharExponent.gamma(1.0, 3.0), params=(("r", 1.0), ("mu", 3.0)))
+        used, unused = ModelPair(A, B), ModelPair(A, B)
+        before = hash(used)
+        fast_expansion(used, 1.0)
+        slow_expansion(used, 1.0, order=1)
+        solve_twist(used, PowerScaling(1.0), 50.0, 1.0)
+        assert used == unused
+        assert hash(used) == hash(unused) == before
+        assert repr(used) == repr(unused)
 
 
 class TestPowerScaling:

@@ -18,7 +18,7 @@ from twoscale import (
     slow_expansion,
     solve_twist,
 )
-from conftest import RARE_GRID, gp_pair, pg_pair
+from conftest import RARE_GRID, count_derivs, gp_pair, pg_pair
 
 
 def pg_theta_n(lam, r, mu, u, psi):
@@ -73,6 +73,16 @@ class TestSolveTwist:
         assert sol.residual <= 1e-10
         assert sol.theta_n > 0
         assert sol.bracket[0] <= sol.theta_n <= sol.bracket[1]
+
+    def test_reference_query_derivative_budget(self, monkeypatch):
+        # Poisson(1) on Gamma(1, 3), f = 1.5, n = 400, u = 1 on a fresh pair:
+        # one theta* solve, no domain-edge bisection, and alpha, alpha' and
+        # beta'(alpha psi) evaluated once per Newton step.
+        m = pg_pair(1.0, 1.0, 3.0)
+        calls = count_derivs(monkeypatch)
+        sol = solve_twist(m, PowerScaling(1.5), 400.0, 1.0)
+        assert sol.iterations == 6
+        assert calls[0] <= 90
 
     def test_not_rare(self):
         m, s = pg_pair(1.0, 1.0, 2.0), PowerScaling(1.5)
