@@ -8,6 +8,8 @@ non-lattice), Edgeworth diagnostics for the tilted law, exact and Monte Carlo
 oracles, and the overdispersed-arrival application with its reference tables.
 """
 
+from importlib import import_module as _import_module
+
 from .asymptotics import (
     AsymptoticEstimate,
     RegimeInfo,
@@ -17,16 +19,6 @@ from .asymptotics import (
     classify,
     lattice_factor,
     log_asymptote,
-)
-from .edgeworth import (
-    EdgeworthDiagnostic,
-    EdgeworthExpansion,
-    build_expansion,
-    diagnostic,
-    hermite,
-    standardization,
-    tilted_cdf_approx,
-    tilted_negbin_cdf,
 )
 from .errors import (
     DomainError,
@@ -49,27 +41,6 @@ from .models import (
     fast_series_coeffs,
     slow_series_coeffs,
 )
-from .oracle import (
-    OracleResult,
-    RigorousBound,
-    StatisticalBound,
-    compound_poisson_gamma_tail,
-    is_tail,
-    negbin_tail,
-    plain_mc_tail,
-)
-from .overdispersion import (
-    ApproxTable,
-    ArrivalQuery,
-    pi_exact,
-    pi_fast,
-    pi_gamma,
-    pi_hat_fast,
-    pi_hat_slow,
-    pi_pois,
-    pi_slow,
-    reproduce_tables,
-)
 from .twist import (
     FastExpansion,
     SlowExpansion,
@@ -79,6 +50,48 @@ from .twist import (
     slow_expansion,
     solve_twist,
 )
+
+# The modules above are pure Python.  The three below need numpy and scipy,
+# which take most of the package's import time, so their names are resolved
+# on first use (PEP 562) and then cached in this module's globals.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("edgeworth", (
+            "EdgeworthDiagnostic", "EdgeworthExpansion", "build_expansion", "diagnostic",
+            "hermite", "standardization", "tilted_cdf_approx", "tilted_negbin_cdf",
+        )),
+        ("oracle", (
+            "OracleResult", "RigorousBound", "StatisticalBound", "compound_poisson_gamma_tail",
+            "is_tail", "negbin_tail", "plain_mc_tail",
+        )),
+        ("overdispersion", (
+            "ApproxTable", "ArrivalQuery", "pi_exact", "pi_fast", "pi_gamma", "pi_hat_fast",
+            "pi_hat_slow", "pi_pois", "pi_slow", "reproduce_tables",
+        )),
+    )
+    for name in names
+}
+
+
+_LAZY_MODULES = frozenset(_LAZY.values())
+
+
+def __getattr__(name: str):
+    # Importing a submodule binds it as an attribute of this package.
+    if name in _LAZY_MODULES:
+        return _import_module(f".{name}", __name__)
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY) | _LAZY_MODULES)
+
 
 __version__ = "0.1.0"
 

@@ -28,10 +28,9 @@ import sys
 from dataclasses import dataclass
 
 from . import models as worked
-from .errors import LatticeError, OrderError, RegimeError, SeriesUnavailable
+from .errors import LatticeError, OrderError, RegimeError, SeriesUnavailable, require_finite
 from .levy import ModelPair, PowerScaling, lmgf
 from .twist import (
-    _require_finite,
     _solve_single_twist,
     _solved,
     fast_expansion,
@@ -158,7 +157,7 @@ def approx_fast(
     series mode the sublinear sum runs k = 2..M with M = ``order`` (default:
     the regime's own m_plus).
     """
-    _require_finite(n, u)
+    require_finite(n=n, u=u)
     info = classify(scaling)
     if info.regime != "fast":
         raise RegimeError(f"approx_fast requires f > 1, got f = {scaling.f}")
@@ -212,7 +211,7 @@ def approx_slow(
     (theta*, sigma_plus, n); the lattice span, when requested, is B's.  The
     series sum runs k = 1..M (M may be 0: empty sum).
     """
-    _require_finite(n, u)
+    require_finite(n=n, u=u)
     info = classify(scaling)
     if info.regime != "slow":
         raise RegimeError(f"approx_slow requires 0 < f < 1, got f = {scaling.f}")
@@ -260,7 +259,7 @@ def approx_single_timescale(model: ModelPair, n: float, u: float) -> AsymptoticE
 
         sigma_0^2 = beta''(alpha(t*)) alpha'(t*)^2 + beta'(alpha(t*)) alpha''(t*).
     """
-    _require_finite(n, u)
+    require_finite(n=n, u=u)
     sol = _solved(model, u, _solve_single_twist)
     theta0 = sol.theta_n
     inner = model.A.deriv(theta0, 0)
@@ -282,6 +281,7 @@ def log_asymptote(
     Slow regime: ``(1/phi_n) log xi_n -> beta(a tau*) - tau* u``.
     At f = 1 the per-n slot carries the single-timescale rate.
     """
+    require_finite(u=u)
     info = classify(scaling)
     if info.regime == "fast":
         theta_star = fast_expansion(model, u, order=0).theta_star

@@ -12,6 +12,9 @@ Every command emits machine-readable output (JSON by default); identical
 configuration and seed produce byte-identical files.  Exit codes: 0 success,
 2 invalid input (the error class name goes to stderr), 1 internal failure.
 The TAILSCALE_THREADS environment variable sets the default worker count.
+
+Each command imports the modules it uses, so ``approx`` never loads numpy or
+scipy; ``oracle``, ``tables``, ``edgeworth`` and ``overdispersion`` do.
 """
 
 from __future__ import annotations
@@ -23,18 +26,11 @@ import os
 import sys
 from pathlib import Path
 
-from . import asymptotics, edgeworth, overdispersion
-from .errors import ParamError, TwoscaleError
+from . import asymptotics
+from .errors import ParamError, TwoscaleError, require_finite
+from .formatting import format_sig
 from .levy import CharExponent, ModelPair, PowerScaling, load_model
 from .models import WorkedModel, exact_law
-from .oracle import (
-    StatisticalBound,
-    compound_poisson_gamma_tail,
-    is_tail,
-    negbin_tail,
-    plain_mc_tail,
-)
-from .overdispersion import ArrivalQuery, format_sig
 
 __all__ = ["main"]
 
@@ -147,6 +143,15 @@ def _cmd_approx(args) -> int:
 
 def _cmd_oracle(args) -> int:
     model, scaling = _resolve_model(args)
+    require_finite(n=args.n, u=args.u)
+    from .oracle import (
+        StatisticalBound,
+        compound_poisson_gamma_tail,
+        is_tail,
+        negbin_tail,
+        plain_mc_tail,
+    )
+
     if args.method == "exact":
         wm = WorkedModel.from_pair(model)
         if wm is None:
@@ -186,6 +191,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from . import overdispersion
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t1, t2 = overdispersion.reproduce_tables(workers=args.workers)
@@ -201,6 +208,8 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_edgeworth(args) -> int:
+    from . import edgeworth
+
     model, scaling = _resolve_model(args)
     diag = edgeworth.diagnostic(
         model, scaling, args.n, args.u, x_min=args.x_min, x_max=args.x_max, points=args.points
@@ -216,7 +225,9 @@ def _cmd_edgeworth(args) -> int:
 
 
 def _cmd_overdispersion(args) -> int:
-    q = ArrivalQuery(args.K, args.u_bar, args.mu_bar)
+    from . import overdispersion
+
+    q = overdispersion.ArrivalQuery(args.K, args.u_bar, args.mu_bar)
     payload = {
         "K": args.K,
         "u_bar": args.u_bar,

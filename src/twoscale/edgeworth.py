@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import ParamError, RegimeError
+from .errors import ParamError, RegimeError, require_finite
 from .levy import ModelPair, PowerScaling
 from .models import WorkedModel, exact_law
 from .twist import fast_expansion, slow_expansion, solve_twist
@@ -75,6 +75,7 @@ class EdgeworthExpansion:
 
 def build_expansion(model: ModelPair, scaling: PowerScaling, u: float) -> EdgeworthExpansion:
     """Compute kappa and (on the weak-separation branch) c_1 for the regime of f."""
+    require_finite(u=u)
     f = scaling.f
     if f == 1:
         raise RegimeError("Edgeworth corrections are defined for f != 1")
@@ -122,6 +123,7 @@ def tilted_cdf_approx(model: ModelPair, scaling: PowerScaling, n: float, u: floa
     additionally ``phi(x) H_1(x) c_1 psi_n``.  Slow regime analogously with
     ``sqrt(phi_n)`` and ``c_1 / psi_n``.
     """
+    require_finite(n=n)
     expansion = build_expansion(model, scaling, u)
     xs = np.asarray(x, dtype=float)
     dens = np.exp(-0.5 * xs * xs) / _SQRT2PI
@@ -189,6 +191,7 @@ def _tilted_compound_cdf(model: ModelPair, scaling: PowerScaling, n: float, u: f
 
 def standardization(model: ModelPair, scaling: PowerScaling, n: float, u: float) -> tuple[float, float]:
     """(mean, scale) of the tilted count's standardization: mean u*n, scale by regime."""
+    require_finite(n=n, u=u)
     f = scaling.f
     if f == 1:
         raise RegimeError("standardization is defined for f != 1")
@@ -227,6 +230,7 @@ def diagnostic(
     is compared pointwise.  ``points`` overrides the grid size (lattice
     variant: subsamples the lattice).
     """
+    require_finite(x_min=x_min, x_max=x_max)
     wm = WorkedModel.from_pair(model)
     if wm is None:
         raise ParamError("the Edgeworth diagnostic needs a built-in model pair")

@@ -4,6 +4,8 @@ All validation failures raise a subclass of :class:`TwoscaleError`, so
 callers (and the CLI) can distinguish bad input from internal bugs.
 """
 
+import math
+
 
 class TwoscaleError(Exception):
     """Base class for all errors raised by this package."""
@@ -44,3 +46,10 @@ class LatticeError(TwoscaleError):
 
 class SeriesUnavailable(TwoscaleError):
     """Closed-form series coefficients exist only for the built-in model pairs."""
+
+
+def require_finite(**values: float) -> None:
+    """Raise :class:`ParamError` unless every keyword argument is a finite number."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParamError(f"{name} must be finite, got {value}")

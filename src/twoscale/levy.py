@@ -54,12 +54,14 @@ class CharExponent:
         Span ``d > 0`` if the marginals live on ``x0 + d*Z``, else ``0.0``.
     params:
         Raw construction parameters, kept for closed-form specialisations.
+        They take part in equality but not in the hash (a dict is unhashable);
+        equal exponents still hash equal.
     """
 
     kind: str
     domain_sup: float
     lattice_span: float
-    params: Mapping[str, float] = field(default_factory=dict)
+    params: Mapping[str, float] = field(default_factory=dict, hash=False)
     _derivs: Callable[[float, int], float] = field(repr=False, default=None)
 
     @classmethod

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotRareError, ParamError
+from .errors import NotRareError, ParamError, require_finite
 from .levy import CharExponent, ModelPair, PowerScaling
 
 __all__ = [
@@ -176,6 +176,7 @@ class CompoundPoissonGammaLaw:
 
 def exact_law(model: WorkedModel, scaling: PowerScaling, n: float):
     """The exact marginal law of C_n for a worked model."""
+    require_finite(n=n)
     phi, psi = scaling.phi(n), scaling.psi(n)
     lam, r, mu = model.lam, model.r, model.mu
     if model.variant == "poisson_gamma":

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, ParamError
+from .errors import DomainError, ParamError, require_finite
 from .levy import ModelPair, PowerScaling, lmgf
 from .models import WorkedModel
 from .twist import solve_twist
@@ -207,6 +207,7 @@ def negbin_tail(successes: float, p: float, threshold: float) -> OracleResult:
     complementary sum is used; either way the truncation bound is rigorous and
     the log probability stays accurate deep under the float range.
     """
+    require_finite(successes=successes, p=p, threshold=threshold)
     if not 0.0 < p < 1.0:
         raise ParamError(f"success probability must be in (0, 1), got {p}")
     if successes <= 0:
@@ -238,6 +239,9 @@ def compound_poisson_gamma_tail(
     nothing for a positive threshold.  The Poisson sum is truncated once its
     remaining mass (every term's weight) drops below 1e-14.
     """
+    require_finite(
+        poisson_rate=poisson_rate, jump_shape=jump_shape, jump_rate=jump_rate, threshold=threshold
+    )
     if poisson_rate <= 0 or jump_shape <= 0 or jump_rate <= 0:
         raise ParamError(
             "poisson_rate, jump_shape and jump_rate must all be positive, got "
@@ -380,6 +384,7 @@ def plain_mc_tail(
     here, and genuinely rare events simply produce zero hits.  Use
     :func:`is_tail` for the rare direction.
     """
+    require_finite(n=n, u=u)
     wm = WorkedModel.from_pair(model)
     if wm is None:
         raise ParamError("plain MC sampling is implemented for the built-in model pairs only")

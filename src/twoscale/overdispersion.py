@@ -36,7 +36,8 @@ from pathlib import Path
 
 from scipy import special
 
-from .errors import NotRareError, ParamError
+from .errors import NotRareError, ParamError, require_finite
+from .formatting import format_sig
 from .oracle import OracleResult, negbin_tail
 
 __all__ = [
@@ -88,6 +89,7 @@ class ArrivalQuery:
     mu_bar: float
 
     def __post_init__(self) -> None:
+        require_finite(K=self.K, u_bar=self.u_bar, mu_bar=self.mu_bar)
         if self.K <= 0 or int(self.K) != self.K:
             raise ParamError(f"K must be a positive integer, got {self.K}")
         if self.u_bar <= 0 or self.mu_bar <= 0:
@@ -195,13 +197,6 @@ def pi_hat_slow(q: ArrivalQuery) -> float:
     """Crude slow-regime approximation: the exponential factor alone."""
     rho = q._require_rare()
     return math.exp((1.0 - 1.0 / rho + math.log(1.0 / rho)) * q.K)
-
-
-def format_sig(x: float, sig: int = 3) -> str:
-    """Scientific notation with a fixed number of significant digits."""
-    if x == 0.0:
-        return "0"
-    return f"{x:.{sig - 1}e}"
 
 
 @dataclass(frozen=True)

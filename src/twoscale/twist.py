@@ -27,7 +27,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import NoSolutionError, NotRareError, OrderError, ParamError, UnsupportedSignError
+from .errors import (
+    NoSolutionError,
+    NotRareError,
+    OrderError,
+    ParamError,
+    UnsupportedSignError,
+    require_finite,
+)
 from .levy import ModelPair, PowerScaling, lmgf
 
 __all__ = [
@@ -84,7 +91,9 @@ def _solve_increasing(
 
     ``g_and_slope(x)`` returns ``(g(x), g'(x))``.  Newton steps are clamped to
     the live bracket; any step that leaves it is replaced by bisection.
-    Iterates to (near) machine precision; returns (root, |g(root)|, iterations).
+    Iterates to (near) machine precision; returns (root, |g(root)|, iterations),
+    where a stop on bracket collapse reports the iterations actually made and
+    the best iterate seen.
     """
     x = 0.5 * (lo + hi)
     gx, dg = g_and_slope(x)
@@ -109,7 +118,7 @@ def _solve_increasing(
             return x, abs(gx), it
         if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
             break
-    return best_x, best_g, _MAX_NEWTON
+    return best_x, best_g, it
 
 
 def _solved(model: ModelPair, u: float, solve: Callable[[ModelPair, float], object]):
@@ -292,7 +301,7 @@ def solve_twist(model: ModelPair, scaling: PowerScaling, n: float, u: float) -> 
     Requires the rare direction ``u > a*b`` and ``n >= 1``.  The reported
     residual is ``|gamma_n'(theta_n) - u n| / (u n)``.
     """
-    _require_finite(n, u)
+    require_finite(n=n, u=u)
     if n < 1:
         raise ParamError(f"n must be >= 1, got {n}")
     _require_rare(model, u)
@@ -300,11 +309,6 @@ def solve_twist(model: ModelPair, scaling: PowerScaling, n: float, u: float) -> 
     if psi == 1.0:
         return _solved(model, u, _solve_single_twist)
     return _twist_at_psi(model, psi, u)
-
-
-def _require_finite(n: float, u: float) -> None:
-    if not (math.isfinite(n) and math.isfinite(u)):
-        raise ParamError(f"n and u must be finite, got n = {n}, u = {u}")
 
 
 def _require_rare(model: ModelPair, u: float) -> None:

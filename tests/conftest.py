@@ -1,7 +1,11 @@
 """Shared builders and comparison helpers."""
 
 import math
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,24 @@ def rare_grid():
 
 
 RARE_GRID = rare_grid()
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*argv: str, timeout: float = 60.0) -> subprocess.CompletedProcess:
+    """``python *argv`` in a fresh interpreter with ``src/`` on its path.
+
+    A run that outlives ``timeout`` seconds is killed and fails the test with
+    ``subprocess.TimeoutExpired``.
+    """
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def count_derivs(monkeypatch) -> list:

@@ -386,3 +386,9 @@ class TestNonFiniteInput:
     def test_rejected_as_param_error(self, entry, n, u):
         with pytest.raises(ParamError):
             entry(pg_pair(1.0, 1.0, 3.0), n, u)
+
+    @pytest.mark.parametrize("f", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("u", [math.nan, math.inf])
+    def test_log_asymptote_rejects_non_finite_u(self, f, u):
+        with pytest.raises(ParamError):
+            log_asymptote(pg_pair(1.0, 1.0, 3.0), PowerScaling(f), u)

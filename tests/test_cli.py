@@ -258,3 +258,23 @@ class TestErrorSurface:
     def test_missing_model_file(self, capsys):
         code, _, err = run(capsys, ["approx", "--model", "/nonexistent.json", "--n", "10", "--u", "1"])
         assert code == 2 and "ParamError" in err
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--poisson-gamma", "1", "1", "3", "--f", "1.5", "--n", "nan", "--u", "1"],
+        ["oracle", "--gamma-poisson", "1", "3", "1", "--f", "1.5", "--n", "100", "--u", "nan"],
+        ["oracle", "--poisson-gamma", "1", "1", "3", "--f", "1.5", "--n", "100", "--u", "inf"],
+        ["oracle", "--poisson-gamma", "1", "1", "3", "--f", "1.5", "--n", "inf", "--u", "1",
+         "--method", "mc", "--samples", "100", "--seed", "1"],
+        ["edgeworth", "--poisson-gamma", "1", "1", "3", "--f", "1.5", "--n", "nan", "--u", "1"],
+        ["edgeworth", "--gamma-poisson", "1", "3", "1", "--f", "1.5", "--n", "100", "--u", "inf"],
+        ["overdispersion", "--K", "10", "--u-bar", "nan", "--mu-bar", "1"],
+        ["overdispersion", "--K", "10", "--u-bar", "20", "--mu-bar", "inf"],
+    ], ids=["oracle-n", "oracle-u-nan", "oracle-u-inf", "mc-n", "edgeworth-n", "edgeworth-u",
+            "overdispersion-u-bar", "overdispersion-mu-bar"])
+    def test_non_finite_input_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2, err
+        assert out == ""
+        assert "ParamError" in err

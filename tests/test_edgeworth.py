@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from twoscale import (
+    ParamError,
     PowerScaling,
     RegimeError,
     build_expansion,
@@ -137,3 +138,23 @@ class TestDiagnostic:
         xs = np.linspace(-6, 6, 2001)
         max_phi_h2 = float(np.max(np.abs(np.exp(-xs**2 / 2) / SQRT2PI * (xs**2 - 1))))
         assert d.sup_gap <= 2.0 * abs(exp.kappa) * max_phi_h2 / math.sqrt(n)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("kwargs", [
+        {"n": math.nan}, {"n": math.inf}, {"u": math.nan}, {"u": math.inf},
+        {"x_min": math.nan}, {"x_max": math.inf},
+    ])
+    @pytest.mark.parametrize("pair", [pg_pair(1.0, 1.0, 2.0), gp_pair(1.0, 2.0, 1.0)],
+                             ids=["pg", "gp"])
+    def test_diagnostic(self, pair, kwargs):
+        args = {"n": 100.0, "u": 1.0, **kwargs}
+        with pytest.raises(ParamError):
+            diagnostic(pair, PowerScaling(1.5), **args)
+
+    def test_expansion_and_cdf(self, pg112):
+        s = PowerScaling(1.5)
+        with pytest.raises(ParamError):
+            build_expansion(pg112, s, math.inf)
+        with pytest.raises(ParamError):
+            tilted_cdf_approx(pg112, s, math.nan, 1.0, 0.0)

@@ -106,10 +106,20 @@ class TestModelPair:
         with pytest.raises(ParamError):
             ModelPair(CharExponent.poisson(1.0), flat)
 
+    def test_stock_pairs_hash(self):
+        pg, gp = pg_pair(1.0, 1.0, 3.0), gp_pair(1.0, 2.0, 1.0)
+        assert len({pg, gp, pg}) == 2
+        assert hash(ModelPair(pg.A, pg.B)) == hash(pg)
+        assert ModelPair(pg.A, pg.B) == pg
+
+    def test_hash_leaves_params_out_but_equality_keeps_them(self):
+        A = CharExponent.poisson(1.0)
+        other = dataclasses.replace(A, params={"lam": 2.0})
+        assert hash(other) == hash(A)
+        assert other != A
+
     def test_memo_stays_out_of_equality_and_hash(self):
-        # Exponents with hashable params, so that the pair itself hashes.
-        A = dataclasses.replace(CharExponent.poisson(1.0), params=(("lam", 1.0),))
-        B = dataclasses.replace(CharExponent.gamma(1.0, 3.0), params=(("r", 1.0), ("mu", 3.0)))
+        A, B = CharExponent.poisson(1.0), CharExponent.gamma(1.0, 3.0)
         used, unused = ModelPair(A, B), ModelPair(A, B)
         before = hash(used)
         fast_expansion(used, 1.0)

@@ -9,6 +9,7 @@ from twoscale import (
     CompoundPoissonGammaLaw,
     NegBinLaw,
     NotRareError,
+    ParamError,
     PowerScaling,
     WorkedModel,
     exact_law,
@@ -184,3 +185,9 @@ class TestExactLaw:
             assert law.lmgf(theta) == pytest.approx(
                 lmgf(pair, s, n, theta), rel=1e-12, abs=1e-12
             )
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_non_finite_n_rejected(self, n):
+        for wm in (WorkedModel.poisson_gamma(1.0, 1.0, 2.0), WorkedModel.gamma_poisson(1.0, 2.0, 1.0)):
+            with pytest.raises(ParamError):
+                exact_law(wm, PowerScaling(1.5), n)

@@ -16,7 +16,7 @@ from twoscale import (
     negbin_tail,
     plain_mc_tail,
 )
-from conftest import assert_displayed, gp_pair, pg_pair
+from conftest import assert_displayed, gp_pair, pg_pair, run_python
 
 
 class TestNegbinTail:
@@ -100,6 +100,23 @@ class TestCompoundPoissonGammaTail:
         assert isinstance(res.error, RigorousBound)
         assert res.error.bound <= 1e-13
 
+    def test_non_finite_arguments_rejected(self):
+        # Run apart, under a timeout: an infinite rate used to loop forever.
+        code = (
+            "import itertools, math\n"
+            "from twoscale import ParamError, compound_poisson_gamma_tail\n"
+            "for i, bad in itertools.product(range(4), (math.inf, math.nan)):\n"
+            "    args = [1.0, 1.0, 1.0, 3.0]\n"
+            "    args[i] = bad\n"
+            "    try:\n"
+            "        res = compound_poisson_gamma_tail(*args)\n"
+            "    except ParamError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'{args} returned {res}')\n"
+        )
+        proc = run_python("-c", code, timeout=60.0)
+        assert proc.returncode == 0, proc.stderr
+
     def test_param_errors(self):
         with pytest.raises(ParamError):
             compound_poisson_gamma_tail(0.0, 1.0, 1.0, 3.0)
@@ -107,6 +124,24 @@ class TestCompoundPoissonGammaTail:
             compound_poisson_gamma_tail(2.0, -1.0, 1.0, 3.0)
         with pytest.raises(ParamError):
             compound_poisson_gamma_tail(2.0, 1.0, 1.0, -3.0)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("args", [
+        (math.inf, 0.5, 3.0), (math.nan, 0.5, 3.0), (2.0, math.nan, 3.0),
+        (2.0, 0.5, math.nan), (2.0, 0.5, math.inf),
+    ])
+    def test_negbin_tail(self, args):
+        with pytest.raises(ParamError):
+            negbin_tail(*args)
+
+    @pytest.mark.parametrize("n,u", [
+        (math.nan, 0.5), (math.inf, 0.5), (50.0, math.nan), (50.0, math.inf),
+    ])
+    @pytest.mark.parametrize("estimator", [plain_mc_tail, is_tail])
+    def test_monte_carlo(self, pg113, estimator, n, u):
+        with pytest.raises(ParamError):
+            estimator(pg113, PowerScaling(1.5), n, u, samples=100, seed=1)
 
 
 class TestImportanceSampling:

@@ -40,6 +40,13 @@ class TestArrivalQuery:
         with pytest.raises(ParamError):
             ArrivalQuery(10, 1.0, 0.0)
 
+    @pytest.mark.parametrize("args", [
+        (math.nan, 10.0, 1.0), (10, math.nan, 1.0), (10, math.inf, 1.0), (10, 10.0, math.nan),
+    ])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(ParamError):
+            ArrivalQuery(*args)
+
     def test_non_rare_queries_still_have_exact_values(self):
         # the crude tails remain defined when rho >= 1; only the asymptotic
         # refinements refuse

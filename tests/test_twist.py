@@ -84,6 +84,15 @@ class TestSolveTwist:
         assert sol.iterations == 6
         assert calls[0] <= 90
 
+    def test_bracket_collapse_reports_iterations_made(self):
+        # This solve ends on bracket collapse, not on the stop test; it used
+        # to report the iteration cap (200).
+        m = gp_pair(0.8610811198075052, 1.8862038491373836, 0.8609346512648166)
+        sol = solve_twist(m, PowerScaling(0.24656056697571294), 1060.7920469975845,
+                          1.274465278524265)
+        assert sol.theta_n == 0.01340540770031168
+        assert sol.iterations < 200
+
     def test_not_rare(self):
         m, s = pg_pair(1.0, 1.0, 2.0), PowerScaling(1.5)
         with pytest.raises(NotRareError):
