@@ -26,15 +26,18 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 
 from . import models as worked
 from .errors import LatticeError, OrderError, RegimeError, SeriesUnavailable, require_finite
 from .levy import ModelPair, PowerScaling, lmgf
 from .twist import (
+    _require_query,
+    _require_rare,
     _solve_single_twist,
+    _solve_tau_star,
+    _solve_theta_star,
     _solved,
-    fast_expansion,
-    slow_expansion,
     solve_twist,
 )
 
@@ -142,6 +145,90 @@ def _assemble(prefactor, terms, mode, order, lattice) -> AsymptoticEstimate:
     )
 
 
+def _leading(model: ModelPair, regime: str, u: float) -> tuple[float, float, float]:
+    """Leading-order ``(twist, rate, sigma)`` of a regime at a rare ``u``.
+
+    fast: ``theta*``, ``b alpha(theta*) - theta* u``, sigma_plus; slow: ``tau*``,
+    ``beta(a tau*) - tau* u``, sigma_minus; single: the f = 1 twist ``t0``,
+    ``beta(alpha(t0)) - t0 u`` and sigma_0, with
+    ``sigma_0^2 = beta''(alpha(t0)) alpha'(t0)^2 + beta'(alpha(t0)) alpha''(t0)``.
+    The rate is per unit of the regime's clock: n, phi_n, n.
+    """
+    _require_rare(model, u)
+    A, B = model.A, model.B
+    if regime == "fast":
+        theta = _solved(model, u, _solve_theta_star)
+        sigma = math.sqrt(model.b * A.deriv(theta, 2))
+        return theta, model.b * A.deriv(theta, 0) - theta * u, sigma
+    if regime == "slow":
+        tau = _solved(model, u, _solve_tau_star)
+        a = model.a
+        sigma = a * math.sqrt(B.deriv(a * tau, 2))
+        return tau, B.deriv(a * tau, 0) - tau * u, sigma
+    theta = _solved(model, u, _solve_single_twist).theta_n
+    inner = A.deriv(theta, 0)
+    sigma = math.sqrt(
+        B.deriv(inner, 2) * A.deriv(theta, 1) ** 2 + B.deriv(inner, 1) * A.deriv(theta, 2)
+    )
+    return theta, B.deriv(inner, 0) - theta * u, sigma
+
+
+# What the fast and the slow approximant do differently: the range of f, the
+# clock of the linear term (n or phi_n), whose lattice span applies and the
+# unit of that process's time (lattice factor at unit*twist, times unit), the
+# default series order, and the series sum_{k >= k0} bar[k - k0] phi psi^(sign k)
+# with its coefficients from ``models`` (named, so a wrapper installed on the
+# module, such as the benchmark's tracer, sees the call).
+_SIDES = {
+    "fast": ("f > 1", lambda scaling, n: n, "A", lambda model: 1.0,
+             attrgetter("m_plus"), 2, 1, "fast_series_coeffs"),
+    "slow": ("0 < f < 1", PowerScaling.phi, "B", attrgetter("a"),
+             attrgetter("m_minus"), 1, -1, "slow_series_coeffs"),
+}
+
+
+def _approx(regime, model, scaling, n, u, mode, order, lattice) -> AsymptoticEstimate:
+    """The body shared by :func:`approx_fast` and :func:`approx_slow`."""
+    requires, clock_of, process, unit_of, default_order, k0, sign, coeffs = _SIDES[regime]
+    _require_query(n, u)
+    info = classify(scaling)
+    if info.regime != regime:
+        raise RegimeError(f"approx_{regime} requires {requires}, got f = {scaling.f}")
+    twist, rate, sigma = _leading(model, regime, u)
+    clock = clock_of(scaling, n)
+    if lattice:
+        d = getattr(model, process).lattice_span
+        if d <= 0:
+            raise LatticeError(f"lattice adjustment requested but {process} has lattice span 0")
+        unit = unit_of(model)
+        front = lattice_factor(unit * twist, d) * unit
+    else:
+        front = 1.0 / twist
+    prefactor = front / (sigma * math.sqrt(2.0 * math.pi * clock))
+
+    linear = rate * clock
+    if mode == "direct":
+        sol = solve_twist(model, scaling, n, u)
+        delta = lmgf(model, scaling, n, sol.theta_n, 0) - sol.theta_n * u * n
+        terms = [("linear", linear), ("sublinear_remainder", delta - linear)]
+        return _assemble(prefactor, terms, "direct", None, lattice)
+    if mode != "series":
+        raise OrderError(f"mode must be 'direct' or 'series', got {mode!r}")
+    wm = worked.WorkedModel.from_pair(model)
+    if wm is None:
+        raise SeriesUnavailable("series mode needs a built-in model pair")
+    m = default_order(info) if order is None else order
+    if m < k0 - 1:
+        raise OrderError(f"series order must be >= {k0 - 1}, got {m}")
+    terms = [("linear", linear)]
+    if m >= k0:
+        _, _, bar = getattr(worked, coeffs)(wm, u, k_max=m)
+        phi, psi = scaling.phi(n), scaling.psi(n)
+        for k in range(k0, m + 1):
+            terms.append((f"k={k}", bar[k - k0] * phi * psi ** (sign * k)))
+    return _assemble(prefactor, terms, "series", m, lattice)
+
+
 def approx_fast(
     model: ModelPair,
     scaling: PowerScaling,
@@ -157,43 +244,7 @@ def approx_fast(
     series mode the sublinear sum runs k = 2..M with M = ``order`` (default:
     the regime's own m_plus).
     """
-    require_finite(n=n, u=u)
-    info = classify(scaling)
-    if info.regime != "fast":
-        raise RegimeError(f"approx_fast requires f > 1, got f = {scaling.f}")
-    exp0 = fast_expansion(model, u, order=0)
-    theta_star = exp0.theta_star
-    sigma_plus = math.sqrt(model.b * model.A.deriv(theta_star, 2))
-    if lattice:
-        d = model.A.lattice_span
-        if d <= 0:
-            raise LatticeError("lattice adjustment requested but A has lattice span 0")
-        front = lattice_factor(theta_star, d)
-    else:
-        front = 1.0 / theta_star
-    prefactor = front / (sigma_plus * math.sqrt(2.0 * math.pi * n))
-
-    linear = (model.b * model.A.deriv(theta_star, 0) - theta_star * u) * n
-    if mode == "direct":
-        sol = solve_twist(model, scaling, n, u)
-        delta = lmgf(model, scaling, n, sol.theta_n, 0) - sol.theta_n * u * n
-        terms = [("linear", linear), ("sublinear_remainder", delta - linear)]
-        return _assemble(prefactor, terms, "direct", None, lattice)
-    if mode != "series":
-        raise OrderError(f"mode must be 'direct' or 'series', got {mode!r}")
-    wm = worked.WorkedModel.from_pair(model)
-    if wm is None:
-        raise SeriesUnavailable("series mode needs a built-in model pair")
-    m = info.m_plus if order is None else order
-    if m < 1:
-        raise OrderError(f"series order must be >= 1, got {m}")
-    terms = [("linear", linear)]
-    if m >= 2:
-        _, _, vbar = worked.fast_series_coeffs(wm, u, k_max=m)
-        phi, psi = scaling.phi(n), scaling.psi(n)
-        for k in range(2, m + 1):
-            terms.append((f"k={k}", vbar[k - 2] * phi * psi**k))
-    return _assemble(prefactor, terms, "series", m, lattice)
+    return _approx("fast", model, scaling, n, u, mode, order, lattice)
 
 
 def approx_slow(
@@ -211,65 +262,19 @@ def approx_slow(
     (theta*, sigma_plus, n); the lattice span, when requested, is B's.  The
     series sum runs k = 1..M (M may be 0: empty sum).
     """
-    require_finite(n=n, u=u)
-    info = classify(scaling)
-    if info.regime != "slow":
-        raise RegimeError(f"approx_slow requires 0 < f < 1, got f = {scaling.f}")
-    exp0 = slow_expansion(model, u, order=1)
-    tau_star = exp0.tau_star
-    a = model.a
-    sigma_minus = a * math.sqrt(model.B.deriv(a * tau_star, 2))
-    phi = scaling.phi(n)
-    if lattice:
-        d = model.B.lattice_span
-        if d <= 0:
-            raise LatticeError("lattice adjustment requested but B has lattice span 0")
-        front = lattice_factor(a * tau_star, d) * a
-    else:
-        front = 1.0 / tau_star
-    prefactor = front / (sigma_minus * math.sqrt(2.0 * math.pi * phi))
-
-    linear = (model.B.deriv(a * tau_star, 0) - tau_star * u) * phi
-    if mode == "direct":
-        sol = solve_twist(model, scaling, n, u)
-        delta = lmgf(model, scaling, n, sol.theta_n, 0) - sol.theta_n * u * n
-        terms = [("linear", linear), ("sublinear_remainder", delta - linear)]
-        return _assemble(prefactor, terms, "direct", None, lattice)
-    if mode != "series":
-        raise OrderError(f"mode must be 'direct' or 'series', got {mode!r}")
-    wm = worked.WorkedModel.from_pair(model)
-    if wm is None:
-        raise SeriesUnavailable("series mode needs a built-in model pair")
-    m = info.m_minus if order is None else order
-    if m < 0:
-        raise OrderError(f"series order must be >= 0, got {m}")
-    terms = [("linear", linear)]
-    if m >= 1:
-        _, _, wbar = worked.slow_series_coeffs(wm, u, k_max=m)
-        psi = scaling.psi(n)
-        for k in range(1, m + 1):
-            terms.append((f"k={k}", wbar[k - 1] * phi * psi ** (-k)))
-    return _assemble(prefactor, terms, "series", m, lattice)
+    return _approx("slow", model, scaling, n, u, mode, order, lattice)
 
 
 def approx_single_timescale(model: ModelPair, n: float, u: float) -> AsymptoticEstimate:
     """Tail approximation for phi_n = n (f = 1), where C_n is an n-fold sum.
 
     theta* solves ``beta'(alpha(theta)) alpha'(theta) = u`` and
-
-        sigma_0^2 = beta''(alpha(t*)) alpha'(t*)^2 + beta'(alpha(t*)) alpha''(t*).
+    ``1/(theta* sigma_0 sqrt(2 pi n))`` is the prefactor.
     """
-    require_finite(n=n, u=u)
-    sol = _solved(model, u, _solve_single_twist)
-    theta0 = sol.theta_n
-    inner = model.A.deriv(theta0, 0)
-    sigma0 = math.sqrt(
-        model.B.deriv(inner, 2) * model.A.deriv(theta0, 1) ** 2
-        + model.B.deriv(inner, 1) * model.A.deriv(theta0, 2)
-    )
+    _require_query(n, u)
+    theta0, rate, sigma0 = _leading(model, "single", u)
     prefactor = 1.0 / (theta0 * sigma0 * math.sqrt(2.0 * math.pi * n))
-    linear = (model.B.deriv(inner, 0) - theta0 * u) * n
-    return _assemble(prefactor, [("linear", linear)], "direct", None, False)
+    return _assemble(prefactor, [("linear", rate * n)], "direct", None, False)
 
 
 def log_asymptote(
@@ -282,13 +287,6 @@ def log_asymptote(
     At f = 1 the per-n slot carries the single-timescale rate.
     """
     require_finite(u=u)
-    info = classify(scaling)
-    if info.regime == "fast":
-        theta_star = fast_expansion(model, u, order=0).theta_star
-        return (model.b * model.A.deriv(theta_star, 0) - theta_star * u, None)
-    if info.regime == "slow":
-        tau_star = slow_expansion(model, u, order=1).tau_star
-        return (None, model.B.deriv(model.a * tau_star, 0) - tau_star * u)
-    sol = _solved(model, u, _solve_single_twist)
-    inner = model.A.deriv(sol.theta_n, 0)
-    return (model.B.deriv(inner, 0) - sol.theta_n * u, None)
+    regime = classify(scaling).regime
+    _, rate, _ = _leading(model, regime, u)
+    return (None, rate) if regime == "slow" else (rate, None)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .errors import DomainError, OrderError, ParamError, UnsupportedSignError
+from .errors import DomainError, OrderError, ParamError, UnsupportedSignError, require_finite
 
 __all__ = [
     "CharExponent",
@@ -180,10 +180,18 @@ class PowerScaling:
             raise ParamError(f"timescale exponent f must be positive and finite, got {self.f}")
 
     def phi(self, n: float) -> float:
-        return n ** self.f
+        return self._power(n, self.f, "n ** f")
 
     def psi(self, n: float) -> float:
-        return n ** (1.0 - self.f)
+        return self._power(n, 1.0 - self.f, "n ** (1 - f)")
+
+    def _power(self, n: float, p: float, label: str) -> float:
+        if n <= 0:
+            raise ParamError(f"{label} needs n > 0, got n = {n}, f = {self.f}")
+        try:
+            return n ** p
+        except OverflowError:
+            raise ParamError(f"{label} overflows at n = {n}, f = {self.f}") from None
 
 
 def lmgf(model: ModelPair, scaling: PowerScaling, n: float, theta: float, order: int = 0) -> float:
@@ -198,8 +206,7 @@ def lmgf(model: ModelPair, scaling: PowerScaling, n: float, theta: float, order:
     """
     if order not in (0, 1, 2):
         raise OrderError(f"lmgf derivative order must be 0, 1 or 2, got {order}")
-    if n <= 0:
-        raise ParamError(f"n must be positive, got {n}")
+    require_finite(n=n, theta=theta)
     psi = scaling.psi(n)
     inner = model.A.deriv(theta, 0) * psi
     if inner >= model.B.domain_sup:
@@ -227,8 +234,7 @@ def mean_variance(model: ModelPair, scaling: PowerScaling, n: float) -> tuple[fl
     with ``sigma_minus^2 = a^2 beta''(0)`` (clock fluctuations) and
     ``sigma_plus^2 = alpha''(0) b`` (outer-process fluctuations).
     """
-    if n <= 0:
-        raise ParamError(f"n must be positive, got {n}")
+    require_finite(n=n)
     a, b = model.a, model.b
     sigma_minus_sq = a * a * model.B.deriv(0.0, 2)
     sigma_plus_sq = model.A.deriv(0.0, 2) * b

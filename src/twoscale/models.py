@@ -70,6 +70,7 @@ class WorkedModel:
         return self.lam * self.r / (self.mu * u)
 
     def _require_rare(self, u: float) -> float:
+        require_finite(u=u)
         rho = self.rho(u)
         if not rho < 1:
             raise NotRareError(f"rho = lam*r/(mu*u) = {rho} must be < 1")

@@ -273,14 +273,8 @@ def _twist_at_psi(model: ModelPair, psi: float, u: float) -> TwistSolution:
         hi = new_hi
         ghi = g(hi)
 
-    lo = 0.5 * hi
-    while g(lo) > 0:
-        hi = lo  # every probe above the root tightens the bracket
-        lo *= 0.5
-        if lo < 5e-324:
-            # g(0+) = a*b - u < 0, so this cannot happen for admissible u.
-            raise NoSolutionError("failed to bracket the twist from below")
-
+    # g(0+) = a*b - u < 0, so the lower bracket exists for admissible u.
+    lo, hi = _bracket_below(g, hi, "the twist")
     root, gabs, iters = _solve_increasing(g_and_slope, lo, hi, scale=u)
     residual = gabs / u
     if residual > RESIDUAL_TOL:
@@ -301,14 +295,19 @@ def solve_twist(model: ModelPair, scaling: PowerScaling, n: float, u: float) -> 
     Requires the rare direction ``u > a*b`` and ``n >= 1``.  The reported
     residual is ``|gamma_n'(theta_n) - u n| / (u n)``.
     """
-    require_finite(n=n, u=u)
-    if n < 1:
-        raise ParamError(f"n must be >= 1, got {n}")
+    _require_query(n, u)
     _require_rare(model, u)
     psi = scaling.psi(n)
     if psi == 1.0:
         return _solved(model, u, _solve_single_twist)
     return _twist_at_psi(model, psi, u)
+
+
+def _require_query(n: float, u: float) -> None:
+    """Finite ``u`` and a finite ``n >= 1``, as every approximant needs."""
+    require_finite(n=n, u=u)
+    if n < 1:
+        raise ParamError(f"n must be >= 1, got {n}")
 
 
 def _require_rare(model: ModelPair, u: float) -> None:
@@ -317,79 +316,62 @@ def _require_rare(model: ModelPair, u: float) -> None:
         raise NotRareError(f"u = {u} must exceed a*b = {ab} for a rare upper tail")
 
 
-def _solve_theta_star(model: ModelPair, u: float) -> float:
-    """Solve ``b alpha'(theta) = u`` on (0, A.domain_sup)."""
-    b = model.b
+def _bracket_below(g: Callable[[float], float], hi: float, what: str) -> tuple[float, float]:
+    """``(lo, hi)`` with ``g(lo) <= 0``, halving down from ``lo = hi / 2``.
 
-    def g(theta: float) -> float:
-        return b * model.A.deriv(theta, 1) - u
-
-    def g_and_slope(theta: float) -> tuple[float, float]:
-        return g(theta), b * model.A.deriv(theta, 2)
-
-    sup_a = model.A.domain_sup
-    if math.isfinite(sup_a):
-        hi = sup_a * (1.0 - 1e-12)
-        if g(hi) < 0:
-            raise NoSolutionError(f"b*alpha' stays below u = {u} on A's domain")
-    else:
-        hi = 1.0
-        for k in range(_MAX_EXPAND):
-            ghi = g(hi)
-            if ghi > 0:
-                break
-            hi *= 2.0
-            if hi > 1e100:
-                raise NoSolutionError(f"b*alpha' appears bounded below u = {u}")
-        else:
-            raise NoSolutionError(f"b*alpha' appears bounded below u = {u}")
+    Every probe above the root becomes the new ``hi``, tightening the bracket.
+    """
     lo = 0.5 * hi
     while g(lo) > 0:
         hi = lo
         lo *= 0.5
         if lo < 5e-324:
-            raise NoSolutionError("failed to bracket theta_star from below")
-    root, gabs, _ = _solve_increasing(g_and_slope, lo, hi, scale=u)
+            raise NoSolutionError(f"failed to bracket {what} from below")
+    return lo, hi
+
+
+def _solve_star(g: Callable, slope: Callable, sup: float, u: float, what: str) -> float:
+    """Root of the increasing ``g`` on ``(0, sup)``, where ``g(0) = a*b - u``.
+
+    The upper bracket is the domain edge ``sup (1 - 1e-12)`` when ``sup`` is
+    finite, else the first of 1, 2, 4, ... up to 1e100 where ``g > 0``.  The
+    root must reach a relative residual of 1e-12.
+    """
+    if math.isfinite(sup):
+        hi = sup * (1.0 - 1e-12)
+        if g(hi) < 0:
+            raise NoSolutionError(f"no {what}: its equation stays below u = {u} on the domain")
+    else:
+        hi = 1.0
+        while not g(hi) > 0:
+            hi *= 2.0
+            if hi > 1e100:
+                raise NoSolutionError(f"no {what}: its equation appears bounded below u = {u}")
+    lo, hi = _bracket_below(g, hi, what)
+    root, gabs, _ = _solve_increasing(lambda x: (g(x), slope(x)), lo, hi, scale=u)
     if gabs / u > 1e-12:
-        raise NoSolutionError(f"theta_star solve stalled at residual {gabs / u:.3e}")
+        raise NoSolutionError(f"{what} solve stalled at residual {gabs / u:.3e}")
     return root
+
+
+def _solve_theta_star(model: ModelPair, u: float) -> float:
+    """Solve ``b alpha'(theta) = u`` on (0, A.domain_sup)."""
+    A, b = model.A, model.b
+    return _solve_star(
+        lambda theta: b * A.deriv(theta, 1) - u,
+        lambda theta: b * A.deriv(theta, 2),
+        A.domain_sup, u, "theta_star",
+    )
 
 
 def _solve_tau_star(model: ModelPair, u: float) -> float:
     """Solve ``a beta'(a tau) = u`` on (0, B.domain_sup / a)."""
-    a = model.a
-
-    def g(tau: float) -> float:
-        return a * model.B.deriv(a * tau, 1) - u
-
-    def g_and_slope(tau: float) -> tuple[float, float]:
-        return g(tau), a * a * model.B.deriv(a * tau, 2)
-
-    sup_b = model.B.domain_sup
-    if math.isfinite(sup_b):
-        hi = (sup_b / a) * (1.0 - 1e-12)
-        if g(hi) < 0:
-            raise NoSolutionError(f"a*beta'(a tau) stays below u = {u} on B's domain")
-    else:
-        hi = 1.0
-        for _ in range(_MAX_EXPAND):
-            if g(hi) > 0:
-                break
-            hi *= 2.0
-            if hi > 1e100:
-                raise NoSolutionError(f"a*beta'(a tau) appears bounded below u = {u}")
-        else:
-            raise NoSolutionError(f"a*beta'(a tau) appears bounded below u = {u}")
-    lo = 0.5 * hi
-    while g(lo) > 0:
-        hi = lo
-        lo *= 0.5
-        if lo < 5e-324:
-            raise NoSolutionError("failed to bracket tau_star from below")
-    root, gabs, _ = _solve_increasing(g_and_slope, lo, hi, scale=u)
-    if gabs / u > 1e-12:
-        raise NoSolutionError(f"tau_star solve stalled at residual {gabs / u:.3e}")
-    return root
+    B, a = model.B, model.a
+    return _solve_star(
+        lambda tau: a * B.deriv(a * tau, 1) - u,
+        lambda tau: a * a * B.deriv(a * tau, 2),
+        B.domain_sup / a, u, "tau_star",
+    )
 
 
 def fast_expansion(model: ModelPair, u: float, order: int = 2) -> FastExpansion:
@@ -407,6 +389,7 @@ def fast_expansion(model: ModelPair, u: float, order: int = 2) -> FastExpansion:
     """
     if order not in (0, 1, 2):
         raise OrderError(f"fast expansion supports orders 0..2, got {order}")
+    require_finite(u=u)
     _require_rare(model, u)
     theta_star = _solved(model, u, _solve_theta_star)
     coeffs = [theta_star]
@@ -442,6 +425,7 @@ def slow_expansion(model: ModelPair, u: float, order: int = 2) -> SlowExpansion:
         raise OrderError(f"slow expansion supports orders 1..2, got {order}")
     if model.a <= 0:
         raise UnsupportedSignError("slow expansion requires a = alpha'(0) > 0")
+    require_finite(u=u)
     _require_rare(model, u)
     tau_star = _solved(model, u, _solve_tau_star)
     coeffs = [tau_star]

@@ -7,6 +7,7 @@ import pytest
 
 from twoscale import (
     LatticeError,
+    NotRareError,
     ParamError,
     PowerScaling,
     RegimeError,
@@ -372,17 +373,21 @@ class TestPairReuse:
 
 
 class TestNonFiniteInput:
+    # n below 1 counts as bad input too: the prefactor's sqrt(2 pi n) must
+    # not run before the check.
     @pytest.mark.parametrize("n,u", [
         (math.nan, 1.0), (math.inf, 1.0), (100.0, math.nan), (100.0, math.inf),
+        (0.0, 1.0), (-3.0, 1.0), (0.5, 1.0),
     ])
     @pytest.mark.parametrize("entry", [
         lambda m, n, u: approx_fast(m, PowerScaling(1.5), n, u),
         lambda m, n, u: approx_fast(m, PowerScaling(1.5), n, u, mode="series"),
         lambda m, n, u: approx_slow(m, PowerScaling(0.6), n, u),
+        lambda m, n, u: approx_slow(m, PowerScaling(0.6), n, u, mode="series"),
         lambda m, n, u: approx_single_timescale(m, n, u),
         lambda m, n, u: solve_twist(m, PowerScaling(1.5), n, u),
         lambda m, n, u: solve_twist(m, PowerScaling(1.0), n, u),
-    ], ids=["fast", "fast-series", "slow", "single", "twist", "twist-f1"])
+    ], ids=["fast", "fast-series", "slow", "slow-series", "single", "twist", "twist-f1"])
     def test_rejected_as_param_error(self, entry, n, u):
         with pytest.raises(ParamError):
             entry(pg_pair(1.0, 1.0, 3.0), n, u)
@@ -392,3 +397,111 @@ class TestNonFiniteInput:
     def test_log_asymptote_rejects_non_finite_u(self, f, u):
         with pytest.raises(ParamError):
             log_asymptote(pg_pair(1.0, 1.0, 3.0), PowerScaling(f), u)
+
+    @pytest.mark.parametrize("mode", ["direct", "series"])
+    def test_overflowing_phi_rejected(self, mode):
+        # n ** f overflows for f = 1.5 at n = 1e300: bad input, not a crash.
+        with pytest.raises(ParamError):
+            approx_fast(pg_pair(1.0, 2.0, 3.0), PowerScaling(1.5), 1e300, 1.0, mode=mode)
+
+
+class TestNotRareAtF1:
+    @pytest.mark.parametrize("entry", [
+        lambda m, u: approx_single_timescale(m, 10.0, u),
+        lambda m, u: log_asymptote(m, PowerScaling(1.0), u),
+    ], ids=["single", "log_asymptote"])
+    @pytest.mark.parametrize("u", [0.1, 1.0 / 3.0])
+    def test_raises_not_rare_without_solving(self, monkeypatch, entry, u):
+        # u <= a*b = 1/3: rejected up front, as in the fast and slow regimes,
+        # instead of halving the lower bracket towards 5e-324.
+        model = pg_pair(1.0, 1.0, 3.0)
+        calls = count_derivs(monkeypatch)
+        with pytest.raises(NotRareError):
+            entry(model, u)
+        assert calls[0] < 10
+
+
+# Exact outputs of the approximants, recorded before the fast, slow and
+# single-timescale paths were folded into one evaluator: (pair, f, mode,
+# lattice) -> (prefactor, exponent_terms, log_value, value), n = 200 for
+# fast/slow and n = 50 at f = 1, u = 2 a b; log_asymptote rows hold its pair.
+GOLDEN = [
+    (('pg', 1.5, 'direct', False),
+     (0.04984426960984458,
+      (('linear', -25.752957407992703), ('sublinear_remainder', 0.761757208001363)),
+      -27.990051941834285, 6.983528236614571e-13)),
+    (('pg', 1.5, 'direct', True),
+     (0.06909882989426709,
+      (('linear', -25.752957407992703), ('sublinear_remainder', 0.761757208001363)),
+      -27.663417681856004, 9.681225815140314e-13)),
+    (('pg', 1.5, 'series', False),
+     (0.04984426960984458,
+      (('linear', -25.752957407992703), ('k=2', 0.7856742013183862), ('k=3', -0.024691358024691384)),
+      -27.99082630654195, 6.978122532076674e-13)),
+    (('pg', 1.5, 'series', True),
+     (0.06909882989426709,
+      (('linear', -25.752957407992703), ('k=2', 0.7856742013183862), ('k=3', -0.024691358024691384)),
+      -27.66419204656367, 9.673731917421547e-13)),
+    (('pg', 0.6, 'direct', False),
+     (0.0813956259098178,
+      (('linear', -7.37136838131084), ('sublinear_remainder', 1.6661065909613795)),
+      -8.213695533518544, 0.00027091768367073056)),
+    (('pg', 0.6, 'series', False),
+     (0.0813956259098178,
+      (('linear', -7.37136838131084), ('k=1', 2.16404985886082)),
+      -7.715752265619104, 0.00044575001586955634)),
+    (('pg', 1.0, 'single', False),
+     (0.11387938337939713,
+      (('linear', -4.509610075814037),),
+      -6.682225507053287, 0.0012529863373811816)),
+    (('gp', 1.5, 'direct', False),
+     (0.028209479177387763,
+      (('linear', -61.37056388801094), ('sublinear_remainder', 3.2219283835278887)),
+      -61.716732720961744, 1.5731261058601426e-27)),
+    (('gp', 1.5, 'series', False),
+     (0.028209479177387763,
+      (('linear', -61.37056388801094), ('k=2', 3.3973158418307494), ('k=3', -0.18472239829427917)),
+      -61.72606766095316, 1.5585093972547126e-27)),
+    (('gp', 0.6, 'direct', False),
+     (0.08303488877104073,
+      (('linear', -9.279751917006942), ('sublinear_remainder', 1.20754037568428)),
+      -10.560705954190055, 2.591455043391452e-05)),
+    (('gp', 0.6, 'direct', True),
+     (0.11511079807951113,
+      (('linear', -9.279751917006942), ('sublinear_remainder', 1.20754037568428)),
+      -10.234071694211774, 3.592519513749271e-05)),
+    (('gp', 0.6, 'series', False),
+     (0.08303488877104073,
+      (('linear', -9.279751917006942), ('k=1', 1.386299035945252)),
+      -10.381947293929084, 3.098686063140307e-05)),
+    (('gp', 0.6, 'series', True),
+     (0.11511079807951113,
+      (('linear', -9.279751917006942), ('k=1', 1.386299035945252)),
+      -10.055313033950803, 4.295691016212201e-05)),
+    (('gp', 1.0, 'single', False),
+     (0.08098941318115013,
+      (('linear', -8.578643762690497),),
+      -11.092080597009659, 1.5232479555167043e-05)),
+    (('pg', 1.5, 'log_asymptote', None), (-0.12876478703996352, None)),
+    (('pg', 0.6, 'log_asymptote', None), (None, -0.3068528194400547)),
+    (('pg', 1.0, 'log_asymptote', None), (-0.09019220151628074, None)),
+]
+
+
+class TestGolden:
+    @pytest.mark.parametrize("key,want", GOLDEN, ids=[
+        "-".join(str(part) for part in key) for key, _ in GOLDEN
+    ])
+    def test_bit_identical(self, key, want):
+        kind, f, mode, lattice = key
+        model = pg_pair(1.0, 1.0, 3.0) if kind == "pg" else gp_pair(1.0, 2.0, 1.0)
+        u = 2.0 * model.a * model.b
+        if mode == "log_asymptote":
+            assert log_asymptote(model, PowerScaling(f), u) == want
+            return
+        if mode == "single":
+            est = approx_single_timescale(model, 50.0, u)
+        else:
+            fn = approx_fast if f > 1 else approx_slow
+            est = fn(model, PowerScaling(f), 200.0, u, mode=mode, lattice=lattice)
+        assert (est.prefactor, est.exponent_terms, est.log_value, est.value) == want

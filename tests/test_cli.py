@@ -67,7 +67,7 @@ class TestApprox:
         assert code == 0
         assert json.loads(out)["regime"] == "single"
 
-    @pytest.mark.parametrize("n", ["nan", "inf"])
+    @pytest.mark.parametrize("n", ["nan", "inf", "0", "-3"])
     @pytest.mark.parametrize("f", ["1.5", "0.6", "1"])
     def test_non_finite_n_exits_2(self, capsys, f, n):
         code, out, err = run(
@@ -76,6 +76,15 @@ class TestApprox:
         assert code == 2
         assert out == ""
         assert "ParamError" in err
+
+    def test_single_not_rare_exits_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["approx", "--poisson-gamma", "1", "1", "3", "--f", "1", "--n", "10", "--u", "0.1"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "NotRareError" in err
 
     def test_missing_required_flag_exits_2(self, pg_json, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -271,8 +280,15 @@ class TestNonFiniteInput:
         ["edgeworth", "--gamma-poisson", "1", "3", "1", "--f", "1.5", "--n", "100", "--u", "inf"],
         ["overdispersion", "--K", "10", "--u-bar", "nan", "--mu-bar", "1"],
         ["overdispersion", "--K", "10", "--u-bar", "20", "--mu-bar", "inf"],
+        ["approx", "--poisson-gamma", "1", "2", "3", "--f", "1.5", "--n", "0.5", "--u", "1",
+         "--mode", "series"],
+        ["approx", "--poisson-gamma", "1", "2", "3", "--f", "1.5", "--n", "1e300", "--u", "1"],
+        ["approx", "--poisson-gamma", "1", "2", "3", "--f", "1.5", "--n", "1e300", "--u", "1",
+         "--mode", "series"],
+        ["oracle", "--poisson-gamma", "1", "2", "3", "--f", "1.5", "--n", "0", "--u", "1"],
     ], ids=["oracle-n", "oracle-u-nan", "oracle-u-inf", "mc-n", "edgeworth-n", "edgeworth-u",
-            "overdispersion-u-bar", "overdispersion-mu-bar"])
+            "overdispersion-u-bar", "overdispersion-mu-bar", "approx-series-n-below-1",
+            "approx-phi-overflow", "approx-series-phi-overflow", "oracle-n-zero"])
     def test_non_finite_input_exits_2(self, capsys, argv):
         code, out, err = run(capsys, argv)
         assert code == 2, err

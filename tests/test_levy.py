@@ -145,6 +145,14 @@ class TestPowerScaling:
         with pytest.raises(ParamError):
             PowerScaling(-1.5)
 
+    @pytest.mark.parametrize("f,n,which", [
+        (1.5, 0.0, "phi"), (1.5, 0.0, "psi"), (0.5, -1.0, "phi"), (0.5, -1.0, "psi"),
+        (1.5, 1e300, "phi"), (3.0, 1e-300, "psi"),
+    ])
+    def test_bad_n_and_overflow_rejected(self, f, n, which):
+        with pytest.raises(ParamError, match="f = "):
+            getattr(PowerScaling(f), which)(n)
+
 
 class TestLmgf:
     def test_zero_at_origin(self):
@@ -203,6 +211,19 @@ class TestLmgf:
         d2 = (lmgf(m, s, n, h) - 2 * lmgf(m, s, n, 0.0) + lmgf(m, s, n, -h)) / (h * h)
         assert d1 == pytest.approx(lmgf(m, s, n, 0.0, order=1), rel=1e-8)
         assert d2 == pytest.approx(lmgf(m, s, n, 0.0, order=2), rel=1e-4)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("call", [
+        lambda m, s: lmgf(m, s, math.nan, 0.5),
+        lambda m, s: lmgf(m, s, math.inf, 0.5),
+        lambda m, s: lmgf(m, s, 100.0, math.nan),
+        lambda m, s: mean_variance(m, s, math.inf),
+        lambda m, s: mean_variance(m, s, math.nan),
+    ], ids=["lmgf-n-nan", "lmgf-n-inf", "lmgf-theta-nan", "mean-variance-inf", "mean-variance-nan"])
+    def test_rejected_as_param_error(self, call):
+        with pytest.raises(ParamError):
+            call(pg_pair(1.0, 1.0, 3.0), PowerScaling(1.5))
 
 
 class TestMeanVariance:

@@ -186,8 +186,18 @@ class TestExactLaw:
                 lmgf(pair, s, n, theta), rel=1e-12, abs=1e-12
             )
 
-    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 0.0, -1.0])
     def test_non_finite_n_rejected(self, n):
         for wm in (WorkedModel.poisson_gamma(1.0, 1.0, 2.0), WorkedModel.gamma_poisson(1.0, 2.0, 1.0)):
             with pytest.raises(ParamError):
                 exact_law(wm, PowerScaling(1.5), n)
+
+
+@pytest.mark.parametrize("coeffs", [fast_series_coeffs, slow_series_coeffs])
+@pytest.mark.parametrize("wm", [
+    WorkedModel.poisson_gamma(1.0, 1.0, 2.0), WorkedModel.gamma_poisson(1.0, 2.0, 1.0),
+], ids=["pg", "gp"])
+@pytest.mark.parametrize("u", [math.nan, math.inf])
+def test_series_coeffs_reject_non_finite_u(coeffs, wm, u):
+    with pytest.raises(ParamError):
+        coeffs(wm, u)

@@ -12,6 +12,7 @@ from twoscale import (
     NoSolutionError,
     NotRareError,
     OrderError,
+    ParamError,
     PowerScaling,
     UnsupportedSignError,
     fast_expansion,
@@ -205,6 +206,32 @@ class TestSlowExpansion:
     def test_not_rare(self):
         with pytest.raises(NotRareError):
             slow_expansion(pg_pair(1.0, 1.0, 2.0), 0.3)
+
+
+@pytest.mark.parametrize("expansion", [fast_expansion, slow_expansion])
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+def test_expansions_reject_non_finite_u(expansion, u):
+    with pytest.raises(ParamError):
+        expansion(pg_pair(1.0, 1.0, 2.0), u, order=1)
+
+
+class TestStarSolverLimits:
+    """theta* may not exist when alpha' is bounded; both upper-bracket paths say so."""
+
+    def test_bounded_slope_on_an_unbounded_domain(self):
+        # alpha(t) = 2t - (1 - exp(-t)): alpha' rises from 1 towards 2.
+        A = CharExponent.custom(lambda t, o: (
+            2.0 * t + math.expm1(-t), 2.0 - math.exp(-t), math.exp(-t), -math.exp(-t))[o])
+        model = ModelPair(A, CharExponent.gamma(1.0, 1.0))
+        assert fast_expansion(model, 1.5, order=0).theta_star == pytest.approx(math.log(2.0))
+        with pytest.raises(NoSolutionError):
+            fast_expansion(model, 2.5, order=0)
+
+    def test_slope_below_u_up_to_the_domain_edge(self):
+        drift = CharExponent.custom(lambda t, o: (t, 1.0, 0.0, 0.0)[o], domain_sup=1.0)
+        model = ModelPair(drift, CharExponent.gamma(1.0, 1.0))
+        with pytest.raises(NoSolutionError):
+            fast_expansion(model, 2.0, order=0)
 
 
 class TestNonPositiveOuterMean:
