@@ -11,7 +11,6 @@ overdispersion  all arrival-count approximations for one (K, u_bar, mu_bar)
 Every command emits machine-readable output (JSON by default); identical
 configuration and seed produce byte-identical files.  Exit codes: 0 success,
 2 invalid input (the error class name goes to stderr), 1 internal failure.
-The TAILSCALE_THREADS environment variable sets the default worker count.
 
 Each command imports the modules it uses, so ``approx`` never loads numpy or
 scipy; ``oracle``, ``tables``, ``edgeworth`` and ``overdispersion`` do.
@@ -21,8 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 from pathlib import Path
 
@@ -33,17 +30,6 @@ from .levy import CharExponent, ModelPair, PowerScaling, load_model
 from .models import WorkedModel, exact_law
 
 __all__ = ["main"]
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("TAILSCALE_THREADS", "1")
-    try:
-        w = int(raw)
-    except ValueError as exc:
-        raise ParamError(f"TAILSCALE_THREADS must be an integer, got {raw!r}") from exc
-    if w < 1:
-        raise ParamError(f"TAILSCALE_THREADS must be >= 1, got {w}")
-    return w
 
 
 def _add_model_args(p: argparse.ArgumentParser, with_f: bool = True) -> None:
@@ -144,25 +130,13 @@ def _cmd_approx(args) -> int:
 def _cmd_oracle(args) -> int:
     model, scaling = _resolve_model(args)
     require_finite(n=args.n, u=args.u)
-    from .oracle import (
-        StatisticalBound,
-        compound_poisson_gamma_tail,
-        is_tail,
-        negbin_tail,
-        plain_mc_tail,
-    )
+    from .oracle import StatisticalBound, is_tail, plain_mc_tail
 
     if args.method == "exact":
         wm = WorkedModel.from_pair(model)
         if wm is None:
             raise ParamError("exact oracles exist for the built-in model pairs only")
-        law = exact_law(wm, scaling, args.n)
-        if wm.variant == "poisson_gamma":
-            res = negbin_tail(law.successes, law.p, math.ceil(args.u * args.n - 1e-9))
-        else:
-            res = compound_poisson_gamma_tail(
-                law.rate, law.jump_shape, law.jump_rate, args.u * args.n
-            )
+        res = exact_law(wm, scaling, args.n).tail(args.u * args.n)
     else:
         if args.seed is None:
             raise ParamError(f"--seed is required for method {args.method!r}")
@@ -279,14 +253,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("exact", "is", "mc"), default="exact")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1, help="Monte Carlo substream count")
     common_output(p)
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("tables", help="write the reference comparison tables")
     p.add_argument("--out-dir", default=".", metavar="DIR")
     p.add_argument("--sig", type=int, default=3)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=_cmd_tables)
 
     p = sub.add_parser("edgeworth", help="tilted-CDF approximation vs the exact tilted law")
@@ -315,8 +289,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "workers", None) is None and hasattr(args, "workers"):
-            args.workers = _default_workers()
         return args.fn(args)
     except TwoscaleError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

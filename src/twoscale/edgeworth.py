@@ -25,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .asymptotics import _leading
 from .errors import ParamError, RegimeError, require_finite
 from .levy import ModelPair, PowerScaling
-from .models import WorkedModel, exact_law
+from .models import NegBinLaw, WorkedModel, exact_law
 from .twist import fast_expansion, slow_expansion, solve_twist
 
 __all__ = [
@@ -139,54 +140,21 @@ def tilted_cdf_approx(model: ModelPair, scaling: PowerScaling, n: float, u: floa
     return float(out) if np.ndim(x) == 0 else out
 
 
+def _tilted_law(model: ModelPair, scaling: PowerScaling, n: float, u: float):
+    """The exact law of C_n under the theta_n tilt, for a built-in pair."""
+    law = exact_law(WorkedModel.from_pair(model), scaling, n)
+    return law.tilt(solve_twist(model, scaling, n, u).theta_n)
+
+
 def tilted_negbin_cdf(model: ModelPair, scaling: PowerScaling, n: float, u: float, counts):
     """Exact CDF of the theta_n-tilted count at integer values (poisson_gamma only).
 
     Tilting a negative binomial by theta shifts its success probability to
     ``1 - (1 - p) exp(theta)``; the twist domain guarantees this stays in (0, 1).
     """
-    wm = WorkedModel.from_pair(model)
-    if wm is None or wm.variant != "poisson_gamma":
+    if (model.A.kind, model.B.kind) != ("poisson", "gamma"):
         raise ParamError("the exact tilted CDF oracle needs the poisson_gamma model")
-    law = exact_law(wm, scaling, n)
-    theta = solve_twist(model, scaling, n, u).theta_n
-    p_tilt = 1.0 - (1.0 - law.p) * math.exp(theta)
-    cs = np.asarray(counts, dtype=float)
-    out = np.where(cs < 0, 0.0, special.betainc(law.successes, np.maximum(cs, 0.0) + 1.0, p_tilt))
-    return float(out) if np.ndim(counts) == 0 else out
-
-
-def _tilted_compound_cdf(model: ModelPair, scaling: PowerScaling, n: float, u: float, values):
-    """Exact CDF of the theta_n-tilted compound total (gamma_poisson only).
-
-    The Poisson mixture is summed over a +-12 sigma window around the tilted
-    rate; the mass outside is far below any tolerance used here.
-    """
-    wm = WorkedModel.from_pair(model)
-    law = exact_law(wm, scaling, n)
-    theta = solve_twist(model, scaling, n, u).theta_n
-    rate_tilt = law.rate * (law.jump_rate / (law.jump_rate - theta)) ** law.jump_shape
-    jump_rate_tilt = law.jump_rate - theta
-    j_lo = max(1, int(rate_tilt - 12.0 * math.sqrt(rate_tilt) - 60.0))
-    j_hi = int(rate_tilt + 12.0 * math.sqrt(rate_tilt) + 60.0)
-    if j_hi - j_lo > 2_000_000:
-        raise ParamError(
-            "the exact tilted compound mixture has too many relevant terms at "
-            f"this scale (Poisson rate {rate_tilt:.3g}); use a smaller n"
-        )
-    ys = np.atleast_1d(np.asarray(values, dtype=float))
-    js = np.arange(j_lo, j_hi + 1, dtype=float)
-    log_pmf = -rate_tilt + js * math.log(rate_tilt) - special.gammaln(js + 1.0)
-    weights = np.exp(log_pmf)
-    atom = math.exp(-rate_tilt) if j_lo == 1 else 0.0
-    out = np.empty_like(ys)
-    for i, y in enumerate(ys):
-        if y < 0:
-            out[i] = 0.0
-            continue
-        lower = special.gammainc(js * law.jump_shape, jump_rate_tilt * y)
-        out[i] = atom + float(weights @ lower)
-    return float(out[0]) if np.ndim(values) == 0 else out
+    return _tilted_law(model, scaling, n, u).cdf(counts)
 
 
 def standardization(model: ModelPair, scaling: PowerScaling, n: float, u: float) -> tuple[float, float]:
@@ -196,12 +164,12 @@ def standardization(model: ModelPair, scaling: PowerScaling, n: float, u: float)
     if f == 1:
         raise RegimeError("standardization is defined for f != 1")
     if f > 1:
-        ts = fast_expansion(model, u, order=0).theta_star
+        # sigma_plus * sqrt(n) would round differently from the one square root.
+        ts, _, _ = _leading(model, "fast", u)
         scale = math.sqrt(model.b * model.A.deriv(ts, 2) * n)
     else:
-        tau = slow_expansion(model, u, order=1).tau_star
-        sig = model.a * math.sqrt(model.B.deriv(model.a * tau, 2))
-        scale = sig * scaling.psi(n) * math.sqrt(scaling.phi(n))
+        _, _, sigma = _leading(model, "slow", u)
+        scale = sigma * scaling.psi(n) * math.sqrt(scaling.phi(n))
     return u * n, scale
 
 
@@ -231,21 +199,21 @@ def diagnostic(
     variant: subsamples the lattice).
     """
     require_finite(x_min=x_min, x_max=x_max)
-    wm = WorkedModel.from_pair(model)
-    if wm is None:
+    if WorkedModel.from_pair(model) is None:
         raise ParamError("the Edgeworth diagnostic needs a built-in model pair")
     mean, scale = standardization(model, scaling, n, u)
-    if wm.variant == "poisson_gamma":
+    law = _tilted_law(model, scaling, n, u)
+    if isinstance(law, NegBinLaw):
         c_lo = int(math.floor(mean + x_min * scale))
         c_hi = int(math.ceil(mean + x_max * scale))
         counts = np.arange(max(c_lo, 0), c_hi + 1, dtype=float)
         if points is not None and counts.size > points:
             counts = counts[np.linspace(0, counts.size - 1, points).astype(int)]
         xs = (counts + 0.5 - mean) / scale
-        exact = tilted_negbin_cdf(model, scaling, n, u, counts)
+        exact = law.cdf(counts)
     else:
         xs = np.linspace(x_min, x_max, points if points is not None else 241)
-        exact = _tilted_compound_cdf(model, scaling, n, u, mean + xs * scale)
+        exact = law.cdf(mean + xs * scale)
     approx = tilted_cdf_approx(model, scaling, n, u, xs)
     gaps = np.abs(approx - exact)
     rows = tuple(

@@ -8,6 +8,9 @@ to every order, and an exact marginal law:
 * ``gamma_poisson``  -- A Gamma(r, mu), B Poisson(lam).  C_n is compound
   Poisson with rate phi_n*lam and Gamma(r psi_n, mu) jumps.
 
+Each law carries its ``lmgf``, its Esscher ``tilt`` (a law of the same kind),
+its ``cdf`` and its exact ``tail``; numpy, scipy and ``oracle`` load on first use.
+
 Writing ``rho = lam*r/(mu*u)`` (rare direction: rho < 1), the fast/slow
 coefficient ladders are generated either from the printed closed forms
 (poisson_gamma) or by programmatic composition of the exponential series
@@ -160,6 +163,26 @@ class NegBinLaw:
             raise ParamError(f"negative binomial lmgf diverges at theta = {theta}")
         return self.successes * math.log(self.p / (1.0 - q * math.exp(theta)))
 
+    def tilt(self, theta: float) -> "NegBinLaw":
+        """Esscher transform: again negative binomial, with q scaled by exp(theta)."""
+        return NegBinLaw(self.successes, 1.0 - (1.0 - self.p) * math.exp(theta))
+
+    def cdf(self, x):
+        """P(X <= x) at integer x (scalar or array); 0 below 0."""
+        import numpy as np
+        from scipy import special
+
+        xs = np.asarray(x, dtype=float)
+        below = special.betainc(self.successes, np.maximum(xs, 0.0) + 1.0, self.p)
+        out = np.where(xs < 0, 0.0, below)
+        return float(out) if np.ndim(x) == 0 else out
+
+    def tail(self, threshold: float):
+        """P(X >= threshold) from :func:`oracle.negbin_tail`, threshold rounded up to a count."""
+        from .oracle import negbin_tail
+
+        return negbin_tail(self.successes, self.p, math.ceil(threshold - 1e-9))
+
 
 @dataclass(frozen=True)
 class CompoundPoissonGammaLaw:
@@ -173,6 +196,46 @@ class CompoundPoissonGammaLaw:
         if theta >= self.jump_rate:
             raise ParamError(f"compound Poisson lmgf diverges at theta = {theta}")
         return self.rate * ((self.jump_rate / (self.jump_rate - theta)) ** self.jump_shape - 1.0)
+
+    def tilt(self, theta: float) -> "CompoundPoissonGammaLaw":
+        """Esscher transform: the rate grows and the jumps' rate drops by theta."""
+        rate = self.rate * (self.jump_rate / (self.jump_rate - theta)) ** self.jump_shape
+        return CompoundPoissonGammaLaw(rate, self.jump_shape, self.jump_rate - theta)
+
+    def cdf(self, x):
+        """P(X <= x) (scalar or array), summing the Poisson mixture over +-12 sigma.
+
+        The mass outside the window is far below any tolerance used here.
+        """
+        import numpy as np
+        from scipy import special
+
+        rate = self.rate
+        j_lo = max(1, int(rate - 12.0 * math.sqrt(rate) - 60.0))
+        j_hi = int(rate + 12.0 * math.sqrt(rate) + 60.0)
+        if j_hi - j_lo > 2_000_000:
+            raise ParamError(
+                "the exact tilted compound mixture has too many relevant terms at "
+                f"this scale (Poisson rate {rate:.3g}); use a smaller n"
+            )
+        ys = np.atleast_1d(np.asarray(x, dtype=float))
+        js = np.arange(j_lo, j_hi + 1, dtype=float)
+        weights = np.exp(-rate + js * math.log(rate) - special.gammaln(js + 1.0))
+        atom = math.exp(-rate) if j_lo == 1 else 0.0
+        out = np.empty_like(ys)
+        for i, y in enumerate(ys):
+            if y < 0:
+                out[i] = 0.0
+                continue
+            lower = special.gammainc(js * self.jump_shape, self.jump_rate * y)
+            out[i] = atom + float(weights @ lower)
+        return float(out[0]) if np.ndim(x) == 0 else out
+
+    def tail(self, threshold: float):
+        """P(X >= threshold) from :func:`oracle.compound_poisson_gamma_tail`."""
+        from .oracle import compound_poisson_gamma_tail
+
+        return compound_poisson_gamma_tail(self.rate, self.jump_shape, self.jump_rate, threshold)
 
 
 def exact_law(model: WorkedModel, scaling: PowerScaling, n: float):

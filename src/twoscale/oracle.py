@@ -15,16 +15,16 @@ Monte Carlo
 centres the count at the threshold) and averages the likelihood ratio
 ``exp(gamma_n(theta_n) - theta_n * C)`` over the exceedance event; this keeps
 the relative error bounded for arbitrarily rare events.  ``plain_mc_tail`` is
-the naive estimator, intended only near the mean.  Both split the sample
-budget across independently seeded substreams, one per worker, so a fixed
-(seed, workers) pair reproduces bit-identical results; numpy's generators use
-exact (transformed-rejection) Poisson sampling, no normal approximation.
+the same sampler at tilt 0, the naive estimator, intended only near the mean.
+Both split the sample budget across ``workers`` independently seeded
+substreams, run one after another, so a fixed (seed, workers) pair reproduces
+bit-identical results; numpy's generators use exact (transformed-rejection)
+Poisson sampling, no normal approximation.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -274,52 +274,53 @@ def compound_poisson_gamma_tail(
     return OracleResult(prob, log_prob, RigorousBound(bound), "compound_series")
 
 
-def _split_budget(samples: int, workers: int) -> list[int]:
-    base, rem = divmod(samples, workers)
-    return [base + (1 if i < rem else 0) for i in range(workers)]
-
-
-def _mc_reduce(
+def _mc_tail(
     sampler: Callable[[np.random.Generator, int], np.ndarray],
     samples: int,
     seed: int,
     workers: int,
-) -> tuple[float, float]:
-    """Deterministic (mean, std_error) over per-worker substreams."""
+    method: str,
+) -> OracleResult:
+    """Mean and standard error of ``sampler`` over ``workers`` seeded substreams.
+
+    The substreams run one after another and their sums are reduced in
+    substream order, so a fixed (seed, workers) pair gives the same bits.
+    """
     if samples < 2:
         raise ParamError(f"samples must be >= 2, got {samples}")
     if workers < 1:
         raise ParamError(f"workers must be >= 1, got {workers}")
-    budgets = _split_budget(samples, workers)
-    streams = np.random.SeedSequence(seed).spawn(workers)
-
-    def run(i: int) -> tuple[float, float, int]:
-        if budgets[i] == 0:
-            return 0.0, 0.0, 0
-        vals = sampler(np.random.default_rng(streams[i]), budgets[i])
-        return float(vals.sum()), float(np.square(vals).sum()), budgets[i]
-
-    if workers == 1:
-        parts = [run(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(workers)))
+    base, rem = divmod(samples, workers)
+    parts = []
+    for i, stream in enumerate(np.random.SeedSequence(seed).spawn(workers)):
+        budget = base + (i < rem)
+        if budget:
+            vals = sampler(np.random.default_rng(stream), budget)
+            parts.append((float(vals.sum()), float(np.square(vals).sum())))
     s = sum(p[0] for p in parts)
     ss = sum(p[1] for p in parts)
-    count = sum(p[2] for p in parts)
-    mean = s / count
-    var = max(ss - count * mean * mean, 0.0) / (count - 1)
-    return mean, math.sqrt(var / count)
+    mean = s / samples
+    var = max(ss - samples * mean * mean, 0.0) / (samples - 1)
+    se = math.sqrt(var / samples)
+    log_prob = math.log(mean) if mean > 0 else -math.inf
+    return OracleResult(mean, log_prob, StatisticalBound(se, samples, seed), method)
 
 
-def _twisted_sampler(
-    model: ModelPair, scaling: PowerScaling, n: float, u: float
-) -> Callable[[np.random.Generator, int], np.ndarray]:
+def _worked(model: ModelPair, what: str) -> WorkedModel:
     wm = WorkedModel.from_pair(model)
     if wm is None:
-        raise ParamError("twisted sampling is implemented for the built-in model pairs only")
-    theta = solve_twist(model, scaling, n, u).theta_n
-    log_norm = lmgf(model, scaling, n, theta, 0)
+        raise ParamError(f"{what} is implemented for the built-in model pairs only")
+    return wm
+
+
+def _sampler(
+    wm: WorkedModel, scaling: PowerScaling, n: float, u: float, theta: float, log_norm: float
+) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """Draws of ``exp(log_norm - theta C) 1{C >= u n}`` with C under the theta tilt.
+
+    ``log_norm`` is gamma_n(theta); ``theta = log_norm = 0`` is plain Monte
+    Carlo, with every weight exactly 1.
+    """
     phi, psi = scaling.phi(n), scaling.psi(n)
     lam, r, mu = wm.lam, wm.r, wm.mu
     if wm.variant == "poisson_gamma":
@@ -363,10 +364,10 @@ def is_tail(
     (the twisted laws are known in closed form there).  Deterministic for a
     fixed (seed, workers) pair.
     """
-    sampler = _twisted_sampler(model, scaling, n, u)
-    est, se = _mc_reduce(sampler, samples, seed, workers)
-    log_prob = math.log(est) if est > 0 else -math.inf
-    return OracleResult(est, log_prob, StatisticalBound(se, samples, seed), "importance_sampling")
+    wm = _worked(model, "twisted sampling")
+    theta = solve_twist(model, scaling, n, u).theta_n
+    sampler = _sampler(wm, scaling, n, u, theta, lmgf(model, scaling, n, theta, 0))
+    return _mc_tail(sampler, samples, seed, workers, "importance_sampling")
 
 
 def plain_mc_tail(
@@ -378,34 +379,12 @@ def plain_mc_tail(
     seed: int,
     workers: int = 1,
 ) -> OracleResult:
-    """Naive Monte Carlo estimate of P(C_n >= u n).
+    """Naive Monte Carlo estimate of P(C_n >= u n): the zero tilt of :func:`is_tail`.
 
-    No tilt and no rarity check: thresholds below the mean are legitimate
-    here, and genuinely rare events simply produce zero hits.  Use
-    :func:`is_tail` for the rare direction.
+    No rarity check: thresholds below the mean are legitimate here, and
+    genuinely rare events simply produce zero hits.  Use :func:`is_tail` for
+    the rare direction.
     """
     require_finite(n=n, u=u)
-    wm = WorkedModel.from_pair(model)
-    if wm is None:
-        raise ParamError("plain MC sampling is implemented for the built-in model pairs only")
-    phi, psi = scaling.phi(n), scaling.psi(n)
-    lam, r, mu = wm.lam, wm.r, wm.mu
-    if wm.variant == "poisson_gamma":
-        m0 = _ceil_threshold(u * n)
-
-        def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-            clock = rng.gamma(shape=r * phi, scale=1.0 / mu, size=m)
-            counts = rng.poisson(lam * psi * clock)
-            return (counts >= m0).astype(float)
-
-    else:
-        thresh = u * n
-
-        def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-            counts = rng.poisson(phi * lam, size=m)
-            totals = rng.gamma(shape=counts * r * psi, scale=1.0 / mu)
-            return (totals >= thresh).astype(float)
-
-    est, se = _mc_reduce(sampler, samples, seed, workers)
-    log_prob = math.log(est) if est > 0 else -math.inf
-    return OracleResult(est, log_prob, StatisticalBound(se, samples, seed), "plain_mc")
+    sampler = _sampler(_worked(model, "plain MC sampling"), scaling, n, u, 0.0, 0.0)
+    return _mc_tail(sampler, samples, seed, workers, "plain_mc")

@@ -147,31 +147,30 @@ class TestOracle:
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_env_workers_override(self, capsys, pg_json, monkeypatch):
-        monkeypatch.setenv("TAILSCALE_THREADS", "2")
-        code, out, _ = run(
-            capsys,
-            ["oracle", "--model", pg_json, "--n", "400", "--u", "0.7",
-             "--method", "is", "--samples", "2001", "--seed", "9"],
-        )
-        assert code == 0
-        first = json.loads(out)["probability"]
-        monkeypatch.setenv("TAILSCALE_THREADS", "2")
-        code, out, _ = run(
-            capsys,
-            ["oracle", "--model", pg_json, "--n", "400", "--u", "0.7",
-             "--method", "is", "--samples", "2001", "--seed", "9"],
-        )
-        assert json.loads(out)["probability"] == first
+    # stdout of `oracle --method exact`, recorded before the exact oracle was
+    # reached through the law's own tail
+    EXACT_STDOUT = {
+        "pg": '{\n  "log_probability": -13.527412823683777,\n  "method": "negbin_exact",\n'
+              '  "probability": 1.3338876643040859e-06,\n  "rigorous_bound": 0.0\n}\n',
+        "gp": '{\n  "log_probability": -12.02676001956109,\n  "method": "compound_series",\n'
+              '  "probability": 5.981973548823535e-06,\n  "rigorous_bound": 0.0\n}\n',
+    }
 
-    def test_bad_env_workers(self, capsys, pg_json, monkeypatch):
+    @pytest.mark.parametrize("kind", ["pg", "gp"])
+    def test_exact_stdout_bit_identical(self, capsys, kind):
+        model = (["--poisson-gamma", "1", "1", "3", "--u", "0.48"] if kind == "pg"
+                 else ["--gamma-poisson", "1", "2", "1", "--u", "0.62"])
+        code, out, _ = run(capsys, ["oracle", *model, "--f", "1.5", "--n", "400"])
+        assert code == 0
+        assert out == self.EXACT_STDOUT[kind]
+
+    def test_threads_env_is_not_read(self, capsys, pg_json, monkeypatch):
+        argv = ["oracle", "--model", pg_json, "--n", "400", "--u", "0.7",
+                "--method", "is", "--samples", "2001", "--seed", "9"]
+        _, plain, _ = run(capsys, argv)
         monkeypatch.setenv("TAILSCALE_THREADS", "zero")
-        code, _, err = run(
-            capsys,
-            ["oracle", "--model", pg_json, "--n", "400", "--u", "0.7",
-             "--method", "is", "--samples", "2000", "--seed", "1"],
-        )
-        assert code == 2 and "ParamError" in err
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out == plain
 
 
 class TestTables:

@@ -158,3 +158,47 @@ class TestNonFiniteInput:
             build_expansion(pg112, s, math.inf)
         with pytest.raises(ParamError):
             tilted_cdf_approx(pg112, s, math.nan, 1.0, 0.0)
+
+
+# Exact diagnostic rows (x, approx, exact) and sup gaps, recorded before the
+# exact tilted CDFs moved onto the law objects and standardization onto the
+# shared leading-order quantities: pg(1, 1, 3) and gp(1, 2, 1), 5 points.
+DIAGNOSTIC_GOLDEN = [
+    (("pg", 2.5, 100.0, 0.5), (
+        ((-6.010407640085652, -3.8001944262875e-09, 3.496274562246691e-14),
+         (-3.0405591591021532, 0.0004187258534767228, 0.0005118070540772561),
+         (0.07071067811865472, 0.5375187716794574, 0.5375166920260297),
+         (3.0405591591021532, 0.998057332890802, 0.9979846863155204),
+         (6.151828996322961, 0.9999999975194647, 0.9999999811377032)),
+        9.308120060053332e-05)),
+    (("pg", 0.6, 400.0, 0.5), (
+        ((-5.988920014021073, -1.1450194523367947e-08, 8.332452388718392e-29),
+         (-3.002002727431218, -0.0006086947158312531, 0.0004895953102177841),
+         (0.015085440841362905, 0.5280484005871069, 0.527636160085442),
+         (3.002002727431218, 0.9967092075571757, 0.9934045033325426),
+         (6.0190908957037985, 0.9999999885803359, 0.9999958074752703)),
+        0.003304704224633137)),
+    (("gp", 1.5, 200.0, 0.7), (
+        ((-6.0, -3.170546086749459e-09, 2.2680900973789497e-12),
+         (-3.0, 0.0008261241878271493, 0.0008541485303073919),
+         (0.0, 0.509403159725796, 0.5093053149491551),
+         (3.0, 0.9975025211106944, 0.9972425324424175),
+         (6.0, 0.9999999931458508, 0.9999999177171534)),
+        0.0002599886682769226)),
+    (("gp", 0.6, 400.0, 0.7), (
+        ((-6.0, -3.977554060409711e-09, 4.2153586843894064e-13),
+         (-3.0, 0.0005222577522707735, 0.0010857990528339713),
+         (0.0, 0.5093127254620861, 0.5106880501785284),
+         (3.0, 0.9978224616890106, 0.996231557212409),
+         (6.0, 0.9999999940492706, 0.9999997671747312)),
+        0.0015909044766015956)),
+]
+
+
+@pytest.mark.parametrize("key,want", DIAGNOSTIC_GOLDEN,
+                         ids=["-".join(map(str, key)) for key, _ in DIAGNOSTIC_GOLDEN])
+def test_diagnostic_bit_identical(key, want):
+    kind, f, n, u = key
+    model = pg_pair(1.0, 1.0, 3.0) if kind == "pg" else gp_pair(1.0, 2.0, 1.0)
+    d = diagnostic(model, PowerScaling(f), n, u, points=5)
+    assert (d.rows, d.sup_gap) == want

@@ -193,6 +193,62 @@ class TestExactLaw:
                 exact_law(wm, PowerScaling(1.5), n)
 
 
+LAWS = [
+    NegBinLaw(successes=7.5, p=0.4),
+    CompoundPoissonGammaLaw(rate=12.0, jump_shape=1.7, jump_rate=2.5),
+]
+
+
+@pytest.mark.parametrize("law", LAWS, ids=["negbin", "compound"])
+class TestLawMethods:
+    def test_tilt_is_esscher(self, law):
+        # gamma_tilted(s) = gamma(t + s) - gamma(t): the tilt's defining identity
+        for t in (-0.8, -0.1, 0.2):
+            tilted = law.tilt(t)
+            assert type(tilted) is type(law)
+            for s in (-0.5, 0.05, 0.15):
+                want = law.lmgf(t + s) - law.lmgf(t)
+                assert tilted.lmgf(s) == pytest.approx(want, rel=1e-12)
+
+    def test_tail_is_the_oracle(self, law):
+        from twoscale import compound_poisson_gamma_tail, negbin_tail
+
+        for x in (3.0, 17.2, 40.0):
+            if isinstance(law, NegBinLaw):
+                want = negbin_tail(law.successes, law.p, math.ceil(x - 1e-9))
+            else:
+                want = compound_poisson_gamma_tail(law.rate, law.jump_shape, law.jump_rate, x)
+            assert law.tail(x) == want
+
+    def test_cdf_complements_tail(self, law):
+        # P(X <= x) + P(X > x) = 1; for the lattice law P(X > x) = P(X >= x + 1)
+        step = 1.0 if isinstance(law, NegBinLaw) else 0.0
+        for x in (2.0, 11.0, 30.0):
+            assert law.cdf(x) + law.tail(x + step).probability == pytest.approx(1.0, abs=1e-12)
+
+    def test_cdf_scalar_and_array(self, law):
+        value = law.cdf(5.0)
+        assert type(value) is float
+        values = law.cdf(np.array([-1.0, 5.0, 9.0]))
+        assert isinstance(values, np.ndarray) and values.shape == (3,)
+        assert values[0] == 0.0 and values[1] == value
+        assert np.all(np.diff(values) >= 0)
+
+
+def test_negbin_cdf_matches_scipy():
+    from scipy import stats
+
+    law = NegBinLaw(successes=7.5, p=0.4)
+    xs = np.arange(0.0, 60.0)
+    assert law.cdf(xs) == pytest.approx(stats.nbinom.cdf(xs, 7.5, 0.4), rel=1e-12)
+
+
+def test_compound_cdf_guard():
+    law = CompoundPoissonGammaLaw(rate=1e13, jump_shape=1.0, jump_rate=1.0)
+    with pytest.raises(ParamError, match="too many relevant terms"):
+        law.cdf(1e13)
+
+
 @pytest.mark.parametrize("coeffs", [fast_series_coeffs, slow_series_coeffs])
 @pytest.mark.parametrize("wm", [
     WorkedModel.poisson_gamma(1.0, 1.0, 2.0), WorkedModel.gamma_poisson(1.0, 2.0, 1.0),

@@ -242,3 +242,63 @@ class TestPlainMc:
         res = plain_mc_tail(pg113, PowerScaling(1.5), 50.0, 0.4, samples=2_000, seed=21)
         assert isinstance(res.error, StatisticalBound)
         assert res.error.samples == 2_000 and res.error.seed == 21
+
+
+# Exact (probability, std_error) of the Monte Carlo oracles, recorded before
+# plain Monte Carlo became the zero tilt of the importance sampler and the
+# substreams stopped running on a thread pool: pg(1, 1, 3) and gp(1, 2, 1),
+# f = 1.5, 2001 samples, seed 17; is_tail at n = 400 (u = 0.48, 0.62),
+# plain_mc_tail at n = 50 (u = 0.4, 0.55).
+MC_GOLDEN = {
+    ("is", "pg", 1): (1.4871333874014242e-06, 7.759694567344568e-08),
+    ("is", "pg", 2): (1.3771573178491977e-06, 7.13542424925033e-08),
+    ("is", "pg", 3): (1.2786838804140768e-06, 6.814865660830292e-08),
+    ("is", "pg", 4): (1.342310080469161e-06, 6.984202968213409e-08),
+    ("is", "gp", 1): (6.774558493610241e-06, 3.4034000949460516e-07),
+    ("is", "gp", 2): (5.533021105543108e-06, 2.961554854290867e-07),
+    ("is", "gp", 3): (5.734453724157915e-06, 3.0120141623862705e-07),
+    ("is", "gp", 4): (6.54215686022809e-06, 3.2401340553293737e-07),
+    ("mc", "pg", 1): (0.2463768115942029, 0.009635229065851977),
+    ("mc", "pg", 2): (0.22938530734632684, 0.009401268215511085),
+    ("mc", "pg", 3): (0.2303848075962019, 0.009415615965646192),
+    ("mc", "pg", 4): (0.22988505747126436, 0.009408451461922356),
+    ("mc", "gp", 1): (0.2273863068465767, 0.009372346939407738),
+    ("mc", "gp", 2): (0.2478760619690155, 0.00965488269922914),
+    ("mc", "gp", 3): (0.248375812093953, 0.009661399175601389),
+    ("mc", "gp", 4): (0.23938030984507747, 0.00954141962979179),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("key,want", MC_GOLDEN.items(),
+                             ids=["-".join(map(str, key)) for key in MC_GOLDEN])
+    def test_bit_identical(self, key, want):
+        method, kind, workers = key
+        model = pg_pair(1.0, 1.0, 3.0) if kind == "pg" else gp_pair(1.0, 2.0, 1.0)
+        if method == "is":
+            res = is_tail(model, PowerScaling(1.5), 400.0, 0.48 if kind == "pg" else 0.62,
+                          2001, 17, workers=workers)
+        else:
+            res = plain_mc_tail(model, PowerScaling(1.5), 50.0, 0.4 if kind == "pg" else 0.55,
+                                2001, 17, workers=workers)
+        assert (res.probability, res.error.std_error) == want
+
+    def test_more_substreams_than_samples(self):
+        # 3 samples over 4 substreams: the last substream's budget is zero
+        res = is_tail(pg_pair(1.0, 1.0, 3.0), PowerScaling(1.5), 400.0, 0.48, 3, 5, workers=4)
+        assert (res.probability, res.error.std_error) == (4.903018355258304e-06, 4.854091878395567e-06)
+        assert res.error.samples == 3
+
+    def test_substreams_run_on_the_calling_thread(self, monkeypatch):
+        import threading
+
+        seen = []
+        default_rng = np.random.default_rng
+
+        def recording(seed):
+            seen.append(threading.get_ident())
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        is_tail(pg_pair(1.0, 1.0, 3.0), PowerScaling(1.5), 400.0, 0.48, 400, 1, workers=4)
+        assert seen == [threading.get_ident()] * 4
