@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter
 
 from . import models as worked
@@ -105,7 +106,12 @@ def classify(scaling: PowerScaling) -> RegimeInfo:
     With ``phi psi^k = n^(f + k(1-f))``, a term survives in the limit iff its
     exponent is >= 0; boundary cases (exactly constant sequences) count.
     """
-    f = scaling.f
+    return _regime_info(scaling.f)
+
+
+@lru_cache(maxsize=256)
+def _regime_info(f: float) -> RegimeInfo:
+    """:func:`classify` for one ``f``, built once per ``f`` (it is frozen)."""
     if f > 1:
         return RegimeInfo(
             regime="fast",
@@ -158,19 +164,17 @@ def _leading(model: ModelPair, regime: str, u: float) -> tuple[float, float, flo
     A, B = model.A, model.B
     if regime == "fast":
         theta = _solved(model, u, _solve_theta_star)
-        sigma = math.sqrt(model.b * A.deriv(theta, 2))
-        return theta, model.b * A.deriv(theta, 0) - theta * u, sigma
+        a0, _, a2 = A.jet(theta, 2)
+        return theta, model.b * a0 - theta * u, math.sqrt(model.b * a2)
     if regime == "slow":
         tau = _solved(model, u, _solve_tau_star)
         a = model.a
-        sigma = a * math.sqrt(B.deriv(a * tau, 2))
-        return tau, B.deriv(a * tau, 0) - tau * u, sigma
+        b0, _, b2 = B.jet(a * tau, 2)
+        return tau, b0 - tau * u, a * math.sqrt(b2)
     theta = _solved(model, u, _solve_single_twist).theta_n
-    inner = A.deriv(theta, 0)
-    sigma = math.sqrt(
-        B.deriv(inner, 2) * A.deriv(theta, 1) ** 2 + B.deriv(inner, 1) * A.deriv(theta, 2)
-    )
-    return theta, B.deriv(inner, 0) - theta * u, sigma
+    a0, a1, a2 = A.jet(theta, 2)
+    b0, b1, b2 = B.jet(a0, 2)
+    return theta, b0 - theta * u, math.sqrt(b2 * a1 ** 2 + b1 * a2)
 
 
 # What the fast and the slow approximant do differently: the range of f, the

@@ -199,16 +199,26 @@ def diagnostic(
     variant: subsamples the lattice).
     """
     require_finite(x_min=x_min, x_max=x_max)
+    if points is not None and points < 1:
+        raise ParamError(f"points must be >= 1, got {points}")
     if WorkedModel.from_pair(model) is None:
         raise ParamError("the Edgeworth diagnostic needs a built-in model pair")
     mean, scale = standardization(model, scaling, n, u)
     law = _tilted_law(model, scaling, n, u)
     if isinstance(law, NegBinLaw):
-        c_lo = int(math.floor(mean + x_min * scale))
-        c_hi = int(math.ceil(mean + x_max * scale))
-        counts = np.arange(max(c_lo, 0), c_hi + 1, dtype=float)
-        if points is not None and counts.size > points:
-            counts = counts[np.linspace(0, counts.size - 1, points).astype(int)]
+        top = mean + x_max * scale
+        if not math.isfinite(top):
+            raise ParamError(f"x_max = {x_max} puts the grid's upper edge at {top}")
+        start = int(math.floor(max(mean + x_min * scale, 0.0)))
+        size = int(math.ceil(top)) + 1 - start
+        if size < 1:
+            raise ParamError(f"no count lies in the grid [x_min, x_max] = [{x_min}, {x_max}]")
+        if points is not None and size > points:
+            # The lattice subsampled without building it: count i of the
+            # full grid is start + i.
+            counts = float(start) + np.floor(np.linspace(0.0, float(size - 1), points))
+        else:
+            counts = np.arange(start, start + size, dtype=float)
         xs = (counts + 0.5 - mean) / scale
         exact = law.cdf(counts)
     else:

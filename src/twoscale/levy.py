@@ -38,6 +38,33 @@ __all__ = [
 _MAX_ORDER = 3
 
 
+def _order_error(order) -> OrderError:
+    return OrderError(f"derivative order must be in 0..{_MAX_ORDER}, got {order}")
+
+
+def _domain_error(t: float, sup: float) -> DomainError:
+    return DomainError(f"argument {t} is not below the domain supremum {sup}")
+
+
+def _custom_jet(derivs: Callable[[float, int], float], sup: float) -> Callable:
+    """The jet of a user evaluator: ``derivs(t, 0..k)``, called in that order."""
+
+    def jet(t: float, k: int) -> tuple[float, ...]:
+        if t >= sup:
+            raise _domain_error(t, sup)
+        if k == 0:
+            return (derivs(t, 0),)
+        if k == 1:
+            return derivs(t, 0), derivs(t, 1)
+        if k == 2:
+            return derivs(t, 0), derivs(t, 1), derivs(t, 2)
+        if k == 3:
+            return derivs(t, 0), derivs(t, 1), derivs(t, 2), derivs(t, 3)
+        raise _order_error(k)
+
+    return jet
+
+
 @dataclass(frozen=True)
 class CharExponent:
     """A characteristic exponent with derivatives up to order 3.
@@ -56,13 +83,26 @@ class CharExponent:
         Raw construction parameters, kept for closed-form specialisations.
         They take part in equality but not in the hash (a dict is unhashable);
         equal exponents still hash equal.
+    jet:
+        ``jet(t, k)``, k in 0..3: ``(value, first, ..., k-th derivative)`` at
+        ``t`` from one evaluation, bit for bit the values :meth:`deriv` gives
+        one order at a time.  Raises :class:`DomainError` like :meth:`deriv`.
     """
 
     kind: str
     domain_sup: float
     lattice_span: float
     params: Mapping[str, float] = field(default_factory=dict, hash=False)
-    _derivs: Callable[[float, int], float] = field(repr=False, default=None)
+    # The evaluator: the user's ``derivs(t, order)`` for a custom exponent,
+    # the jet itself for a built-in one.
+    _derivs: Callable = field(repr=False, default=None)
+    jet: Callable[[float, int], tuple[float, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        jet = self._derivs
+        if self.kind == "custom":
+            jet = _custom_jet(jet, self.domain_sup)
+        object.__setattr__(self, "jet", jet)
 
     @classmethod
     def poisson(cls, rate: float, lattice_span: float = 1.0) -> "CharExponent":
@@ -72,12 +112,22 @@ class CharExponent:
         if lattice_span < 0:
             raise ParamError(f"lattice span must be >= 0, got {lattice_span}")
 
-        def derivs(t: float, order: int) -> float:
-            if order == 0:
-                return rate * math.expm1(t)
-            return rate * math.exp(t)
+        def jet(t: float, k: int) -> tuple[float, ...]:
+            if t >= math.inf:
+                raise _domain_error(t, math.inf)
+            value = rate * math.expm1(t)
+            if k == 0:
+                return (value,)
+            e = rate * math.exp(t)
+            if k == 1:
+                return value, e
+            if k == 2:
+                return value, e, e
+            if k == 3:
+                return value, e, e, e
+            raise _order_error(k)
 
-        return cls("poisson", math.inf, lattice_span, {"lam": rate}, derivs)
+        return cls("poisson", math.inf, lattice_span, {"lam": rate}, jet)
 
     @classmethod
     def gamma(cls, shape: float, rate: float) -> "CharExponent":
@@ -85,12 +135,23 @@ class CharExponent:
         if shape <= 0 or rate <= 0:
             raise ParamError(f"gamma parameters must be positive, got shape={shape}, rate={rate}")
 
-        def derivs(t: float, order: int) -> float:
-            if order == 0:
-                return shape * math.log(rate / (rate - t))
-            return shape * math.factorial(order - 1) / (rate - t) ** order
+        def jet(t: float, k: int) -> tuple[float, ...]:
+            # Order j >= 1 is shape * (j - 1)! / x**j with x = rate - t.
+            if t >= rate:
+                raise _domain_error(t, rate)
+            x = rate - t
+            value = shape * math.log(rate / x)
+            if k == 0:
+                return (value,)
+            if k == 1:
+                return value, shape / x
+            if k == 2:
+                return value, shape / x, shape / x ** 2
+            if k == 3:
+                return value, shape / x, shape / x ** 2, shape * 2 / x ** 3
+            raise _order_error(k)
 
-        return cls("gamma", rate, 0.0, {"r": shape, "mu": rate}, derivs)
+        return cls("gamma", rate, 0.0, {"r": shape, "mu": rate}, jet)
 
     @classmethod
     def custom(
@@ -104,7 +165,7 @@ class CharExponent:
         ``derivs(t, order)`` must return the order-th derivative of the
         exponent for orders 0..3, analytically.  Finite-differencing user
         code would silently degrade the third-order coefficients, so it is
-        refused by design.
+        refused by design.  The jet calls ``derivs(t, 0)``, ..., ``derivs(t, k)``.
         """
         if lattice_span < 0:
             raise ParamError(f"lattice span must be >= 0, got {lattice_span}")
@@ -116,11 +177,11 @@ class CharExponent:
     def deriv(self, t: float, order: int = 0) -> float:
         """Order-th derivative of the exponent at ``t`` (order 0 is the value)."""
         if not isinstance(order, int) or order < 0 or order > _MAX_ORDER:
-            raise OrderError(f"derivative order must be in 0..{_MAX_ORDER}, got {order}")
+            raise _order_error(order)
+        if self.kind != "custom":
+            return self.jet(t, order)[order]
         if t >= self.domain_sup:
-            raise DomainError(
-                f"argument {t} is not below the domain supremum {self.domain_sup}"
-            )
+            raise _domain_error(t, self.domain_sup)
         return self._derivs(t, order)
 
 
@@ -130,38 +191,35 @@ class ModelPair:
 
     ``B`` must be a subordinator; only its marginal increments matter here, so
     the check is on positivity of its mean.  The means ``a = alpha'(0)`` and
-    ``b = beta'(0)`` are always recomputed from the exponents, never stored.
+    ``b = beta'(0)`` are computed once, from the exponents, when the pair is
+    built.
 
     A pair remembers ``theta*``, ``tau*`` and the f = 1 twist for the last
     ``u`` asked of it (they depend on the pair and ``u`` only), so its
-    exponents must be pure functions.  The memo takes no part in equality,
-    hashing or ``repr``.
+    exponents must be pure functions.  The means and the memo take no part in
+    equality, hashing or ``repr``.
     """
 
     A: CharExponent
     B: CharExponent
+    a: float = field(init=False, repr=False, compare=False)
+    b: float = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.A.deriv(0.0, 0) != 0.0 or self.B.deriv(0.0, 0) != 0.0:
             raise ParamError("characteristic exponents must vanish at the origin")
-        if self.b <= 0:
-            raise ParamError(f"B must be an increasing subordinator: beta'(0) = {self.b} <= 0")
-        if self.a <= 0:
+        b = self.B.deriv(0.0, 1)
+        object.__setattr__(self, "b", b)
+        if b <= 0:
+            raise ParamError(f"B must be an increasing subordinator: beta'(0) = {b} <= 0")
+        a = self.A.deriv(0.0, 1)
+        object.__setattr__(self, "a", a)
+        if a <= 0:
             raise UnsupportedSignError(
-                f"alpha'(0) = {self.a} <= 0 is not supported: the slow-regime tilting "
+                f"alpha'(0) = {a} <= 0 is not supported: the slow-regime tilting "
                 "equation has no solution for a non-positive outer mean"
             )
-
-    @property
-    def a(self) -> float:
-        """Mean of A(1)."""
-        return self.A.deriv(0.0, 1)
-
-    @property
-    def b(self) -> float:
-        """Mean of B(1)."""
-        return self.B.deriv(0.0, 1)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,9 @@ _COMPOUND_ABS_BOUND = 1e-14
 # bound contracts rely on.
 
 _LOG_2PI = math.log(2.0 * math.pi)
+#: A log weight below this makes ``exp`` return exactly 0.0 (it flushes below
+#: about -745.13), with a margin for the rounding of the weight itself.
+_LOG_NIL = -750.0
 
 
 def _stirlerr(n: np.ndarray) -> np.ndarray:
@@ -229,6 +232,31 @@ def negbin_tail(successes: float, p: float, threshold: float) -> OracleResult:
     return OracleResult(prob, log_prob, RigorousBound(bound + 1e-15), "negbin_exact")
 
 
+def _poisson_logpmf(j, lam: float):
+    """Log Poisson(lam) pmf at counts ``j >= 1`` (an array, or one float)."""
+    js = np.atleast_1d(np.asarray(j, dtype=float))
+    out = -_stirlerr(js) - _bd0(js, lam) - 0.5 * (_LOG_2PI + np.log(js))
+    return out if np.ndim(j) else float(out[0])
+
+
+def _first_live_block(lam: float) -> int:
+    """``1 + k*_BLOCK``: the compound sum skips its first k blocks.
+
+    k is the largest with ``1 + k*_BLOCK <= lam`` (so the sum's stop test
+    would not have fired) whose top count ``k*_BLOCK`` has a log weight below
+    ``_LOG_NIL``, found by bisection on the weight the sum uses.  The pmf
+    rises up to the mode, so every skipped weight is exactly 0.0.
+    """
+    lo, hi = 0, int((lam - 1.0) // _BLOCK)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _poisson_logpmf(float(mid * _BLOCK), lam) < _LOG_NIL:
+            lo = mid
+        else:
+            hi = mid - 1
+    return 1 + lo * _BLOCK
+
+
 def compound_poisson_gamma_tail(
     poisson_rate: float, jump_shape: float, jump_rate: float, threshold: float
 ) -> OracleResult:
@@ -236,7 +264,8 @@ def compound_poisson_gamma_tail(
 
     Conditioning on j >= 1 jumps leaves a Gamma(j*jump_shape, jump_rate) tail,
     evaluated as a regularized upper incomplete gamma; zero jumps contribute
-    nothing for a positive threshold.  The Poisson sum is truncated once its
+    nothing for a positive threshold.  The Poisson sum starts at the first
+    block whose weights do not all underflow to 0.0, and is truncated once its
     remaining mass (every term's weight) drops below 1e-14.
     """
     require_finite(
@@ -253,19 +282,16 @@ def compound_poisson_gamma_tail(
         return OracleResult(1.0, 0.0, RigorousBound(0.0), "compound_series")
     lam = poisson_rate
     total = 0.0
-    j0 = 1
+    j0 = _first_live_block(lam)
     while True:
         js = np.arange(j0, j0 + _BLOCK, dtype=float)
-        logpmf = -_stirlerr(js) - _bd0(js, lam) - 0.5 * (_LOG_2PI + np.log(js))
         tails = special.gammaincc(js * jump_shape, jump_rate * threshold)
-        total += float(np.sum(np.exp(logpmf) * tails))
+        total += float(np.sum(np.exp(_poisson_logpmf(js, lam)) * tails))
         j0 += _BLOCK
         if j0 > lam:
             # Remaining Poisson mass: pmf(j0) geometric-dominated by lam/(j0+1).
             q = lam / (j0 + 1.0)
-            ja = np.array([float(j0)])
-            log_rem = float((-_stirlerr(ja) - _bd0(ja, lam) - 0.5 * (_LOG_2PI + np.log(ja)))[0])
-            log_rem -= math.log1p(-q)
+            log_rem = _poisson_logpmf(float(j0), lam) - math.log1p(-q)
             if log_rem <= math.log(_COMPOUND_ABS_BOUND):
                 bound = math.exp(log_rem)
                 break

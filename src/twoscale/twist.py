@@ -142,6 +142,7 @@ def _solved(model: ModelPair, u: float, solve: Callable[[ModelPair, float], obje
 
 def _theta_max(model: ModelPair, psi: float) -> float:
     """Largest theta keeping ``alpha(theta) * psi`` inside B's domain."""
+    jA = model.A.jet
     sup_a = model.A.domain_sup
     sup_b = model.B.domain_sup
     if math.isinf(sup_b):
@@ -151,11 +152,11 @@ def _theta_max(model: ModelPair, psi: float) -> float:
     hi = 1.0
     if math.isfinite(sup_a):
         hi = sup_a
-        if model.A.deriv(hi * (1.0 - 1e-12), 0) * psi <= sup_b:
+        if jA(hi * (1.0 - 1e-12), 0)[0] * psi <= sup_b:
             return sup_a
     else:
         for _ in range(_MAX_EXPAND):
-            if model.A.deriv(hi, 0) >= target:
+            if jA(hi, 0)[0] >= target:
                 break
             hi *= 2.0
         else:
@@ -163,7 +164,7 @@ def _theta_max(model: ModelPair, psi: float) -> float:
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if model.A.deriv(mid if mid < sup_a else sup_a * (1 - 1e-15), 0) < target:
+        if jA(mid if mid < sup_a else sup_a * (1 - 1e-15), 0)[0] < target:
             lo = mid
         else:
             hi = mid
@@ -204,30 +205,43 @@ def _start_is_clear(model: ModelPair, psi: float, start: float) -> bool:
 
 def _twist_at_psi(model: ModelPair, psi: float, u: float) -> TwistSolution:
     """Core solve of ``beta'(alpha(theta) psi) alpha'(theta) = u`` on (0, theta_max)."""
-    A, B = model.A, model.B
+    A, B, jA, jB = model.A, model.B, model.A.jet, model.B.jet
 
-    def g(theta: float) -> float:
-        # The tilted mean blows past the float range well before theta_max
-        # when psi is large; that still brackets the root from above.
-        try:
-            return B.deriv(A.deriv(theta, 0) * psi, 1) * A.deriv(theta, 1) - u
-        except OverflowError:
-            return math.inf
-
-    def g_and_slope(theta: float) -> tuple[float, float]:
-        # g and g' share alpha, alpha' and beta'(alpha psi), so each is
-        # evaluated once; the arithmetic matches g and g' term by term.
+    def by_order(theta: float, with_slope: bool) -> tuple[float, float]:
+        # One order at a time, where a jet overflowed.  The tilted mean blows
+        # past the float range well before theta_max when psi is large; that
+        # still brackets the root from above, so an overflow in alpha, alpha'
+        # or beta' makes g infinite, and one in a second-order term the slope.
         try:
             inner = A.deriv(theta, 0) * psi
             b1 = B.deriv(inner, 1)
             a1 = A.deriv(theta, 1)
         except OverflowError:
             return math.inf, math.inf
-        try:
-            slope = psi * B.deriv(inner, 2) * a1 ** 2 + b1 * A.deriv(theta, 2)
-        except OverflowError:
-            slope = math.inf
+        slope = math.inf
+        if with_slope:
+            try:
+                slope = psi * B.deriv(inner, 2) * a1 ** 2 + b1 * A.deriv(theta, 2)
+            except OverflowError:
+                pass
         return b1 * a1 - u, slope
+
+    def g(theta: float) -> float:
+        try:
+            a0, a1 = jA(theta, 1)
+            return jB(a0 * psi, 1)[1] * a1 - u
+        except OverflowError:
+            return by_order(theta, False)[0]
+
+    def g_and_slope(theta: float) -> tuple[float, float]:
+        # One jet of each exponent serves g and g'; the arithmetic is the
+        # same, term by term, as one order at a time.
+        try:
+            a0, a1, a2 = jA(theta, 2)
+            _, b1, b2 = jB(a0 * psi, 2)
+            return b1 * a1 - u, psi * b2 * a1 ** 2 + b1 * a2
+        except OverflowError:
+            return by_order(theta, True)
 
     # Starting point per the bracket recipe: theta_star + 1 when available,
     # kept inside the domain edge theta_max.  theta_max takes ~50 bisection
@@ -330,8 +344,11 @@ def _bracket_below(g: Callable[[float], float], hi: float, what: str) -> tuple[f
     return lo, hi
 
 
-def _solve_star(g: Callable, slope: Callable, sup: float, u: float, what: str) -> float:
+def _solve_star(g: Callable, g_and_slope: Callable, sup: float, u: float, what: str) -> float:
     """Root of the increasing ``g`` on ``(0, sup)``, where ``g(0) = a*b - u``.
+
+    ``g`` brackets the root; ``g_and_slope`` (``g`` and ``g'`` at one point)
+    drives the Newton iteration.
 
     The upper bracket is the domain edge ``sup (1 - 1e-12)`` when ``sup`` is
     finite, else the first of 1, 2, 4, ... up to 1e100 where ``g > 0``.  The
@@ -348,7 +365,7 @@ def _solve_star(g: Callable, slope: Callable, sup: float, u: float, what: str) -
             if hi > 1e100:
                 raise NoSolutionError(f"no {what}: its equation appears bounded below u = {u}")
     lo, hi = _bracket_below(g, hi, what)
-    root, gabs, _ = _solve_increasing(lambda x: (g(x), slope(x)), lo, hi, scale=u)
+    root, gabs, _ = _solve_increasing(g_and_slope, lo, hi, scale=u)
     if gabs / u > 1e-12:
         raise NoSolutionError(f"{what} solve stalled at residual {gabs / u:.3e}")
     return root
@@ -356,21 +373,27 @@ def _solve_star(g: Callable, slope: Callable, sup: float, u: float, what: str) -
 
 def _solve_theta_star(model: ModelPair, u: float) -> float:
     """Solve ``b alpha'(theta) = u`` on (0, A.domain_sup)."""
-    A, b = model.A, model.b
+    jA, b = model.A.jet, model.b
+
+    def g_and_slope(theta: float) -> tuple[float, float]:
+        _, a1, a2 = jA(theta, 2)
+        return b * a1 - u, b * a2
+
     return _solve_star(
-        lambda theta: b * A.deriv(theta, 1) - u,
-        lambda theta: b * A.deriv(theta, 2),
-        A.domain_sup, u, "theta_star",
+        lambda theta: b * jA(theta, 1)[1] - u, g_and_slope, model.A.domain_sup, u, "theta_star"
     )
 
 
 def _solve_tau_star(model: ModelPair, u: float) -> float:
     """Solve ``a beta'(a tau) = u`` on (0, B.domain_sup / a)."""
-    B, a = model.B, model.a
+    jB, a = model.B.jet, model.a
+
+    def g_and_slope(tau: float) -> tuple[float, float]:
+        _, b1, b2 = jB(a * tau, 2)
+        return a * b1 - u, a * a * b2
+
     return _solve_star(
-        lambda tau: a * B.deriv(a * tau, 1) - u,
-        lambda tau: a * a * B.deriv(a * tau, 2),
-        B.domain_sup / a, u, "tau_star",
+        lambda tau: a * jB(a * tau, 1)[1] - u, g_and_slope, model.B.domain_sup / a, u, "tau_star"
     )
 
 

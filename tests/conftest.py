@@ -51,16 +51,39 @@ def run_python(*argv: str, timeout: float = 60.0) -> subprocess.CompletedProcess
     )
 
 
-def count_derivs(monkeypatch) -> list:
-    """Count every ``CharExponent.deriv`` call from now on; read ``calls[0]``."""
+def count_derivs(monkeypatch, *models) -> list:
+    """Count every exponent evaluation from now on; read ``calls[0]``.
+
+    One evaluation is one ``deriv`` or one ``jet`` call, on the exponents of
+    ``models`` and on every exponent built from now on.  Both calls end in
+    an exponent's own evaluators (its ``jet``, or a custom exponent's
+    ``derivs`` for ``deriv``), so those are wrapped: a ``deriv`` that reads
+    a built-in jet counts once.
+    """
     calls = [0]
-    deriv = CharExponent.deriv
 
-    def counting(self, t, order=0):
-        calls[0] += 1
-        return deriv(self, t, order)
+    def counted(fn):
+        def counting(*args):
+            calls[0] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(CharExponent, "deriv", counting)
+        return counting
+
+    def instrument(exponent):
+        state = vars(exponent)
+        for name in ("jet", "_derivs"):
+            monkeypatch.setitem(state, name, counted(state[name]))
+
+    post_init = CharExponent.__post_init__
+
+    def counting_post_init(self):
+        post_init(self)
+        instrument(self)
+
+    monkeypatch.setattr(CharExponent, "__post_init__", counting_post_init)
+    for model in models:
+        instrument(model.A)
+        instrument(model.B)
     return calls
 
 

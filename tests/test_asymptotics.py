@@ -64,6 +64,11 @@ class TestClassify:
         assert info.k_plus == k_plus
         assert info.k_minus == k_minus
 
+    def test_built_once_per_f(self):
+        # RegimeInfo is frozen and depends on f only, so one instance serves.
+        assert classify(PowerScaling(1.5)) is classify(PowerScaling(1.5))
+        assert classify(PowerScaling(1.5)) is not classify(PowerScaling(0.5))
+
 
 class TestLatticeFactor:
     def test_small_span_limit(self):
@@ -415,7 +420,7 @@ class TestNotRareAtF1:
         # u <= a*b = 1/3: rejected up front, as in the fast and slow regimes,
         # instead of halving the lower bracket towards 5e-324.
         model = pg_pair(1.0, 1.0, 3.0)
-        calls = count_derivs(monkeypatch)
+        calls = count_derivs(monkeypatch, model)
         with pytest.raises(NotRareError):
             entry(model, u)
         assert calls[0] < 10

@@ -224,6 +224,27 @@ class TestEdgeworth:
         assert lines[0] == "x,approx,exact,gap"
         assert len(lines) == 12
 
+    EDGE = ["edgeworth", "--poisson-gamma", "1", "1", "3", "--f", "1.5", "--n", "400", "--u", "100"]
+
+    def test_lower_edge_beyond_float_range_clamps_at_zero(self, capsys):
+        # x_min * scale overflows to -inf; the lattice starts at count 0.
+        code, out, err = run(capsys, self.EDGE + ["--x-min=-1e308"])
+        assert code == 0, err
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 49
+        code, out, _ = run(capsys, self.EDGE + ["--x-min=-1e300", "--points", "49"])
+        assert code == 0
+        assert json.loads(out)["rows"][0]["x"] == rows[0]["x"]
+
+    @pytest.mark.parametrize("edges", [
+        ["--x-max=1e308"], ["--x-max=-1e308"], ["--x-min=3", "--x-max=-3"], ["--points", "0"],
+    ], ids=["upper-inf", "upper-minus-inf", "empty-grid", "no-points"])
+    def test_bad_grid_exits_2(self, capsys, edges):
+        code, out, err = run(capsys, self.EDGE + edges)
+        assert code == 2, err
+        assert out == ""
+        assert "ParamError" in err
+
 
 class TestOverdispersion:
     def test_full_payload(self, capsys):

@@ -12,6 +12,7 @@ from twoscale import (
     build_expansion,
     diagnostic,
     hermite,
+    standardization,
     tilted_cdf_approx,
     tilted_negbin_cdf,
 )
@@ -202,3 +203,17 @@ def test_diagnostic_bit_identical(key, want):
     model = pg_pair(1.0, 1.0, 3.0) if kind == "pg" else gp_pair(1.0, 2.0, 1.0)
     d = diagnostic(model, PowerScaling(f), n, u, points=5)
     assert (d.rows, d.sup_gap) == want
+
+
+@pytest.mark.parametrize("n,points", [(100.0, 7), (400.0, 49), (1e4, 101), (1e6, 49), (400.0, 10**6)])
+def test_subsampled_lattice_matches_the_full_grid(n, points):
+    # The lattice is subsampled without being built; its counts are the
+    # ones the full np.arange grid gave, bit for bit.
+    model, scaling, u = pg_pair(1.0, 1.0, 3.0), PowerScaling(1.5), 1.0
+    mean, scale = standardization(model, scaling, n, u)
+    full = np.arange(max(math.floor(mean - 6.0 * scale), 0), math.ceil(mean + 6.0 * scale) + 1,
+                     dtype=float)
+    if full.size > points:
+        full = full[np.linspace(0, full.size - 1, points).astype(int)]
+    xs = [row[0] for row in diagnostic(model, scaling, n, u, points=points).rows]
+    assert xs == [float(x) for x in (full + 0.5 - mean) / scale]

@@ -1,6 +1,7 @@
 """Characteristic exponents, the composed log-mgf, and the moment split."""
 
 import dataclasses
+import itertools
 import math
 
 import pytest
@@ -22,7 +23,7 @@ from twoscale import (
     slow_expansion,
     solve_twist,
 )
-from conftest import gp_pair, pg_pair
+from conftest import count_derivs, gp_pair, pg_pair
 
 
 class TestCharExponent:
@@ -90,6 +91,85 @@ class TestCharExponent:
             assert fd == pytest.approx(exponent.deriv(t, order), rel=1e-6)
 
 
+def _drift_derivs(t, order):
+    # Brownian motion with drift 0.8 and variance 1.7.
+    return (0.8 * t + 0.85 * t * t, 0.8 + 1.7 * t, 1.7, 0.0)[order]
+
+
+def _gamma_derivs(t, order):
+    # A Gamma(1.3, 2.0) exponent written as user code.
+    if order == 0:
+        return 1.3 * math.log(2.0 / (2.0 - t))
+    return 1.3 * math.factorial(order - 1) / (2.0 - t) ** order
+
+
+# (exponent, strategy for t inside its domain)
+JET_CASES = {
+    "poisson": (CharExponent.poisson(1.3), st.floats(-700.0, 700.0)),
+    "gamma": (CharExponent.gamma(0.7, 2.5),
+              st.floats(-1e6, 2.5, exclude_max=True)),
+    "custom-drift": (CharExponent.custom(_drift_derivs), st.floats(-1e6, 1e6)),
+    "custom-gamma": (CharExponent.custom(_gamma_derivs, domain_sup=2.0),
+                     st.floats(-1e6, 2.0, exclude_max=True)),
+}
+
+
+class TestJet:
+    @pytest.mark.parametrize("kind", sorted(JET_CASES))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_jet_orders_equal_deriv(self, kind, data):
+        exponent, ts = JET_CASES[kind]
+        t = data.draw(ts)
+        for k in range(4):
+            jet = exponent.jet(t, k)
+            assert len(jet) == k + 1
+            for j in range(k + 1):
+                assert jet[j] == exponent.deriv(t, j)
+
+    @pytest.mark.parametrize("kind", sorted(JET_CASES))
+    def test_domain_error_at_and_beyond_sup(self, kind):
+        exponent, _ = JET_CASES[kind]
+        sup = exponent.domain_sup
+        for t in (sup, sup + 1.0, math.inf):
+            for k in range(4):
+                with pytest.raises(DomainError) as got:
+                    exponent.jet(t, k)
+                with pytest.raises(DomainError) as want:
+                    exponent.deriv(t, k)
+                assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("kind", sorted(JET_CASES))
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_order_cap(self, kind, k):
+        with pytest.raises(OrderError):
+            JET_CASES[kind][0].jet(0.5, k)
+
+    def test_gamma_orders_match_the_factorial_form(self):
+        # shape / x, shape / x**2 and shape * 2 / x**3 are bitwise the
+        # general shape * (order - 1)! / (rate - t) ** order.
+        for shape, rate in itertools.product((0.3, 1.0, 2.7, 1e3), (0.5, 2.0, 37.0)):
+            g = CharExponent.gamma(shape, rate)
+            ts = [rate - 10.0 ** e for e in range(-12, 7)] + [-1e3, -1.0, 0.0, 0.1 * rate]
+            for t, order in itertools.product(ts, (1, 2, 3)):
+                want = shape * math.factorial(order - 1) / (rate - t) ** order
+                assert g.deriv(t, order) == want
+                assert g.jet(t, 3)[order] == want
+
+    def test_custom_jet_calls_orders_in_turn(self):
+        seen = []
+
+        def derivs(t, order):
+            seen.append(order)
+            return _drift_derivs(t, order)
+
+        exponent = CharExponent.custom(derivs)
+        seen.clear()
+        exponent.jet(0.3, 3)
+        exponent.deriv(0.3, 2)
+        assert seen == [0, 1, 2, 3, 2]
+
+
 class TestModelPair:
     def test_means_recomputed(self):
         m = pg_pair(1.4, 0.8, 2.1)
@@ -128,6 +208,14 @@ class TestModelPair:
         assert used == unused
         assert hash(used) == hash(unused) == before
         assert repr(used) == repr(unused)
+
+    def test_means_are_computed_once(self, monkeypatch):
+        m = pg_pair(1.4, 0.8, 2.1)
+        calls = count_derivs(monkeypatch, m)
+        assert (m.a, m.b) == (m.A.deriv(0.0, 1), m.B.deriv(0.0, 1))
+        assert calls[0] == 2
+        assert "a=" not in repr(m) and "b=" not in repr(m)
+        assert dataclasses.replace(m).a == m.a
 
 
 class TestPowerScaling:

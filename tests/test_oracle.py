@@ -16,6 +16,7 @@ from twoscale import (
     negbin_tail,
     plain_mc_tail,
 )
+from twoscale import oracle
 from conftest import assert_displayed, gp_pair, pg_pair, run_python
 
 
@@ -116,6 +117,36 @@ class TestCompoundPoissonGammaTail:
         )
         proc = run_python("-c", code, timeout=60.0)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("args", [
+        (4097.0, 2.0, 1.0, 9000.0), (2e4, 1.0, 1.0, 2.1e4), (1e5, 0.5, 2.0, 2.4e4),
+        (3e5, 1.0, 1.0, 2.9e5), (1e6, 1.0, 1.0, 1.2e6), (1e6, 3.0, 0.7, 4.0e6),
+    ])
+    def test_skipped_blocks_leave_the_sum_bit_identical(self, monkeypatch, args):
+        # Leading blocks whose weights all underflow to 0.0 are skipped; the
+        # sum from j = 1 gives the same bits.
+        skipped = repr(compound_poisson_gamma_tail(*args))
+        monkeypatch.setattr(oracle, "_first_live_block", lambda lam: 1)
+        assert repr(compound_poisson_gamma_tail(*args)) == skipped
+
+    @pytest.mark.parametrize("lam", [1.0, 4096.0, 8193.0, 1e5, 1e6])
+    def test_skipped_weights_are_exactly_zero(self, lam):
+        j0 = oracle._first_live_block(lam)
+        assert (j0 - 1) % 4096 == 0 and j0 <= max(lam, 1.0)
+        if lam >= 1e5:
+            assert j0 > 1
+            assert np.exp(oracle._poisson_logpmf(np.arange(1.0, j0), lam)).max() == 0.0
+
+    def test_large_rate_starts_near_the_mode(self):
+        # Summing 4096-count blocks from j = 1 up to a rate of 1e8 took
+        # about 14 s; the skip leaves about 200 blocks around the mode.
+        code = (
+            "from twoscale import compound_poisson_gamma_tail\n"
+            "print(repr(compound_poisson_gamma_tail(1e8, 1.0, 1.0, 0.99e8).probability))\n"
+        )
+        proc = run_python("-c", code, timeout=10.0)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0.9999999999999962"
 
     def test_param_errors(self):
         with pytest.raises(ParamError):

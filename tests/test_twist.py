@@ -80,10 +80,46 @@ class TestSolveTwist:
         # one theta* solve, no domain-edge bisection, and alpha, alpha' and
         # beta'(alpha psi) evaluated once per Newton step.
         m = pg_pair(1.0, 1.0, 3.0)
-        calls = count_derivs(monkeypatch)
+        calls = count_derivs(monkeypatch, m)
         sol = solve_twist(m, PowerScaling(1.5), 400.0, 1.0)
         assert sol.iterations == 6
         assert calls[0] <= 90
+        # One jet of each exponent per Newton step: 41 evaluations, where
+        # one deriv call per order took 85.
+        assert calls[0] <= 41
+
+    # A Poisson(1) outer process on a Gamma(1, 3) clock, written as user
+    # code that overflows in one order only: the solve keeps the path, bit
+    # for bit, that it took when each order was evaluated on its own (the
+    # value recorded then).
+    def test_second_order_overflow_keeps_its_path(self):
+        def poisson(t, order):
+            if order == 2 and t > 1.5:
+                raise OverflowError("order 2 overflows")
+            return math.expm1(t) if order == 0 else math.exp(t)
+
+        m = ModelPair(CharExponent.custom(poisson), CharExponent.gamma(1.0, 3.0))
+        sol = solve_twist(m, PowerScaling(1.5), 400.0, 1.0)
+        assert repr(sol) == (
+            "TwistSolution(theta_n=1.066351426449889, residual=6.661338147750939e-16, "
+            "iterations=10, bracket=(1.0493061443340554, 2.098612288668111))"
+        )
+
+    @pytest.mark.parametrize("cap", [0.05, 0.12, 0.3])
+    def test_clock_value_overflow_keeps_its_path(self, cap):
+        # beta itself is not needed by the twist; where only it overflows,
+        # the solve is the one of the stock pair.
+        def gamma(t, order):
+            if order == 0:
+                if t > cap:
+                    raise OverflowError("value overflows")
+                return math.log(3.0 / (3.0 - t))
+            return math.factorial(order - 1) / (3.0 - t) ** order
+
+        m = ModelPair(CharExponent.poisson(1.0), CharExponent.custom(gamma, domain_sup=3.0))
+        sol = solve_twist(m, PowerScaling(1.5), 400.0, 1.0)
+        assert sol == solve_twist(pg_pair(1.0, 1.0, 3.0), PowerScaling(1.5), 400.0, 1.0)
+        assert sol.theta_n == 1.0663514264498883 and sol.iterations == 6
 
     def test_bracket_collapse_reports_iterations_made(self):
         # This solve ends on bracket collapse, not on the stop test; it used
