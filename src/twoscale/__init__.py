@@ -10,46 +10,11 @@ oracles, and the overdispersed-arrival application with its reference tables.
 
 from importlib import import_module as _import_module
 
-from .asymptotics import (
-    AsymptoticEstimate,
-    RegimeInfo,
-    approx_fast,
-    approx_single_timescale,
-    approx_slow,
-    classify,
-    lattice_factor,
-    log_asymptote,
-)
-from .errors import (
-    DomainError,
-    LatticeError,
-    NoSolutionError,
-    NotRareError,
-    OrderError,
-    ParamError,
-    RegimeError,
-    SeriesUnavailable,
-    TwoscaleError,
-    UnsupportedSignError,
-)
-from .levy import CharExponent, ModelPair, PowerScaling, lmgf, load_model, mean_variance
-from .models import (
-    CompoundPoissonGammaLaw,
-    NegBinLaw,
-    WorkedModel,
-    exact_law,
-    fast_series_coeffs,
-    slow_series_coeffs,
-)
-from .twist import (
-    FastExpansion,
-    SlowExpansion,
-    TwistSolution,
-    direct_exponent,
-    fast_expansion,
-    slow_expansion,
-    solve_twist,
-)
+from .asymptotics import *
+from .errors import *
+from .levy import *
+from .models import *
+from .twist import *
 
 # The modules above are pure Python.  The three below need numpy and scipy,
 # which take most of the package's import time, so their names are resolved
@@ -95,67 +60,13 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
+# The public names are those of each module's ``__all__``; the lazy table
+# stands in for the modules that would import numpy if their list were read.
 __all__ = [
-    "AsymptoticEstimate",
-    "RegimeInfo",
-    "approx_fast",
-    "approx_single_timescale",
-    "approx_slow",
-    "classify",
-    "lattice_factor",
-    "log_asymptote",
-    "EdgeworthDiagnostic",
-    "EdgeworthExpansion",
-    "build_expansion",
-    "diagnostic",
-    "hermite",
-    "standardization",
-    "tilted_cdf_approx",
-    "tilted_negbin_cdf",
-    "DomainError",
-    "LatticeError",
-    "NoSolutionError",
-    "NotRareError",
-    "OrderError",
-    "ParamError",
-    "RegimeError",
-    "SeriesUnavailable",
-    "TwoscaleError",
-    "UnsupportedSignError",
-    "CharExponent",
-    "ModelPair",
-    "PowerScaling",
-    "lmgf",
-    "load_model",
-    "mean_variance",
-    "CompoundPoissonGammaLaw",
-    "NegBinLaw",
-    "WorkedModel",
-    "exact_law",
-    "fast_series_coeffs",
-    "slow_series_coeffs",
-    "OracleResult",
-    "RigorousBound",
-    "StatisticalBound",
-    "compound_poisson_gamma_tail",
-    "is_tail",
-    "negbin_tail",
-    "plain_mc_tail",
-    "ApproxTable",
-    "ArrivalQuery",
-    "pi_exact",
-    "pi_fast",
-    "pi_gamma",
-    "pi_hat_fast",
-    "pi_hat_slow",
-    "pi_pois",
-    "pi_slow",
-    "reproduce_tables",
-    "FastExpansion",
-    "SlowExpansion",
-    "TwistSolution",
-    "direct_exponent",
-    "fast_expansion",
-    "slow_expansion",
-    "solve_twist",
+    *asymptotics.__all__,
+    *errors.__all__,
+    *levy.__all__,
+    *models.__all__,
+    *twist.__all__,
+    *_LAZY,
 ]

@@ -31,7 +31,7 @@ from operator import attrgetter
 
 from . import models as worked
 from .errors import LatticeError, OrderError, RegimeError, SeriesUnavailable, require_finite
-from .levy import ModelPair, PowerScaling, lmgf
+from .levy import ModelPair, PowerScaling
 from .twist import (
     _require_query,
     _require_rare,
@@ -39,7 +39,7 @@ from .twist import (
     _solve_tau_star,
     _solve_theta_star,
     _solved,
-    solve_twist,
+    direct_exponent,
 )
 
 __all__ = [
@@ -212,8 +212,7 @@ def _approx(regime, model, scaling, n, u, mode, order, lattice) -> AsymptoticEst
 
     linear = rate * clock
     if mode == "direct":
-        sol = solve_twist(model, scaling, n, u)
-        delta = lmgf(model, scaling, n, sol.theta_n, 0) - sol.theta_n * u * n
+        delta = direct_exponent(model, scaling, n, u)
         terms = [("linear", linear), ("sublinear_remainder", delta - linear)]
         return _assemble(prefactor, terms, "direct", None, lattice)
     if mode != "series":

@@ -8,6 +8,10 @@ tables          write the two reference comparison tables (CSV + JSON sidecar)
 edgeworth       tilted-CDF approximation vs the exact tilted law on an x grid
 overdispersion  all arrival-count approximations for one (K, u_bar, mu_bar)
 
+A model comes from ``--model`` (a JSON spec) or inline: ``--poisson-gamma LAM R
+MU`` and ``--gamma-poisson R MU LAM`` build the ``WorkedModel`` pair of that
+name.  Only ``oracle`` takes ``--workers``, the Monte Carlo substream count.
+
 Every command emits machine-readable output (JSON by default); identical
 configuration and seed produce byte-identical files.  Exit codes: 0 success,
 2 invalid input (the error class name goes to stderr), 1 internal failure.
@@ -26,7 +30,7 @@ from pathlib import Path
 from . import asymptotics
 from .errors import ParamError, TwoscaleError, require_finite
 from .formatting import format_sig
-from .levy import CharExponent, ModelPair, PowerScaling, load_model
+from .levy import ModelPair, PowerScaling, load_model
 from .models import WorkedModel, exact_law
 
 __all__ = ["main"]
@@ -63,12 +67,10 @@ def _resolve_model(args) -> tuple[ModelPair, PowerScaling]:
     if getattr(args, "f", None) is None:
         raise ParamError("--f is required when the model is given inline")
     if args.poisson_gamma is not None:
-        lam, r, mu = args.poisson_gamma
-        pair = ModelPair(CharExponent.poisson(lam), CharExponent.gamma(r, mu))
+        wm = WorkedModel.poisson_gamma(*args.poisson_gamma)
     else:
-        r, mu, lam = args.gamma_poisson
-        pair = ModelPair(CharExponent.gamma(r, mu), CharExponent.poisson(lam))
-    return pair, PowerScaling(args.f)
+        wm = WorkedModel.gamma_poisson(*args.gamma_poisson)
+    return wm.to_pair(), PowerScaling(args.f)
 
 
 def _emit(args, payload: dict, csv_text: str | None = None) -> None:
@@ -169,7 +171,7 @@ def _cmd_tables(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    t1, t2 = overdispersion.reproduce_tables(workers=args.workers)
+    t1, t2 = overdispersion.reproduce_tables()
     written = []
     for table, stem in ((t1, "table1"), (t2, "table2")):
         csv_path = out_dir / f"{stem}.csv"
@@ -260,7 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="write the reference comparison tables")
     p.add_argument("--out-dir", default=".", metavar="DIR")
     p.add_argument("--sig", type=int, default=3)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=_cmd_tables)
 
     p = sub.add_parser("edgeworth", help="tilted-CDF approximation vs the exact tilted law")

@@ -82,36 +82,31 @@ def build_expansion(model: ModelPair, scaling: PowerScaling, u: float) -> Edgewo
         raise RegimeError("Edgeworth corrections are defined for f != 1")
     if f > 1:
         exp2 = fast_expansion(model, u, order=1)
-        ts = exp2.theta_star
         b = model.b
-        sigma_sq = b * model.A.deriv(ts, 2)
-        kappa = (b * model.A.deriv(ts, 3)) / (6.0 * sigma_sq**1.5)
+        a0, a1, a2, a3 = model.A.jet(exp2.theta_star, 3)
+        sigma_sq = b * a2
+        kappa = (b * a3) / (6.0 * sigma_sq**1.5)
         # psi_n sqrt(n) = n^(3/2 - f): vanishes iff f > 3/2.
         if f > 1.5:
             return EdgeworthExpansion("fast", kappa, None, "small_psi_sqrt_n")
-        v1 = exp2.v[1]
-        gamma_circ = (
-            model.B.deriv(0.0, 2) * model.A.deriv(ts, 1) ** 2
-            + model.B.deriv(0.0, 2) * model.A.deriv(ts, 0) * model.A.deriv(ts, 2)
-            + model.B.deriv(0.0, 1) * model.A.deriv(ts, 3) * v1
-        )
+        b2 = model.B.jet(0.0, 2)[2]
+        gamma_circ = b2 * a1 ** 2 + b2 * a0 * a2 + b * a3 * exp2.v[1]
         return EdgeworthExpansion("fast", kappa, gamma_circ / (2.0 * sigma_sq), "large_psi_sqrt_n")
     exp2 = slow_expansion(model, u, order=2)
     tau = exp2.tau_star
     a = model.a
-    at = a * tau
-    sigma_sq = a * a * model.B.deriv(at, 2)
-    kappa = (model.B.deriv(at, 3) * a**3) / (6.0 * sigma_sq**1.5)
+    _, b1, b2, b3 = model.B.jet(a * tau, 3)
+    sigma_sq = a * a * b2
+    kappa = (b3 * a**3) / (6.0 * sigma_sq**1.5)
     # phi_n^{3/2}/n = n^(3f/2 - 1): vanishes iff f < 2/3.
     if f < 2.0 / 3.0:
         return EdgeworthExpansion("slow", kappa, None, "small_phi32_over_n")
-    w2 = exp2.w[1]
-    a2 = model.A.deriv(0.0, 2)
+    a2 = model.A.jet(0.0, 2)[2]
     gamma_circ = (
-        model.B.deriv(at, 1) * a2
-        + 2.0 * a * a2 * model.B.deriv(at, 2) * tau
-        + 0.5 * a * a * a2 * model.B.deriv(at, 3) * tau * tau
-        + a**3 * model.B.deriv(at, 3) * w2
+        b1 * a2
+        + 2.0 * a * a2 * b2 * tau
+        + 0.5 * a * a * a2 * b3 * tau * tau
+        + a**3 * b3 * exp2.w[1]
     )
     return EdgeworthExpansion("slow", kappa, gamma_circ / (2.0 * sigma_sq), "large_phi32_over_n")
 
@@ -127,15 +122,18 @@ def tilted_cdf_approx(model: ModelPair, scaling: PowerScaling, n: float, u: floa
     require_finite(n=n)
     expansion = build_expansion(model, scaling, u)
     xs = np.asarray(x, dtype=float)
-    dens = np.exp(-0.5 * xs * xs) / _SQRT2PI
+    # Past |x| = 40 the density is 0.0 clipped or not; unclipped, x * x
+    # overflows past ~1.3e154 and 0 * inf gives NaN.
+    xc = np.clip(xs, -40.0, 40.0)
+    dens = np.exp(-0.5 * xc * xc) / _SQRT2PI
     if expansion.regime == "fast":
-        corr = hermite(2, xs) * (expansion.kappa / math.sqrt(n))
+        corr = hermite(2, xc) * (expansion.kappa / math.sqrt(n))
         if expansion.c1 is not None:
-            corr = corr + hermite(1, xs) * (expansion.c1 * scaling.psi(n))
+            corr = corr + hermite(1, xc) * (expansion.c1 * scaling.psi(n))
     else:
-        corr = hermite(2, xs) * (expansion.kappa / math.sqrt(scaling.phi(n)))
+        corr = hermite(2, xc) * (expansion.kappa / math.sqrt(scaling.phi(n)))
         if expansion.c1 is not None:
-            corr = corr + hermite(1, xs) * (expansion.c1 / scaling.psi(n))
+            corr = corr + hermite(1, xc) * (expansion.c1 / scaling.psi(n))
     out = special.ndtr(xs) - dens * corr
     return float(out) if np.ndim(x) == 0 else out
 
@@ -166,7 +164,7 @@ def standardization(model: ModelPair, scaling: PowerScaling, n: float, u: float)
     if f > 1:
         # sigma_plus * sqrt(n) would round differently from the one square root.
         ts, _, _ = _leading(model, "fast", u)
-        scale = math.sqrt(model.b * model.A.deriv(ts, 2) * n)
+        scale = math.sqrt(model.b * model.A.jet(ts, 2)[2] * n)
     else:
         _, _, sigma = _leading(model, "slow", u)
         scale = sigma * scaling.psi(n) * math.sqrt(scaling.phi(n))

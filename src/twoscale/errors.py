@@ -6,6 +6,19 @@ callers (and the CLI) can distinguish bad input from internal bugs.
 
 import math
 
+__all__ = [
+    "TwoscaleError",
+    "ParamError",
+    "DomainError",
+    "OrderError",
+    "NotRareError",
+    "NoSolutionError",
+    "UnsupportedSignError",
+    "RegimeError",
+    "LatticeError",
+    "SeriesUnavailable",
+]
+
 
 class TwoscaleError(Exception):
     """Base class for all errors raised by this package."""

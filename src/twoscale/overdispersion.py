@@ -32,6 +32,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from scipy import special
@@ -51,7 +52,6 @@ __all__ = [
     "pi_hat_fast",
     "pi_hat_slow",
     "reproduce_tables",
-    "format_sig",
 ]
 
 _ADAPTIVE_CAP = 50
@@ -221,29 +221,17 @@ class ApproxTable:
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _table1_row(params: tuple[int, float, float]) -> tuple[float, ...]:
+def _row(params: tuple[int, float, float], crude, hat, refined, M: int) -> tuple[float, ...]:
+    """One table row: the exact, crude and hat tails, then ``refined`` at M and M + 1."""
     K, mu_bar, u_bar = params
     q = ArrivalQuery(K, u_bar, mu_bar)
     return (
         float(K), mu_bar, u_bar,
         pi_exact(q).probability,
-        pi_pois(q),
-        pi_hat_fast(q),
-        pi_fast(q, M=1),
-        pi_fast(q, M=2),
-    )
-
-
-def _table2_row(params: tuple[int, float, float]) -> tuple[float, ...]:
-    K, mu_bar, u_bar = params
-    q = ArrivalQuery(K, u_bar, mu_bar)
-    return (
-        float(K), mu_bar, u_bar,
-        pi_exact(q).probability,
-        pi_gamma(q),
-        pi_hat_slow(q),
-        pi_slow(q, M=0),
-        pi_slow(q, M=1),
+        crude(q),
+        hat(q),
+        refined(q, M=M),
+        refined(q, M=M + 1),
     )
 
 
@@ -254,13 +242,15 @@ def reproduce_tables(workers: int = 1) -> tuple[ApproxTable, ApproxTable]:
     """
     if workers < 1:
         raise ParamError(f"workers must be >= 1, got {workers}")
+    row1 = partial(_row, crude=pi_pois, hat=pi_hat_fast, refined=pi_fast, M=1)
+    row2 = partial(_row, crude=pi_gamma, hat=pi_hat_slow, refined=pi_slow, M=0)
     if workers == 1:
-        rows1 = [_table1_row(p) for p in TABLE1_PARAMS]
-        rows2 = [_table2_row(p) for p in TABLE2_PARAMS]
+        rows1 = [row1(p) for p in TABLE1_PARAMS]
+        rows2 = [row2(p) for p in TABLE2_PARAMS]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows1 = list(pool.map(_table1_row, TABLE1_PARAMS))
-            rows2 = list(pool.map(_table2_row, TABLE2_PARAMS))
+            rows1 = list(pool.map(row1, TABLE1_PARAMS))
+            rows2 = list(pool.map(row2, TABLE2_PARAMS))
     head = ("K", "mu_bar", "u_bar")
     t1 = ApproxTable(
         "fast_regime",

@@ -44,6 +44,7 @@ __all__ = [
     "solve_twist",
     "fast_expansion",
     "slow_expansion",
+    "direct_exponent",
 ]
 
 #: Relative residual the twist solver must reach (it typically lands at ~1e-16).
@@ -417,16 +418,13 @@ def fast_expansion(model: ModelPair, u: float, order: int = 2) -> FastExpansion:
     theta_star = _solved(model, u, _solve_theta_star)
     coeffs = [theta_star]
     if order >= 1:
-        a0 = model.A.deriv(theta_star, 0)
-        a1 = model.A.deriv(theta_star, 1)
-        a2 = model.A.deriv(theta_star, 2)
-        b1 = model.B.deriv(0.0, 1)
-        b2 = model.B.deriv(0.0, 2)
+        ja, jb = model.A.jet(theta_star, order + 1), model.B.jet(0.0, order + 1)
+        a0, a1, a2 = ja[:3]
+        b1, b2 = model.b, jb[2]
         v1 = -(a0 * a1 / a2) * (b2 / b1)
         coeffs.append(v1)
         if order >= 2:
-            a3 = model.A.deriv(theta_star, 3)
-            b3 = model.B.deriv(0.0, 3)
+            a3, b3 = ja[3], jb[3]
             v2 = -(
                 0.5 * b1 * a3 * v1 * v1
                 + b2 * v1 * (a0 * a2 + a1 * a1)

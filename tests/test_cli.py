@@ -1,6 +1,7 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -192,6 +193,15 @@ class TestTables:
         for stem in ("table1.csv", "table1.json", "table2.csv", "table2.json"):
             assert (d1 / stem).read_bytes() == (d2 / stem).read_bytes()
 
+    def test_workers_flag_is_gone(self, tmp_path, capsys):
+        # The rows are computed one after another; the library keeps its
+        # ``workers`` parameter, the command takes no such flag.
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "--out-dir", str(tmp_path), "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestEdgeworth:
     def test_sup_gap_small_at_scale(self, capsys, tmp_path):
@@ -235,6 +245,20 @@ class TestEdgeworth:
         code, out, _ = run(capsys, self.EDGE + ["--x-min=-1e300", "--points", "49"])
         assert code == 0
         assert json.loads(out)["rows"][0]["x"] == rows[0]["x"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        EDGE,
+        ["edgeworth", "--gamma-poisson", "1", "2", "1", "--f", "0.6", "--n", "300", "--u", "1.5"],
+    ], ids=["lattice", "continuous"])
+    def test_upper_edge_far_beyond_the_density_stays_finite(self, capsys, argv):
+        # Past |x| ~ 1.3e154, x * x overflows; the rows must still be numbers.
+        code, out, err = run(capsys, argv + ["--x-max=1e300"])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert math.isfinite(payload["sup_gap"])
+        assert all(math.isfinite(v) for row in payload["rows"] for v in row.values())
+        assert payload["rows"][-1]["approx"] == 1.0
 
     @pytest.mark.parametrize("edges", [
         ["--x-max=1e308"], ["--x-max=-1e308"], ["--x-min=3", "--x-max=-3"], ["--points", "0"],

@@ -78,6 +78,15 @@ class TestTiltedCdfApprox:
         assert tilted_cdf_approx(pg112, s, 1e4, 1.0, 40.0) == pytest.approx(1.0, abs=1e-12)
         assert tilted_cdf_approx(pg112, s, 1e4, 1.0, -40.0) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("pair", [pg_pair(1.0, 1.0, 2.0), gp_pair(1.0, 2.0, 1.0)], ids=["pg", "gp"])
+    @pytest.mark.parametrize("f", [2.5, 1.2, 0.5, 0.8])
+    def test_beyond_float_square_limits_are_exact(self, pair, f):
+        # x * x overflows here; the density term is 0 long before.
+        vals = tilted_cdf_approx(pair, PowerScaling(f), 400.0, 1.0, np.array([1e200, -1e200]))
+        assert vals.tolist() == [1.0, 0.0]
+        assert tilted_cdf_approx(pair, PowerScaling(f), 400.0, 1.0, -math.inf) == 0.0
+
     def test_value_at_origin_small_branch(self, pg112):
         # H_2(0) = -1, so the x = 0 value is 1/2 + phi(0) kappa / sqrt(n).
         s, n, u = PowerScaling(2.5), 1e4, 1.0

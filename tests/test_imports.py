@@ -120,3 +120,20 @@ def test_unknown_attribute_raises():
     ) + NO_NUMPY
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_name_lists_agree_with_the_modules():
+    # The lazy table is the one hand-written name list; it must match the
+    # __all__ of the modules it stands in for.
+    code = (
+        "import importlib, twoscale\n"
+        "for module in sorted(set(twoscale._LAZY.values())):\n"
+        "    names = [n for n, m in twoscale._LAZY.items() if m == module]\n"
+        "    mod = importlib.import_module(f'twoscale.{module}')\n"
+        "    assert sorted(names) == sorted(mod.__all__), (module, set(names) ^ set(mod.__all__))\n"
+        "assert len(twoscale.__all__) == len(set(twoscale.__all__))\n"
+        "from twoscale.overdispersion import format_sig\n"
+        "assert format_sig(0.0) == '0'\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
