@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .asymptotics import _leading
+from .asymptotics import _leading, classify
 from .errors import ParamError, RegimeError, require_finite
 from .levy import ModelPair, PowerScaling
 from .models import NegBinLaw, WorkedModel, exact_law
@@ -77,17 +77,17 @@ class EdgeworthExpansion:
 def build_expansion(model: ModelPair, scaling: PowerScaling, u: float) -> EdgeworthExpansion:
     """Compute kappa and (on the weak-separation branch) c_1 for the regime of f."""
     require_finite(u=u)
-    f = scaling.f
-    if f == 1:
+    info = classify(scaling)
+    if info.regime == "single":
         raise RegimeError("Edgeworth corrections are defined for f != 1")
-    if f > 1:
+    if info.regime == "fast":
         exp2 = fast_expansion(model, u, order=1)
         b = model.b
         a0, a1, a2, a3 = model.A.jet(exp2.theta_star, 3)
         sigma_sq = b * a2
         kappa = (b * a3) / (6.0 * sigma_sq**1.5)
-        # psi_n sqrt(n) = n^(3/2 - f): vanishes iff f > 3/2.
-        if f > 1.5:
+        # psi_n sqrt(n) = n^(3/2 - f) vanishes iff f > 3/2, i.e. k_plus = 0.
+        if info.k_plus == 0:
             return EdgeworthExpansion("fast", kappa, None, "small_psi_sqrt_n")
         b2 = model.B.jet(0.0, 2)[2]
         gamma_circ = b2 * a1 ** 2 + b2 * a0 * a2 + b * a3 * exp2.v[1]
@@ -98,8 +98,8 @@ def build_expansion(model: ModelPair, scaling: PowerScaling, u: float) -> Edgewo
     _, b1, b2, b3 = model.B.jet(a * tau, 3)
     sigma_sq = a * a * b2
     kappa = (b3 * a**3) / (6.0 * sigma_sq**1.5)
-    # phi_n^{3/2}/n = n^(3f/2 - 1): vanishes iff f < 2/3.
-    if f < 2.0 / 3.0:
+    # phi_n^{3/2}/n = n^(3f/2 - 1) vanishes iff f < 2/3, i.e. k_minus = 0.
+    if info.k_minus == 0:
         return EdgeworthExpansion("slow", kappa, None, "small_phi32_over_n")
     a2 = model.A.jet(0.0, 2)[2]
     gamma_circ = (
@@ -121,19 +121,16 @@ def tilted_cdf_approx(model: ModelPair, scaling: PowerScaling, n: float, u: floa
     """
     require_finite(n=n)
     expansion = build_expansion(model, scaling, u)
+    fast = expansion.regime == "fast"
     xs = np.asarray(x, dtype=float)
     # Past |x| = 40 the density is 0.0 clipped or not; unclipped, x * x
     # overflows past ~1.3e154 and 0 * inf gives NaN.
     xc = np.clip(xs, -40.0, 40.0)
     dens = np.exp(-0.5 * xc * xc) / _SQRT2PI
-    if expansion.regime == "fast":
-        corr = hermite(2, xc) * (expansion.kappa / math.sqrt(n))
-        if expansion.c1 is not None:
-            corr = corr + hermite(1, xc) * (expansion.c1 * scaling.psi(n))
-    else:
-        corr = hermite(2, xc) * (expansion.kappa / math.sqrt(scaling.phi(n)))
-        if expansion.c1 is not None:
-            corr = corr + hermite(1, xc) * (expansion.c1 / scaling.psi(n))
+    corr = hermite(2, xc) * (expansion.kappa / math.sqrt(n if fast else scaling.phi(n)))
+    if expansion.c1 is not None:
+        psi = scaling.psi(n)
+        corr = corr + hermite(1, xc) * (expansion.c1 * psi if fast else expansion.c1 / psi)
     out = special.ndtr(xs) - dens * corr
     return float(out) if np.ndim(x) == 0 else out
 
@@ -158,10 +155,10 @@ def tilted_negbin_cdf(model: ModelPair, scaling: PowerScaling, n: float, u: floa
 def standardization(model: ModelPair, scaling: PowerScaling, n: float, u: float) -> tuple[float, float]:
     """(mean, scale) of the tilted count's standardization: mean u*n, scale by regime."""
     require_finite(n=n, u=u)
-    f = scaling.f
-    if f == 1:
+    regime = classify(scaling).regime
+    if regime == "single":
         raise RegimeError("standardization is defined for f != 1")
-    if f > 1:
+    if regime == "fast":
         # sigma_plus * sqrt(n) would round differently from the one square root.
         ts, _, _ = _leading(model, "fast", u)
         scale = math.sqrt(model.b * model.A.jet(ts, 2)[2] * n)

@@ -65,6 +65,45 @@ def _custom_jet(derivs: Callable[[float, int], float], sup: float) -> Callable:
     return jet
 
 
+def _poisson_jet(lam: float) -> Callable:
+    def jet(t: float, k: int) -> tuple[float, ...]:
+        if t >= math.inf:
+            raise _domain_error(t, math.inf)
+        value = lam * math.expm1(t)
+        if k == 0:
+            return (value,)
+        e = lam * math.exp(t)
+        if k == 1:
+            return value, e
+        if k == 2:
+            return value, e, e
+        if k == 3:
+            return value, e, e, e
+        raise _order_error(k)
+
+    return jet
+
+
+def _gamma_jet(r: float, mu: float) -> Callable:
+    def jet(t: float, k: int) -> tuple[float, ...]:
+        # Order j >= 1 is r * (j - 1)! / x**j with x = mu - t.
+        if t >= mu:
+            raise _domain_error(t, mu)
+        x = mu - t
+        value = r * math.log(mu / x)
+        if k == 0:
+            return (value,)
+        if k == 1:
+            return value, r / x
+        if k == 2:
+            return value, r / x, r / x ** 2
+        if k == 3:
+            return value, r / x, r / x ** 2, r * 2 / x ** 3
+        raise _order_error(k)
+
+    return jet
+
+
 @dataclass(frozen=True)
 class CharExponent:
     """A characteristic exponent with derivatives up to order 3.
@@ -80,9 +119,10 @@ class CharExponent:
     lattice_span:
         Span ``d > 0`` if the marginals live on ``x0 + d*Z``, else ``0.0``.
     params:
-        Raw construction parameters, kept for closed-form specialisations.
-        They take part in equality but not in the hash (a dict is unhashable);
-        equal exponents still hash equal.
+        The parameters that define a built-in exponent (``lam``; ``r`` and
+        ``mu``; all positive), from which its jet is built; ``{}`` for a
+        custom one.  They take part in equality but not in the hash (a dict
+        is unhashable); equal exponents still hash equal.
     jet:
         ``jet(t, k)``, k in 0..3: ``(value, first, ..., k-th derivative)`` at
         ``t`` from one evaluation, bit for bit the values :meth:`deriv` gives
@@ -93,65 +133,45 @@ class CharExponent:
     domain_sup: float
     lattice_span: float
     params: Mapping[str, float] = field(default_factory=dict, hash=False)
-    # The evaluator: the user's ``derivs(t, order)`` for a custom exponent,
-    # the jet itself for a built-in one.
+    # The user's ``derivs(t, order)`` of a custom exponent; None for a
+    # built-in one, whose jet is built from ``params``.
     _derivs: Callable = field(repr=False, default=None)
     jet: Callable[[float, int], tuple[float, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        jet = self._derivs
-        if self.kind == "custom":
-            jet = _custom_jet(jet, self.domain_sup)
+        kind, params, sup = self.kind, self.params, self.domain_sup
+        try:
+            if kind == "custom":
+                jet = _custom_jet(self._derivs, sup)
+            elif kind == "poisson":
+                lam = params["lam"]
+                if lam <= 0:
+                    raise ParamError(f"poisson rate must be positive, got {lam}")
+                jet, sup = _poisson_jet(lam), math.inf
+            elif kind == "gamma":
+                r, mu = params["r"], params["mu"]
+                if r <= 0 or mu <= 0:
+                    raise ParamError(f"gamma parameters must be positive, got shape={r}, rate={mu}")
+                jet, sup = _gamma_jet(r, mu), mu
+            else:
+                raise ParamError(f"unknown exponent kind {kind!r}")
+        except KeyError as exc:
+            raise ParamError(f"a {kind} exponent needs the parameter {exc}") from None
+        if kind != "custom" and sup != self.domain_sup:
+            raise ParamError(f"{kind} params {dict(params)} give domain_sup {sup}, not {self.domain_sup}")
+        if self.lattice_span < 0:
+            raise ParamError(f"lattice span must be >= 0, got {self.lattice_span}")
         object.__setattr__(self, "jet", jet)
 
     @classmethod
     def poisson(cls, rate: float, lattice_span: float = 1.0) -> "CharExponent":
         """Poisson process with the given rate: ``t -> rate * (exp(t) - 1)``."""
-        if rate <= 0:
-            raise ParamError(f"poisson rate must be positive, got {rate}")
-        if lattice_span < 0:
-            raise ParamError(f"lattice span must be >= 0, got {lattice_span}")
-
-        def jet(t: float, k: int) -> tuple[float, ...]:
-            if t >= math.inf:
-                raise _domain_error(t, math.inf)
-            value = rate * math.expm1(t)
-            if k == 0:
-                return (value,)
-            e = rate * math.exp(t)
-            if k == 1:
-                return value, e
-            if k == 2:
-                return value, e, e
-            if k == 3:
-                return value, e, e, e
-            raise _order_error(k)
-
-        return cls("poisson", math.inf, lattice_span, {"lam": rate}, jet)
+        return cls("poisson", math.inf, lattice_span, {"lam": rate})
 
     @classmethod
     def gamma(cls, shape: float, rate: float) -> "CharExponent":
         """Gamma process: ``t -> shape * (log rate - log(rate - t))``, t < rate."""
-        if shape <= 0 or rate <= 0:
-            raise ParamError(f"gamma parameters must be positive, got shape={shape}, rate={rate}")
-
-        def jet(t: float, k: int) -> tuple[float, ...]:
-            # Order j >= 1 is shape * (j - 1)! / x**j with x = rate - t.
-            if t >= rate:
-                raise _domain_error(t, rate)
-            x = rate - t
-            value = shape * math.log(rate / x)
-            if k == 0:
-                return (value,)
-            if k == 1:
-                return value, shape / x
-            if k == 2:
-                return value, shape / x, shape / x ** 2
-            if k == 3:
-                return value, shape / x, shape / x ** 2, shape * 2 / x ** 3
-            raise _order_error(k)
-
-        return cls("gamma", rate, 0.0, {"r": shape, "mu": rate}, jet)
+        return cls("gamma", rate, 0.0, {"r": shape, "mu": rate})
 
     @classmethod
     def custom(
@@ -167,12 +187,11 @@ class CharExponent:
         code would silently degrade the third-order coefficients, so it is
         refused by design.  The jet calls ``derivs(t, 0)``, ..., ``derivs(t, k)``.
         """
-        if lattice_span < 0:
-            raise ParamError(f"lattice span must be >= 0, got {lattice_span}")
+        exponent = cls("custom", domain_sup, lattice_span, {}, derivs)
         probe = derivs(0.0, 0)
         if probe != 0.0:
             raise ParamError(f"custom exponent must vanish at 0, got {probe}")
-        return cls("custom", domain_sup, lattice_span, {}, derivs)
+        return exponent
 
     def deriv(self, t: float, order: int = 0) -> float:
         """Order-th derivative of the exponent at ``t`` (order 0 is the value)."""

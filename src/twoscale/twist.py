@@ -32,7 +32,6 @@ from .errors import (
     NotRareError,
     OrderError,
     ParamError,
-    UnsupportedSignError,
     require_finite,
 )
 from .levy import ModelPair, PowerScaling, lmgf
@@ -141,14 +140,38 @@ def _solved(model: ModelPair, u: float, solve: Callable[[ModelPair, float], obje
     return value
 
 
-def _theta_max(model: ModelPair, psi: float) -> float:
-    """Largest theta keeping ``alpha(theta) * psi`` inside B's domain."""
+def _theta_max(model: ModelPair, psi: float, start: float | None = None) -> float | None:
+    """Largest theta keeping ``alpha(theta) * psi`` inside B's domain.
+
+    Or None when two probes prove that clamping the twist's bracket
+    ``start`` into ``[1e-12, 0.99] * theta_max`` leaves it alone, that is
+    theta_max lies in ``[start / 0.99, 1e12 * start]``, sparing the ~50-step
+    bisection.  alpha increases on [0, inf), so ``alpha(low) < sup_b / psi``
+    puts theta_max at or above ``low`` (less the bisection's 1e-15
+    tolerance), and ``alpha(high) >= sup_b / psi`` (or an overflow) below
+    ``high``; the margins in ``low`` and ``high`` cover the tolerance.
+    """
     jA = model.A.jet
     sup_a = model.A.domain_sup
     sup_b = model.B.domain_sup
     if math.isinf(sup_b):
         return sup_a
     target = sup_b / psi
+    if start is not None:
+        low, high = start / 0.98, 5e11 * start
+        try:
+            clear = low < sup_a and jA(low, 0)[0] < target
+        except OverflowError:
+            clear = False
+        if clear and math.isfinite(sup_a):
+            clear = high >= sup_a
+        elif clear:
+            try:
+                clear = jA(high, 0)[0] >= target
+            except OverflowError:
+                pass
+        if clear:
+            return None
     # alpha is convex with alpha'(0) = a > 0, hence increasing on [0, inf).
     hi = 1.0
     if math.isfinite(sup_a):
@@ -174,41 +197,11 @@ def _theta_max(model: ModelPair, psi: float) -> float:
     return lo
 
 
-def _start_is_clear(model: ModelPair, psi: float, start: float) -> bool:
-    """Whether ``_theta_max(model, psi)`` provably leaves the bracket start alone.
-
-    The start is ``start`` clamped into ``[1e-12, 0.99] * theta_max``, so it
-    stands when theta_max lies in ``[start / 0.99, 1e12 * start]``.  alpha
-    increases on [0, inf), so ``alpha(low) < sup_b / psi`` puts theta_max at
-    or above ``low`` (less the bisection's 1e-15 tolerance), and
-    ``alpha(high) >= sup_b / psi`` (or an overflow) puts it below ``high``;
-    the margins in ``low`` and ``high`` cover the tolerance.  When B's domain
-    is unbounded, theta_max is A's domain supremum and costs nothing.
-    """
-    sup_b = model.B.domain_sup
-    if math.isinf(sup_b):
-        return False
-    target = sup_b / psi
-    sup_a = model.A.domain_sup
-    low, high = start / 0.98, 5e11 * start
-    try:
-        if not (low < sup_a and model.A.deriv(low, 0) < target):
-            return False
-    except OverflowError:
-        return False
-    if math.isfinite(sup_a):
-        return high >= sup_a
-    try:
-        return model.A.deriv(high, 0) >= target
-    except OverflowError:
-        return True
-
-
 def _twist_at_psi(model: ModelPair, psi: float, u: float) -> TwistSolution:
     """Core solve of ``beta'(alpha(theta) psi) alpha'(theta) = u`` on (0, theta_max)."""
     A, B, jA, jB = model.A, model.B, model.A.jet, model.B.jet
 
-    def by_order(theta: float, with_slope: bool) -> tuple[float, float]:
+    def by_order(theta: float) -> tuple[float, float]:
         # One order at a time, where a jet overflowed.  The tilted mean blows
         # past the float range well before theta_max when psi is large; that
         # still brackets the root from above, so an overflow in alpha, alpha'
@@ -219,20 +212,11 @@ def _twist_at_psi(model: ModelPair, psi: float, u: float) -> TwistSolution:
             a1 = A.deriv(theta, 1)
         except OverflowError:
             return math.inf, math.inf
-        slope = math.inf
-        if with_slope:
-            try:
-                slope = psi * B.deriv(inner, 2) * a1 ** 2 + b1 * A.deriv(theta, 2)
-            except OverflowError:
-                pass
-        return b1 * a1 - u, slope
-
-    def g(theta: float) -> float:
         try:
-            a0, a1 = jA(theta, 1)
-            return jB(a0 * psi, 1)[1] * a1 - u
+            slope = psi * B.deriv(inner, 2) * a1 ** 2 + b1 * A.deriv(theta, 2)
         except OverflowError:
-            return by_order(theta, False)[0]
+            slope = math.inf
+        return b1 * a1 - u, slope
 
     def g_and_slope(theta: float) -> tuple[float, float]:
         # One jet of each exponent serves g and g'; the arithmetic is the
@@ -242,26 +226,24 @@ def _twist_at_psi(model: ModelPair, psi: float, u: float) -> TwistSolution:
             _, b1, b2 = jB(a0 * psi, 2)
             return b1 * a1 - u, psi * b2 * a1 ** 2 + b1 * a2
         except OverflowError:
-            return by_order(theta, True)
+            return by_order(theta)
 
-    # Starting point per the bracket recipe: theta_star + 1 when available,
-    # kept inside the domain edge theta_max.  theta_max takes ~50 bisection
-    # steps, so it is computed only when it may move the start or the
+    def g(theta: float) -> float:
+        return g_and_slope(theta)[0]
+
+    # Start at theta_star + 1 when it exists, kept inside the domain edge
+    # theta_max, which is computed only when it may move the start or the
     # bracket has to grow towards it.
     try:
-        theta_star = _solved(model, u, _solve_theta_star)
+        start = _solved(model, u, _solve_theta_star) + 1.0
     except NoSolutionError:
-        theta_star = None
-    if theta_star is not None and _start_is_clear(model, psi, theta_star + 1.0):
-        theta_max = None
-        hi = theta_star + 1.0
-    else:
-        theta_max = _theta_max(model, psi)
-        if math.isfinite(theta_max):
-            hi = min((theta_star + 1.0) if theta_star is not None else 0.5 * theta_max, 0.99 * theta_max)
-            hi = max(hi, 1e-12 * theta_max)
-        else:
-            hi = (theta_star + 1.0) if theta_star is not None else 1.0
+        start = None
+    theta_max = _theta_max(model, psi, start)
+    if start is None:
+        start = 0.5 * theta_max if math.isfinite(theta_max) else 1.0
+    hi = start
+    if theta_max is not None and math.isfinite(theta_max):
+        hi = max(min(start, 0.99 * theta_max), 1e-12 * theta_max)
 
     ghi = g(hi)
     if ghi < 0 and theta_max is None:
@@ -444,8 +426,6 @@ def slow_expansion(model: ModelPair, u: float, order: int = 2) -> SlowExpansion:
     """
     if order not in (1, 2):
         raise OrderError(f"slow expansion supports orders 1..2, got {order}")
-    if model.a <= 0:
-        raise UnsupportedSignError("slow expansion requires a = alpha'(0) > 0")
     require_finite(u=u)
     _require_rare(model, u)
     tau_star = _solved(model, u, _solve_tau_star)

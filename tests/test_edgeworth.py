@@ -10,6 +10,7 @@ from twoscale import (
     PowerScaling,
     RegimeError,
     build_expansion,
+    classify,
     diagnostic,
     hermite,
     standardization,
@@ -64,6 +65,14 @@ class TestBranchSelection:
         assert large.applicable_branch == "large_phi32_over_n" and large.c1 is not None
         boundary = build_expansion(pg112, PowerScaling(2.0 / 3.0), 1.0)
         assert boundary.applicable_branch == "large_phi32_over_n"
+
+    @pytest.mark.parametrize("f", [1.5, 1.5 + 1e-12, 2.0 / 3.0, 2.0 / 3.0 - 1e-12])
+    def test_boundary_tolerance_keeps_the_location_term(self, pg112, f):
+        # classify() counts a term whose exponent is within 1e-9 of 0 as
+        # surviving; the Edgeworth branch follows the same k_plus/k_minus.
+        info = classify(PowerScaling(f))
+        assert (info.k_plus or info.k_minus) == 1
+        assert build_expansion(pg112, PowerScaling(f), 1.0).c1 is not None
 
     def test_single_timescale_rejected(self, pg112):
         with pytest.raises(RegimeError):

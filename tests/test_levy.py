@@ -198,6 +198,14 @@ class TestModelPair:
         assert hash(other) == hash(A)
         assert other != A
 
+    def test_built_ins_compare_by_value(self):
+        assert CharExponent.poisson(1.0) == CharExponent.poisson(1.0)
+        assert CharExponent.gamma(1.0, 3.0) == CharExponent.gamma(1.0, 3.0)
+        assert CharExponent.poisson(1.0) != CharExponent.poisson(2.0)
+        one, two = pg_pair(1.0, 1.0, 3.0), pg_pair(1.0, 1.0, 3.0)
+        assert one == two and hash(one) == hash(two)
+        assert len({gp_pair(1.0, 2.0, 1.0), gp_pair(1.0, 2.0, 1.0)}) == 1
+
     def test_memo_stays_out_of_equality_and_hash(self):
         A, B = CharExponent.poisson(1.0), CharExponent.gamma(1.0, 3.0)
         used, unused = ModelPair(A, B), ModelPair(A, B)
@@ -216,6 +224,41 @@ class TestModelPair:
         assert calls[0] == 2
         assert "a=" not in repr(m) and "b=" not in repr(m)
         assert dataclasses.replace(m).a == m.a
+
+
+class TestBuiltInParams:
+    """A built-in exponent is defined by its params: its jet is built from them."""
+
+    def test_replaced_params_drive_the_jet(self):
+        g = dataclasses.replace(
+            CharExponent.gamma(1.0, 2.0), params={"r": 5.0, "mu": 7.0}, domain_sup=7.0
+        )
+        assert g.deriv(0.0, 1) == 5.0 / 7.0
+        assert g.jet(0.0, 2) == (0.0, 5.0 / 7.0, 5.0 / 49.0)
+        assert g == CharExponent.gamma(5.0, 7.0)
+        p = dataclasses.replace(CharExponent.poisson(1.0), params={"lam": 2.5})
+        assert p.deriv(0.0, 3) == 2.5
+
+    @pytest.mark.parametrize("make", [
+        lambda: dataclasses.replace(CharExponent.gamma(1.0, 2.0), params={"r": 5.0, "mu": 7.0}),
+        lambda: dataclasses.replace(CharExponent.poisson(1.0), domain_sup=3.0),
+        lambda: dataclasses.replace(CharExponent.gamma(1.0, 2.0), params={"r": 5.0}),
+        lambda: dataclasses.replace(CharExponent.poisson(1.0), params={}),
+        lambda: dataclasses.replace(CharExponent.poisson(1.0), kind="stable"),
+        lambda: dataclasses.replace(CharExponent.poisson(1.0), params={"lam": -2.0}),
+        lambda: dataclasses.replace(
+            CharExponent.gamma(1.0, 2.0), params={"r": 0.0, "mu": 2.0}
+        ),
+        lambda: dataclasses.replace(CharExponent.poisson(1.0), lattice_span=-1.0),
+    ])
+    def test_inconsistent_definitions_rejected(self, make):
+        with pytest.raises(ParamError):
+            make()
+
+    def test_only_custom_exponents_keep_an_evaluator(self):
+        assert CharExponent.poisson(1.0)._derivs is None
+        assert CharExponent.gamma(1.0, 2.0)._derivs is None
+        assert CharExponent.custom(_drift_derivs)._derivs is _drift_derivs
 
 
 class TestPowerScaling:

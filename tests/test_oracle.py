@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from twoscale import (
     ParamError,
@@ -58,6 +58,16 @@ class TestNegbinTail:
         res = negbin_tail(1e6, 2.0 / 2.01, 1e4)
         assert res.probability == 0.0
         assert -2000 < res.log_probability < -1700
+
+    def test_lower_sum_spans_many_blocks(self):
+        # Threshold 1000 below the mean 1e7 (sd ~4472): the complement sums
+        # down from the peak through dozens of 4096-count blocks before its
+        # bound stops it.  mpmath.betainc does not converge at this size, so
+        # the reference is scipy's regularized incomplete beta.
+        k, m0 = 1e7, 1e7 - 1000
+        res = negbin_tail(k, 0.5, m0)
+        assert res.probability == pytest.approx(special.betainc(m0, k, 0.5), rel=1e-12)
+        assert res.error.bound <= 1e-14
 
     def test_ties_included(self):
         # integral threshold includes the atom at the threshold itself

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from twoscale import (
     slow_expansion,
     solve_twist,
 )
+from twoscale import twist
 from conftest import RARE_GRID, count_derivs, gp_pair, pg_pair
 
 
@@ -171,6 +173,74 @@ class TestSolveTwist:
         for n in (1e4, 1e5):
             sol = solve_twist(m, s, n, 1.0)
             assert abs(sol.theta_n * s.psi(n) - exp.tau_star) <= 2.0 * abs(exp.w[1]) / s.psi(n)
+
+
+def _mp_twist(alpha, dalpha, dbeta, psi, u, edge):
+    """50-digit root of ``beta'(alpha(t) psi) alpha'(t) = u`` on (0, edge)."""
+    with mpmath.workdps(50):
+        psi, u = mpmath.mpf(psi), mpmath.mpf(u)
+        return mpmath.findroot(
+            lambda t: dbeta(alpha(t) * psi) * dalpha(t) - u,
+            (mpmath.mpf(0), edge - mpmath.mpf("1e-40")),
+            solver="anderson",
+        )
+
+
+def _gamma_alpha(r, mu):
+    return lambda t: r * mpmath.log(mu / (mu - t)), lambda t: r / (mu - t)
+
+
+class TestDomainEdge:
+    """The twist's start and bracket near the domain edge theta_max, each
+    checked against a 50-digit root of the tilting equation."""
+
+    @pytest.fixture
+    def theta_max_calls(self, monkeypatch):
+        calls = []
+        theta_max = twist._theta_max
+
+        def recording(*args):
+            calls.append(theta_max(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(twist, "_theta_max", recording)
+        return calls
+
+    def _check(self, model, f, n, u, ref):
+        sol = solve_twist(model, PowerScaling(f), n, u)
+        assert abs(sol.theta_n - ref) <= 1e-10 * abs(ref)
+        return sol
+
+    def test_edge_at_the_outer_domain_supremum(self, theta_max_calls):
+        # Gamma(1, 2) on Gamma(1.5, 3), f = 1.5, n = 400, u = 1: theta* + 1
+        # = 2.5 lies past A's domain (t < 2), and alpha(t) psi stays inside
+        # B's domain up to it, so theta_max is A's supremum.
+        model = ModelPair(CharExponent.gamma(1.0, 2.0), CharExponent.gamma(1.5, 3.0))
+        ref = _mp_twist(*_gamma_alpha(1, 2), lambda x: 1.5 / (3 - x), 0.05, 1.0, 2)
+        sol = self._check(model, 1.5, 400.0, 1.0, ref)
+        assert theta_max_calls == [2.0]
+        assert sol.bracket[1] == 0.99 * 2.0
+
+    def test_start_clear_of_a_finite_outer_supremum(self, theta_max_calls):
+        # Gamma(1, 10) on Gamma(1.5, 3), f = 1.5, n = 400, u = 0.1: the start
+        # theta* + 1 = 6 stands, since A's supremum 10 is below 5e11 * 6.
+        model = ModelPair(CharExponent.gamma(1.0, 10.0), CharExponent.gamma(1.5, 3.0))
+        ref = _mp_twist(*_gamma_alpha(1, 10), lambda x: 1.5 / (3 - x), 0.05, 0.1, 10)
+        self._check(model, 1.5, 400.0, 0.1, ref)
+        assert theta_max_calls == [None]
+
+    def test_bracket_grows_towards_a_finite_edge(self, theta_max_calls):
+        # Poisson(1) on Gamma(1, 3), f = 0.5, n = 100, u = 50: psi = 10, so
+        # theta_max = log(1.3); the clamped start 0.99 theta_max is below the
+        # root, and the bracket grows toward the edge.
+        model = pg_pair(1.0, 1.0, 3.0)
+        edge = mpmath.log(mpmath.mpf("1.3"))
+        ref = _mp_twist(
+            lambda t: mpmath.expm1(t), mpmath.exp, lambda x: 1 / (3 - x), 10, 50.0, edge
+        )
+        sol = self._check(model, 0.5, 100.0, 50.0, ref)
+        assert theta_max_calls == [pytest.approx(math.log1p(0.3), rel=1e-14)]
+        assert sol.bracket[1] > 0.99 * theta_max_calls[0]
 
 
 class TestFastExpansion:
