@@ -35,11 +35,11 @@ from .levy import ModelPair, PowerScaling
 from .twist import (
     _require_query,
     _require_rare,
-    _solve_single_twist,
     _solve_tau_star,
     _solve_theta_star,
     _solved,
-    direct_exponent,
+    _twist_at_psi,
+    solve_twist,
 )
 
 __all__ = [
@@ -171,7 +171,7 @@ def _leading(model: ModelPair, regime: str, u: float) -> tuple[float, float, flo
         a = model.a
         b0, _, b2 = B.jet(a * tau, 2)
         return tau, b0 - tau * u, a * math.sqrt(b2)
-    theta = _solved(model, u, _solve_single_twist).theta_n
+    theta = _solved(model, u, _twist_at_psi)[0]
     a0, a1, a2 = A.jet(theta, 2)
     b0, b1, b2 = B.jet(a0, 2)
     return theta, b0 - theta * u, math.sqrt(b2 * a1 ** 2 + b1 * a2)
@@ -212,7 +212,8 @@ def _approx(regime, model, scaling, n, u, mode, order, lattice) -> AsymptoticEst
 
     linear = rate * clock
     if mode == "direct":
-        delta = direct_exponent(model, scaling, n, u)
+        sol = solve_twist(model, scaling, n, u)
+        delta = sol.log_mgf - sol.theta_n * u * n
         terms = [("linear", linear), ("sublinear_remainder", delta - linear)]
         return _assemble(prefactor, terms, "direct", None, lattice)
     if mode != "series":

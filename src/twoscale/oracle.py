@@ -32,7 +32,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, ParamError, require_finite
-from .levy import ModelPair, PowerScaling, lmgf
+from .levy import ModelPair, PowerScaling
 from .models import WorkedModel
 from .twist import solve_twist
 
@@ -391,8 +391,8 @@ def is_tail(
     fixed (seed, workers) pair.
     """
     wm = _worked(model, "twisted sampling")
-    theta = solve_twist(model, scaling, n, u).theta_n
-    sampler = _sampler(wm, scaling, n, u, theta, lmgf(model, scaling, n, theta, 0))
+    sol = solve_twist(model, scaling, n, u)
+    sampler = _sampler(wm, scaling, n, u, sol.theta_n, sol.log_mgf)
     return _mc_tail(sampler, samples, seed, workers, "importance_sampling")
 
 

@@ -23,6 +23,7 @@ extrapolation of the solved twist map (no general closed form exists).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -34,7 +35,7 @@ from .errors import (
     ParamError,
     require_finite,
 )
-from .levy import ModelPair, PowerScaling, lmgf
+from .levy import CharExponent, ModelPair, PowerScaling, lmgf
 
 __all__ = [
     "TwistSolution",
@@ -43,7 +44,6 @@ __all__ = [
     "solve_twist",
     "fast_expansion",
     "slow_expansion",
-    "direct_exponent",
 ]
 
 #: Relative residual the twist solver must reach (it typically lands at ~1e-16).
@@ -55,12 +55,13 @@ _MAX_EXPAND = 400
 
 @dataclass(frozen=True)
 class TwistSolution:
-    """Solution of the tilting equation at a concrete (n, u)."""
+    """Solution of the tilting equation at a concrete (n, u), and ``gamma_n(theta_n)``."""
 
     theta_n: float
     residual: float
     iterations: int
     bracket: tuple[float, float]
+    log_mgf: float
 
 
 @dataclass(frozen=True)
@@ -197,8 +198,12 @@ def _theta_max(model: ModelPair, psi: float, start: float | None = None) -> floa
     return lo
 
 
-def _twist_at_psi(model: ModelPair, psi: float, u: float) -> TwistSolution:
-    """Core solve of ``beta'(alpha(theta) psi) alpha'(theta) = u`` on (0, theta_max)."""
+def _twist_at_psi(model: ModelPair, u: float, psi: float = 1.0) -> tuple:
+    """Core solve of ``beta'(alpha(theta) psi) alpha'(theta) = u`` on (0, theta_max).
+
+    Returns ``(root, residual, iterations, bracket)``, none of which depends
+    on n.  At the default psi = 1 it is the f = 1 (single-timescale) twist.
+    """
     A, B, jA, jB = model.A, model.B, model.A.jet, model.B.jet
 
     def by_order(theta: float) -> tuple[float, float]:
@@ -278,26 +283,25 @@ def _twist_at_psi(model: ModelPair, psi: float, u: float) -> TwistSolution:
         raise NoSolutionError(
             f"twist solver stalled at relative residual {residual:.3e} (> {RESIDUAL_TOL})"
         )
-    return TwistSolution(theta_n=root, residual=residual, iterations=iters, bracket=(lo, hi))
-
-
-def _solve_single_twist(model: ModelPair, u: float) -> TwistSolution:
-    """The twist at psi = 1, the f = 1 (single-timescale) equation."""
-    return _twist_at_psi(model, 1.0, u)
+    return root, residual, iters, (lo, hi)
 
 
 def solve_twist(model: ModelPair, scaling: PowerScaling, n: float, u: float) -> TwistSolution:
     """Solve ``gamma_n'(theta) = u*n`` for the twisting factor ``theta_n``.
 
     Requires the rare direction ``u > a*b`` and ``n >= 1``.  The reported
-    residual is ``|gamma_n'(theta_n) - u n| / (u n)``.
+    residual is ``|gamma_n'(theta_n) - u n| / (u n)``; ``log_mgf`` reads +inf
+    where only B's value overflows, which the root itself never needs.
     """
     _require_query(n, u)
     _require_rare(model, u)
     psi = scaling.psi(n)
-    if psi == 1.0:
-        return _solved(model, u, _solve_single_twist)
-    return _twist_at_psi(model, psi, u)
+    root = _solved(model, u, _twist_at_psi) if psi == 1.0 else _twist_at_psi(model, u, psi)
+    try:
+        log_mgf = lmgf(model, scaling, n, root[0], 0)
+    except OverflowError:
+        log_mgf = math.inf
+    return TwistSolution(*root, log_mgf)
 
 
 def _require_query(n: float, u: float) -> None:
@@ -327,16 +331,34 @@ def _bracket_below(g: Callable[[float], float], hi: float, what: str) -> tuple[f
     return lo, hi
 
 
-def _solve_star(g: Callable, g_and_slope: Callable, sup: float, u: float, what: str) -> float:
-    """Root of the increasing ``g`` on ``(0, sup)``, where ``g(0) = a*b - u``.
+def _solve_star(E: CharExponent, c: float, k: float, u: float, what: str) -> float:
+    """Root of the increasing ``g(x) = c E'(k x) - u`` on ``(0, E.domain_sup / k)``.
 
-    ``g`` brackets the root; ``g_and_slope`` (``g`` and ``g'`` at one point)
-    drives the Newton iteration.
+    ``g(0) = a*b - u``.  Where a jet overflows, the twist's own rule reads
+    each order on its own: an overflow in ``E'`` makes ``g`` infinite, one in
+    ``E''`` only the slope.
 
     The upper bracket is the domain edge ``sup (1 - 1e-12)`` when ``sup`` is
     finite, else the first of 1, 2, 4, ... up to 1e100 where ``g > 0``.  The
     root must reach a relative residual of 1e-12.
     """
+    jet = E.jet
+
+    def g_and_slope(x: float) -> tuple[float, float]:
+        t = k * x
+        try:
+            _, e1, e2 = jet(t, 2)
+        except OverflowError:
+            e1 = e2 = math.inf
+            with contextlib.suppress(OverflowError):
+                e1 = E.deriv(t, 1)
+                e2 = E.deriv(t, 2)
+        return c * e1 - u, c * k * e2
+
+    def g(x: float) -> float:
+        return g_and_slope(x)[0]
+
+    sup = E.domain_sup / k
     if math.isfinite(sup):
         hi = sup * (1.0 - 1e-12)
         if g(hi) < 0:
@@ -356,28 +378,12 @@ def _solve_star(g: Callable, g_and_slope: Callable, sup: float, u: float, what: 
 
 def _solve_theta_star(model: ModelPair, u: float) -> float:
     """Solve ``b alpha'(theta) = u`` on (0, A.domain_sup)."""
-    jA, b = model.A.jet, model.b
-
-    def g_and_slope(theta: float) -> tuple[float, float]:
-        _, a1, a2 = jA(theta, 2)
-        return b * a1 - u, b * a2
-
-    return _solve_star(
-        lambda theta: b * jA(theta, 1)[1] - u, g_and_slope, model.A.domain_sup, u, "theta_star"
-    )
+    return _solve_star(model.A, model.b, 1.0, u, "theta_star")
 
 
 def _solve_tau_star(model: ModelPair, u: float) -> float:
     """Solve ``a beta'(a tau) = u`` on (0, B.domain_sup / a)."""
-    jB, a = model.B.jet, model.a
-
-    def g_and_slope(tau: float) -> tuple[float, float]:
-        _, b1, b2 = jB(a * tau, 2)
-        return a * b1 - u, a * a * b2
-
-    return _solve_star(
-        lambda tau: a * jB(a * tau, 1)[1] - u, g_and_slope, model.B.domain_sup / a, u, "tau_star"
-    )
+    return _solve_star(model.B, model.a, model.a, u, "tau_star")
 
 
 def fast_expansion(model: ModelPair, u: float, order: int = 2) -> FastExpansion:
@@ -432,7 +438,7 @@ def slow_expansion(model: ModelPair, u: float, order: int = 2) -> SlowExpansion:
     coeffs = [tau_star]
     if order >= 2:
         def curved(x: float) -> float:
-            theta = _twist_at_psi(model, 1.0 / x, u).theta_n
+            theta = _twist_at_psi(model, u, 1.0 / x)[0]
             return (theta - tau_star * x) / (x * x)
 
         # Step scaled to the expansion's own curvature: pilot w2 at x0 sets
@@ -445,13 +451,3 @@ def slow_expansion(model: ModelPair, u: float, order: int = 2) -> SlowExpansion:
         r1, r2 = 2.0 * g_h2 - g_h, 2.0 * g_h4 - g_h2
         coeffs.append((4.0 * r2 - r1) / 3.0)
     return SlowExpansion(tau_star=tau_star, w=tuple(coeffs), truncation_order=order)
-
-
-def direct_exponent(model: ModelPair, scaling: PowerScaling, n: float, u: float) -> float:
-    """The exact tilted exponent ``gamma_n(theta_n) - theta_n u n``.
-
-    This equals the full expansion of either regime including every sublinear
-    term and the o(1) remainder, with no truncation error by construction.
-    """
-    sol = solve_twist(model, scaling, n, u)
-    return lmgf(model, scaling, n, sol.theta_n, 0) - sol.theta_n * u * n

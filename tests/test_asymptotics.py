@@ -16,7 +16,6 @@ from twoscale import (
     approx_single_timescale,
     approx_slow,
     classify,
-    direct_exponent,
     lattice_factor,
     log_asymptote,
     negbin_tail,
@@ -258,7 +257,8 @@ class TestSingleTimescale:
         n, u = 50.0, 1.0
         s1 = PowerScaling(1.0)
         est = approx_single_timescale(pg113, n, u)
-        delta = direct_exponent(pg113, s1, n, u)
+        sol = solve_twist(pg113, s1, n, u)
+        delta = sol.log_mgf - sol.theta_n * u * n
         assert est.exponent == pytest.approx(delta, abs=1e-9)
 
     def test_twist_residual_and_variance(self, pg113):

@@ -87,6 +87,21 @@ class TestApprox:
         assert out == ""
         assert "NotRareError" in err
 
+    # theta* (tau* for the Gamma outer process) puts the Poisson exponent
+    # near 690, so the doubling search for its upper bracket reaches a point
+    # where that exponent overflows.  The overflow reads as g = +inf, and
+    # the twist then finds no root in floats.
+    @pytest.mark.parametrize("pair", [
+        ["--poisson-gamma", "1", "1", "3", "--f", "1.5"],
+        ["--gamma-poisson", "1", "2", "1", "--f", "0.6"],
+        ["--poisson-gamma", "1", "1", "3", "--f", "1.0"],
+    ], ids=["pg-fast", "gp-slow", "pg-single"])
+    def test_huge_u_exits_2(self, capsys, pair):
+        code, out, err = run(capsys, ["approx", *pair, "--n", "400", "--u", "1e300"])
+        assert code == 2
+        assert out == ""
+        assert "NoSolutionError" in err
+
     def test_missing_required_flag_exits_2(self, pg_json, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["approx", "--model", pg_json, "--n", "100"])

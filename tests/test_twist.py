@@ -1,6 +1,7 @@
 """Tilting-equation solver and the twisting-factor expansions."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import pytest
@@ -15,8 +16,11 @@ from twoscale import (
     OrderError,
     ParamError,
     PowerScaling,
+    TwoscaleError,
     UnsupportedSignError,
+    approx_fast,
     fast_expansion,
+    lmgf,
     slow_expansion,
     solve_twist,
 )
@@ -79,16 +83,25 @@ class TestSolveTwist:
 
     def test_reference_query_derivative_budget(self, monkeypatch):
         # Poisson(1) on Gamma(1, 3), f = 1.5, n = 400, u = 1 on a fresh pair:
-        # one theta* solve, no domain-edge bisection, and alpha, alpha' and
-        # beta'(alpha psi) evaluated once per Newton step.
+        # one theta* solve, no domain-edge bisection, alpha, alpha' and
+        # beta'(alpha psi) evaluated once per Newton step, then alpha and
+        # beta once at the root for gamma_n(theta_n).
         m = pg_pair(1.0, 1.0, 3.0)
         calls = count_derivs(monkeypatch, m)
         sol = solve_twist(m, PowerScaling(1.5), 400.0, 1.0)
         assert sol.iterations == 6
-        assert calls[0] <= 90
         # One jet of each exponent per Newton step: 41 evaluations, where
-        # one deriv call per order took 85.
-        assert calls[0] <= 41
+        # one deriv call per order took 85; and 2 for gamma_n(theta_n).
+        assert calls[0] == 41 + 2
+
+    def test_direct_mode_derivative_budget(self, monkeypatch):
+        # Direct mode reads gamma_n(theta_n) from the solve's record: the
+        # solve's 43 evaluations and one jet of alpha at theta* for the rate
+        # and the prefactor.
+        m = pg_pair(1.0, 1.0, 3.0)
+        calls = count_derivs(monkeypatch, m)
+        approx_fast(m, PowerScaling(1.5), 400.0, 1.0)
+        assert calls[0] == 44
 
     # A Poisson(1) outer process on a Gamma(1, 3) clock, written as user
     # code that overflows in one order only: the solve keeps the path, bit
@@ -104,13 +117,15 @@ class TestSolveTwist:
         sol = solve_twist(m, PowerScaling(1.5), 400.0, 1.0)
         assert repr(sol) == (
             "TwistSolution(theta_n=1.066351426449889, residual=6.661338147750939e-16, "
-            "iterations=10, bracket=(1.0493061443340554, 2.098612288668111))"
+            "iterations=10, bracket=(1.0493061443340554, 2.098612288668111), "
+            "log_mgf=258.0868977457718)"
         )
 
     @pytest.mark.parametrize("cap", [0.05, 0.12, 0.3])
     def test_clock_value_overflow_keeps_its_path(self, cap):
-        # beta itself is not needed by the twist; where only it overflows,
-        # the solve is the one of the stock pair.
+        # beta itself is not needed by the root; where only it overflows,
+        # the root is the one of the stock pair, and gamma_n(theta_n) reads
+        # +inf where beta overflows at alpha(theta_n) psi_n ~ 0.095.
         def gamma(t, order):
             if order == 0:
                 if t > cap:
@@ -120,7 +135,8 @@ class TestSolveTwist:
 
         m = ModelPair(CharExponent.poisson(1.0), CharExponent.custom(gamma, domain_sup=3.0))
         sol = solve_twist(m, PowerScaling(1.5), 400.0, 1.0)
-        assert sol == solve_twist(pg_pair(1.0, 1.0, 3.0), PowerScaling(1.5), 400.0, 1.0)
+        stock = solve_twist(pg_pair(1.0, 1.0, 3.0), PowerScaling(1.5), 400.0, 1.0)
+        assert sol == (stock if cap > 0.1 else replace(stock, log_mgf=math.inf))
         assert sol.theta_n == 1.0663514264498883 and sol.iterations == 6
 
     def test_bracket_collapse_reports_iterations_made(self):
@@ -338,6 +354,98 @@ class TestStarSolverLimits:
         model = ModelPair(drift, CharExponent.gamma(1.0, 1.0))
         with pytest.raises(NoSolutionError):
             fast_expansion(model, 2.0, order=0)
+
+    @pytest.mark.parametrize("u", [1e230, 1e300])
+    def test_overflowing_probe_brackets_the_root(self, u):
+        # theta* = log(3u) and tau* = 2 log(2u) put the Poisson exponent past
+        # 512, so the doubling probes 1024, where exp overflows; that probe
+        # reads as g = +inf and brackets the root.
+        assert fast_expansion(pg_pair(1.0, 1.0, 3.0), u, order=0).theta_star == pytest.approx(
+            math.log(3.0 * u), rel=1e-15)
+        assert slow_expansion(gp_pair(1.0, 2.0, 1.0), u, order=1).tau_star == pytest.approx(
+            2.0 * math.log(2.0 * u), rel=1e-15)
+
+    def test_second_order_overflow_leaves_the_value(self):
+        # Where only alpha'' overflows, g keeps its value and the slope
+        # reads +inf, so Newton steps give way to bisection.
+        def poisson(t, order):
+            if order == 2 and t > 600.0:
+                raise OverflowError("order 2 overflows")
+            return math.expm1(t) if order == 0 else math.exp(t)
+
+        model = ModelPair(CharExponent.custom(poisson), CharExponent.gamma(1.0, 3.0))
+        theta_star = fast_expansion(model, 1e300, order=0).theta_star
+        assert theta_star == pytest.approx(math.log(3e300), rel=1e-15)
+
+
+def _vg_pair(drift, var, r, mu):
+    """Brownian motion with drift on a Gamma(r, mu) clock, as user code."""
+    def bm(t, order):
+        return (drift * t + 0.5 * var * t * t, drift + var * t, var, 0.0)[order]
+
+    def gamma(t, order):
+        if order == 0:
+            return r * math.log(mu / (mu - t))
+        return r * math.factorial(order - 1) / (mu - t) ** order
+
+    return ModelPair(CharExponent.custom(bm), CharExponent.custom(gamma, domain_sup=mu))
+
+
+_PAIRS = {
+    "pg": lambda p, q, w: pg_pair(p, q, w),
+    "gp": lambda p, q, w: gp_pair(p, q, w),
+    "vg": lambda p, q, w: _vg_pair(p, 1.0, q, w),
+}
+
+
+class TestTiltRecord:
+    """``log_mgf`` is gamma_n(theta_n), the one lmgf evaluation of a query."""
+
+    @pytest.mark.parametrize("kind", sorted(_PAIRS))
+    @pytest.mark.parametrize("f,n", [(1.5, 400.0), (0.6, 300.0), (1.0, 50.0), (2.2, 1.0)])
+    def test_log_mgf_is_gamma_n_at_the_root(self, kind, f, n):
+        model, s = _PAIRS[kind](1.0, 2.0, 3.0), PowerScaling(f)
+        sol = solve_twist(model, s, n, 2.0 * model.a * model.b)
+        assert sol.log_mgf == lmgf(model, s, n, sol.theta_n)
+
+    @pytest.mark.parametrize("kind", sorted(_PAIRS))
+    def test_single_timescale_memo_holds_no_n(self, kind):
+        # At f = 1 the root is solved once per (pair, u); gamma_n scales with
+        # n, so each n reads its own.
+        model, s = _PAIRS[kind](1.0, 2.0, 3.0), PowerScaling(1.0)
+        u = 2.0 * model.a * model.b
+        first, second = solve_twist(model, s, 50.0, u), solve_twist(model, s, 400.0, u)
+        assert first.theta_n == second.theta_n
+        assert first.log_mgf == lmgf(model, s, 50.0, first.theta_n)
+        assert second.log_mgf == lmgf(model, s, 400.0, second.theta_n)
+        assert second.log_mgf == pytest.approx(8.0 * first.log_mgf, rel=1e-14)
+
+
+class TestHugeThreshold:
+    """Far in the tail the solve returns a record or raises a TwoscaleError."""
+
+    @given(
+        kind=st.sampled_from(sorted(_PAIRS)),
+        p=st.floats(0.3, 3.0),
+        q=st.floats(0.3, 3.0),
+        w=st.floats(0.5, 4.0),
+        log_ratio=st.floats(0.01, 300.0),
+        log_psi=st.floats(-30.0, 30.0),
+        extra=st.floats(0.5, 270.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_solution_or_twoscale_error(self, kind, p, q, w, log_ratio, log_psi, extra):
+        # psi_n = n^(1 - f) = 10^log_psi with log10 n = |log_psi| + extra.
+        model = _PAIRS[kind](p, q, w)
+        log_n = abs(log_psi) + extra
+        s = PowerScaling(1.0 - log_psi / log_n)
+        u = model.a * model.b * 10.0 ** log_ratio
+        try:
+            sol = solve_twist(model, s, 10.0 ** log_n, u)
+        except TwoscaleError:
+            return
+        assert sol.residual <= 1e-10
+        assert sol.bracket[0] <= sol.theta_n <= sol.bracket[1]
 
 
 class TestNonPositiveOuterMean:
