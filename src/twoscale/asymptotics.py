@@ -30,7 +30,7 @@ from functools import lru_cache
 from operator import attrgetter
 
 from . import models as worked
-from .errors import LatticeError, OrderError, RegimeError, SeriesUnavailable, require_finite
+from .errors import LatticeError, OrderError, ParamError, RegimeError, SeriesUnavailable, require_finite
 from .levy import ModelPair, PowerScaling
 from .twist import (
     _require_query,
@@ -133,6 +133,8 @@ def lattice_factor(theta: float, span: float) -> float:
 
 
 def _assemble(prefactor, terms, mode, order, lattice) -> AsymptoticEstimate:
+    if not 0.0 < prefactor < math.inf:  # 0.0 where sigma reads +inf
+        raise ParamError(f"the prefactor {prefactor} lies past the float range")
     log_value = math.log(prefactor) + sum(v for _, v in terms)
     if log_value > _LOG_HUGE:
         value = math.inf
@@ -158,23 +160,30 @@ def _leading(model: ModelPair, regime: str, u: float) -> tuple[float, float, flo
     ``beta(a tau*) - tau* u``, sigma_minus; single: the f = 1 twist ``t0``,
     ``beta(alpha(t0)) - t0 u`` and sigma_0, with
     ``sigma_0^2 = beta''(alpha(t0)) alpha'(t0)^2 + beta'(alpha(t0)) alpha''(t0)``.
-    The rate is per unit of the regime's clock: n, phi_n, n.
+    The rate is per unit of the regime's clock (n, phi_n, n); one past the float range raises ParamError.
     """
     _require_rare(model, u)
-    A, B = model.A, model.B
     if regime == "fast":
-        theta = _solved(model, u, _solve_theta_star)
-        a0, _, a2 = A.jet(theta, 2)
-        return theta, model.b * a0 - theta * u, math.sqrt(model.b * a2)
-    if regime == "slow":
-        tau = _solved(model, u, _solve_tau_star)
+        twist = _solved(model, u, _solve_theta_star)
+        a0, _, a2 = model.A.jet(twist, 2)
+        rate, sigma = model.b * a0 - twist * u, math.sqrt(model.b * a2)
+    elif regime == "slow":
+        twist = _solved(model, u, _solve_tau_star)
         a = model.a
-        b0, _, b2 = B.jet(a * tau, 2)
-        return tau, b0 - tau * u, a * math.sqrt(b2)
-    theta = _solved(model, u, _twist_at_psi)[0]
-    a0, a1, a2 = A.jet(theta, 2)
-    b0, b1, b2 = B.jet(a0, 2)
-    return theta, b0 - theta * u, math.sqrt(b2 * a1 ** 2 + b1 * a2)
+        b0, _, b2 = model.B.jet(a * twist, 2)
+        rate, sigma = b0 - twist * u, a * math.sqrt(b2)
+    else:
+        twist = _solved(model, u, _twist_at_psi)[0]
+        a0, a1, a2 = model.A.jet(twist, 2)
+        b0, b1, b2 = model.B.jet(a0, 2)
+        rate = b0 - twist * u
+        try:
+            sigma = math.sqrt(b2 * a1 ** 2 + b1 * a2)
+        except OverflowError:  # a1 ** 2
+            sigma = math.inf
+    if not math.isfinite(rate):
+        raise ParamError(f"the {regime}-regime rate {rate} at u = {u} lies past the float range")
+    return twist, rate, sigma
 
 
 # What the fast and the slow approximant do differently: the range of f, the

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import special
 
 from .asymptotics import _leading, classify
-from .errors import ParamError, RegimeError, require_finite
+from .errors import ParamError, RegimeError, _in_float_range, require_finite
 from .levy import ModelPair, PowerScaling
 from .models import NegBinLaw, WorkedModel, exact_law
 from .twist import fast_expansion, slow_expansion, solve_twist
@@ -65,7 +65,7 @@ class EdgeworthExpansion:
     ``kappa`` multiplies ``phi(x) H_2(x) / sqrt(n)`` (fast) or
     ``.. / sqrt(phi_n)`` (slow).  ``c1`` is present only on the branches whose
     location term survives (``psi_n sqrt(n)`` bounded away from 0, resp.
-    ``phi_n^{3/2}/n``).
+    ``phi_n^{3/2}/n``).  Both are finite: :class:`ParamError` otherwise.
     """
 
     regime: str
@@ -73,7 +73,11 @@ class EdgeworthExpansion:
     c1: float | None
     applicable_branch: str
 
+    def __post_init__(self) -> None:
+        require_finite(kappa=self.kappa, c1=0.0 if self.c1 is None else self.c1)
 
+
+@_in_float_range
 def build_expansion(model: ModelPair, scaling: PowerScaling, u: float) -> EdgeworthExpansion:
     """Compute kappa and (on the weak-separation branch) c_1 for the regime of f."""
     require_finite(u=u)
@@ -81,19 +85,17 @@ def build_expansion(model: ModelPair, scaling: PowerScaling, u: float) -> Edgewo
     if info.regime == "single":
         raise RegimeError("Edgeworth corrections are defined for f != 1")
     if info.regime == "fast":
-        exp2 = fast_expansion(model, u, order=1)
         b = model.b
-        a0, a1, a2, a3 = model.A.jet(exp2.theta_star, 3)
+        a0, a1, a2, a3 = model.A.jet(fast_expansion(model, u, order=0).theta_star, 3)
         sigma_sq = b * a2
         kappa = (b * a3) / (6.0 * sigma_sq**1.5)
         # psi_n sqrt(n) = n^(3/2 - f) vanishes iff f > 3/2, i.e. k_plus = 0.
         if info.k_plus == 0:
             return EdgeworthExpansion("fast", kappa, None, "small_psi_sqrt_n")
         b2 = model.B.jet(0.0, 2)[2]
-        gamma_circ = b2 * a1 ** 2 + b2 * a0 * a2 + b * a3 * exp2.v[1]
+        gamma_circ = b2 * a1 ** 2 + b2 * a0 * a2 + b * a3 * fast_expansion(model, u, order=1).v[1]
         return EdgeworthExpansion("fast", kappa, gamma_circ / (2.0 * sigma_sq), "large_psi_sqrt_n")
-    exp2 = slow_expansion(model, u, order=2)
-    tau = exp2.tau_star
+    tau = slow_expansion(model, u, order=1).tau_star
     a = model.a
     _, b1, b2, b3 = model.B.jet(a * tau, 3)
     sigma_sq = a * a * b2
@@ -106,7 +108,7 @@ def build_expansion(model: ModelPair, scaling: PowerScaling, u: float) -> Edgewo
         b1 * a2
         + 2.0 * a * a2 * b2 * tau
         + 0.5 * a * a * a2 * b3 * tau * tau
-        + a**3 * b3 * exp2.w[1]
+        + a**3 * b3 * slow_expansion(model, u, order=2).w[1]
     )
     return EdgeworthExpansion("slow", kappa, gamma_circ / (2.0 * sigma_sq), "large_phi32_over_n")
 

@@ -4,6 +4,7 @@ All validation failures raise a subclass of :class:`TwoscaleError`, so
 callers (and the CLI) can distinguish bad input from internal bugs.
 """
 
+import functools
 import math
 
 __all__ = [
@@ -59,6 +60,19 @@ class LatticeError(TwoscaleError):
 
 class SeriesUnavailable(TwoscaleError):
     """Closed-form series coefficients exist only for the built-in model pairs."""
+
+
+def _in_float_range(fn):
+    """``fn``, raising :class:`ParamError` where its own arithmetic leaves the float range."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError):
+            raise ParamError(f"{fn.__name__}: the arithmetic leaves the float range") from None
+
+    return checked
 
 
 def require_finite(**values: float) -> None:

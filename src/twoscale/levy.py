@@ -46,20 +46,31 @@ def _domain_error(t: float, sup: float) -> DomainError:
     return DomainError(f"argument {t} is not below the domain supremum {sup}")
 
 
+def _order_or_inf(derivs: Callable[[float, int], float], t: float, order: int) -> float:
+    """``derivs(t, order)``, or +inf where the user evaluator overflows."""
+    try:
+        return derivs(t, order)
+    except OverflowError:
+        return math.inf
+
+
 def _custom_jet(derivs: Callable[[float, int], float], sup: float) -> Callable:
     """The jet of a user evaluator: ``derivs(t, 0..k)``, called in that order."""
 
     def jet(t: float, k: int) -> tuple[float, ...]:
         if t >= sup:
             raise _domain_error(t, sup)
-        if k == 0:
-            return (derivs(t, 0),)
-        if k == 1:
-            return derivs(t, 0), derivs(t, 1)
-        if k == 2:
-            return derivs(t, 0), derivs(t, 1), derivs(t, 2)
-        if k == 3:
-            return derivs(t, 0), derivs(t, 1), derivs(t, 2), derivs(t, 3)
+        try:
+            if k == 0:
+                return (derivs(t, 0),)
+            if k == 1:
+                return derivs(t, 0), derivs(t, 1)
+            if k == 2:
+                return derivs(t, 0), derivs(t, 1), derivs(t, 2)
+            if k == 3:
+                return derivs(t, 0), derivs(t, 1), derivs(t, 2), derivs(t, 3)
+        except OverflowError:  # some order is past the float range: read each on its own
+            return tuple(_order_or_inf(derivs, t, j) for j in range(k + 1))
         raise _order_error(k)
 
     return jet
@@ -69,10 +80,12 @@ def _poisson_jet(lam: float) -> Callable:
     def jet(t: float, k: int) -> tuple[float, ...]:
         if t >= math.inf:
             raise _domain_error(t, math.inf)
-        value = lam * math.expm1(t)
+        try:
+            value, e = lam * math.expm1(t), lam * math.exp(t)
+        except OverflowError:  # exp(t), and with it every order, is past the float range
+            value = e = math.inf
         if k == 0:
             return (value,)
-        e = lam * math.exp(t)
         if k == 1:
             return value, e
         if k == 2:
@@ -86,7 +99,7 @@ def _poisson_jet(lam: float) -> Callable:
 
 def _gamma_jet(r: float, mu: float) -> Callable:
     def jet(t: float, k: int) -> tuple[float, ...]:
-        # Order j >= 1 is r * (j - 1)! / x**j with x = mu - t.
+        # Order j >= 1 is r * (j - 1)! / x**j with x = mu - t; +inf where x**j underflows to 0.
         if t >= mu:
             raise _domain_error(t, mu)
         x = mu - t
@@ -95,10 +108,13 @@ def _gamma_jet(r: float, mu: float) -> Callable:
             return (value,)
         if k == 1:
             return value, r / x
+        x2 = x ** 2
+        d2 = r / x2 if x2 else math.inf
         if k == 2:
-            return value, r / x, r / x ** 2
+            return value, r / x, d2
         if k == 3:
-            return value, r / x, r / x ** 2, r * 2 / x ** 3
+            x3 = x ** 3
+            return value, r / x, d2, r * 2 / x3 if x3 else math.inf
         raise _order_error(k)
 
     return jet
@@ -126,7 +142,8 @@ class CharExponent:
     jet:
         ``jet(t, k)``, k in 0..3: ``(value, first, ..., k-th derivative)`` at
         ``t`` from one evaluation, bit for bit the values :meth:`deriv` gives
-        one order at a time.  Raises :class:`DomainError` like :meth:`deriv`.
+        one order at a time.  Raises :class:`DomainError` like :meth:`deriv`;
+        an order whose value lies past the float range reads +inf.
     """
 
     kind: str
@@ -185,7 +202,8 @@ class CharExponent:
         ``derivs(t, order)`` must return the order-th derivative of the
         exponent for orders 0..3, analytically.  Finite-differencing user
         code would silently degrade the third-order coefficients, so it is
-        refused by design.  The jet calls ``derivs(t, 0)``, ..., ``derivs(t, k)``.
+        refused by design.  The jet calls ``derivs(t, 0)``, ..., ``derivs(t, k)``;
+        an order whose call raises ``OverflowError`` reads +inf.
         """
         exponent = cls("custom", domain_sup, lattice_span, {}, derivs)
         probe = derivs(0.0, 0)
@@ -194,14 +212,14 @@ class CharExponent:
         return exponent
 
     def deriv(self, t: float, order: int = 0) -> float:
-        """Order-th derivative of the exponent at ``t`` (order 0 is the value)."""
+        """Order-th derivative at ``t`` (order 0 is the value); +inf past the float range."""
         if not isinstance(order, int) or order < 0 or order > _MAX_ORDER:
             raise _order_error(order)
         if self.kind != "custom":
             return self.jet(t, order)[order]
         if t >= self.domain_sup:
             raise _domain_error(t, self.domain_sup)
-        return self._derivs(t, order)
+        return _order_or_inf(self._derivs, t, order)
 
 
 @dataclass(frozen=True)
@@ -279,26 +297,20 @@ def lmgf(model: ModelPair, scaling: PowerScaling, n: float, theta: float, order:
     gamma_n''(theta) = n * (psi_n beta''(.) alpha'(theta)^2 + beta'(.) alpha''(theta))
 
     Raises :class:`DomainError` when ``alpha(theta) * psi_n`` leaves the domain
-    of B's exponent (the usual sign that a twist search overshot).
+    of B's exponent (the usual sign that a twist search overshot), and reads
+    +inf where only B's value or derivatives lie past the float range.
     """
     if order not in (0, 1, 2):
         raise OrderError(f"lmgf derivative order must be 0, 1 or 2, got {order}")
     require_finite(n=n, theta=theta)
     psi = scaling.psi(n)
-    inner = model.A.deriv(theta, 0) * psi
-    if inner >= model.B.domain_sup:
-        raise DomainError(
-            f"alpha(theta)*psi_n = {inner} is not below B's domain supremum "
-            f"{model.B.domain_sup}"
-        )
+    a = model.A.jet(theta, order)
+    b = model.B.jet(a[0] * psi, order)
     if order == 0:
-        return scaling.phi(n) * model.B.deriv(inner, 0)
+        return b[0] * scaling.phi(n)
     if order == 1:
-        return n * model.B.deriv(inner, 1) * model.A.deriv(theta, 1)
-    return n * (
-        psi * model.B.deriv(inner, 2) * model.A.deriv(theta, 1) ** 2
-        + model.B.deriv(inner, 1) * model.A.deriv(theta, 2)
-    )
+        return n * b[1] * a[1]
+    return n * (psi * b[2] * a[1] ** 2 + b[1] * a[2])
 
 
 def mean_variance(model: ModelPair, scaling: PowerScaling, n: float) -> tuple[float, float]:

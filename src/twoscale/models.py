@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotRareError, ParamError, require_finite
+from .errors import NotRareError, ParamError, _in_float_range, require_finite
 from .levy import CharExponent, ModelPair, PowerScaling
 
 __all__ = [
@@ -91,6 +91,7 @@ def _series_exp(t: list[float], k_max: int) -> list[float]:
     return e
 
 
+@_in_float_range
 def fast_series_coeffs(model: WorkedModel, u: float, k_max: int = K_MAX_DEFAULT):
     """(theta_star, v, vbar): twist coefficients and exponent-term coefficients.
 
@@ -105,6 +106,7 @@ def fast_series_coeffs(model: WorkedModel, u: float, k_max: int = K_MAX_DEFAULT)
         theta_star = math.log(1.0 / rho)
         z1, z2 = lam / mu, u / r
         v = [(-1.0) ** (k + 1) / k * (z1**k - z2**k) for k in range(1, k_max + 1)]
+        vbar = [-(r * v[k - 1] + u * v[k - 2]) for k in range(2, k_max + 1)]
     else:
         theta_star = mu * (1.0 - rho)
         ell = math.log(1.0 / rho)
@@ -113,15 +115,11 @@ def fast_series_coeffs(model: WorkedModel, u: float, k_max: int = K_MAX_DEFAULT)
         t = [0.0] + [(-1.0) ** (j + 1) * r**j * ell for j in range(1, k_max + 1)]
         e = _series_exp(t, k_max)
         v = [-mu * rho * e[k] for k in range(1, k_max + 1)]
-    vbar = []
-    for k in range(2, k_max + 1):
-        if model.variant == "poisson_gamma":
-            vbar.append(-(r * v[k - 1] + u * v[k - 2]))
-        else:
-            vbar.append(-u * (v[k - 1] / r + v[k - 2]))
+        vbar = [-u * (v[k - 1] / r + v[k - 2]) for k in range(2, k_max + 1)]
     return theta_star, tuple(v), tuple(vbar)
 
 
+@_in_float_range
 def slow_series_coeffs(model: WorkedModel, u: float, k_max: int = K_MAX_DEFAULT):
     """(tau_star, w, wbar): slow-regime twins of :func:`fast_series_coeffs`.
 

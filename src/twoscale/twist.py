@@ -23,18 +23,11 @@ extrapolation of the solved twist map (no general closed form exists).
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import (
-    NoSolutionError,
-    NotRareError,
-    OrderError,
-    ParamError,
-    require_finite,
-)
+from .errors import NoSolutionError, NotRareError, OrderError, ParamError, require_finite
 from .levy import CharExponent, ModelPair, PowerScaling, lmgf
 
 __all__ = [
@@ -66,11 +59,14 @@ class TwistSolution:
 
 @dataclass(frozen=True)
 class FastExpansion:
-    """Fast-regime expansion; ``v[0]`` is theta_star, ``v[k]`` the psi^k coefficient."""
+    """Fast-regime expansion; ``v[0]`` is theta_star, ``v[k]`` the psi^k coefficient, all finite."""
 
     theta_star: float
     v: tuple[float, ...]
     truncation_order: int
+
+    def __post_init__(self) -> None:
+        require_finite(**{f"v[{k}]": c for k, c in enumerate(self.v)})
 
 
 @dataclass(frozen=True)
@@ -80,6 +76,9 @@ class SlowExpansion:
     tau_star: float
     w: tuple[float, ...]
     truncation_order: int
+
+    def __post_init__(self) -> None:
+        require_finite(**{f"w[{k}]": c for k, c in enumerate(self.w)})
 
 
 def _solve_increasing(
@@ -104,10 +103,8 @@ def _solve_increasing(
             hi = x
         else:
             lo = x
-        if dg > 0 and math.isfinite(dg):
-            cand = x - gx / dg
-        else:
-            cand = math.nan
+        # An infinite slope steps to x itself, an end of the bracket: bisection.
+        cand = x - gx / dg if dg > 0 else math.nan
         if not (lo < cand < hi):
             cand = 0.5 * (lo + hi)
         step = abs(cand - x)
@@ -149,8 +146,8 @@ def _theta_max(model: ModelPair, psi: float, start: float | None = None) -> floa
     theta_max lies in ``[start / 0.99, 1e12 * start]``, sparing the ~50-step
     bisection.  alpha increases on [0, inf), so ``alpha(low) < sup_b / psi``
     puts theta_max at or above ``low`` (less the bisection's 1e-15
-    tolerance), and ``alpha(high) >= sup_b / psi`` (or an overflow) below
-    ``high``; the margins in ``low`` and ``high`` cover the tolerance.
+    tolerance), and ``alpha(high) >= sup_b / psi`` below ``high``; the
+    margins in ``low`` and ``high`` cover the tolerance.
     """
     jA = model.A.jet
     sup_a = model.A.domain_sup
@@ -160,18 +157,9 @@ def _theta_max(model: ModelPair, psi: float, start: float | None = None) -> floa
     target = sup_b / psi
     if start is not None:
         low, high = start / 0.98, 5e11 * start
-        try:
-            clear = low < sup_a and jA(low, 0)[0] < target
-        except OverflowError:
-            clear = False
-        if clear and math.isfinite(sup_a):
-            clear = high >= sup_a
-        elif clear:
-            try:
-                clear = jA(high, 0)[0] >= target
-            except OverflowError:
-                pass
-        if clear:
+        if low < sup_a and jA(low, 0)[0] < target and (
+            high >= sup_a if math.isfinite(sup_a) else jA(high, 0)[0] >= target
+        ):
             return None
     # alpha is convex with alpha'(0) = a > 0, hence increasing on [0, inf).
     hi = 1.0
@@ -204,34 +192,20 @@ def _twist_at_psi(model: ModelPair, u: float, psi: float = 1.0) -> tuple:
     Returns ``(root, residual, iterations, bracket)``, none of which depends
     on n.  At the default psi = 1 it is the f = 1 (single-timescale) twist.
     """
-    A, B, jA, jB = model.A, model.B, model.A.jet, model.B.jet
-
-    def by_order(theta: float) -> tuple[float, float]:
-        # One order at a time, where a jet overflowed.  The tilted mean blows
-        # past the float range well before theta_max when psi is large; that
-        # still brackets the root from above, so an overflow in alpha, alpha'
-        # or beta' makes g infinite, and one in a second-order term the slope.
-        try:
-            inner = A.deriv(theta, 0) * psi
-            b1 = B.deriv(inner, 1)
-            a1 = A.deriv(theta, 1)
-        except OverflowError:
-            return math.inf, math.inf
-        try:
-            slope = psi * B.deriv(inner, 2) * a1 ** 2 + b1 * A.deriv(theta, 2)
-        except OverflowError:
-            slope = math.inf
-        return b1 * a1 - u, slope
+    jA, jB = model.A.jet, model.B.jet
 
     def g_and_slope(theta: float) -> tuple[float, float]:
-        # One jet of each exponent serves g and g'; the arithmetic is the
-        # same, term by term, as one order at a time.
+        # One jet of each exponent serves g and g'.  Past the float range the
+        # jets read +inf, which brackets the root; B never sees an infinite alpha.
+        a0, a1, a2 = jA(theta, 2)
+        if a0 == math.inf:
+            return math.inf, math.inf
+        _, b1, b2 = jB(a0 * psi, 2)
         try:
-            a0, a1, a2 = jA(theta, 2)
-            _, b1, b2 = jB(a0 * psi, 2)
-            return b1 * a1 - u, psi * b2 * a1 ** 2 + b1 * a2
-        except OverflowError:
-            return by_order(theta)
+            slope = psi * b2 * a1 ** 2 + b1 * a2
+        except OverflowError:  # a1 ** 2
+            slope = math.inf
+        return b1 * a1 - u, slope
 
     def g(theta: float) -> float:
         return g_and_slope(theta)[0]
@@ -297,11 +271,7 @@ def solve_twist(model: ModelPair, scaling: PowerScaling, n: float, u: float) -> 
     _require_rare(model, u)
     psi = scaling.psi(n)
     root = _solved(model, u, _twist_at_psi) if psi == 1.0 else _twist_at_psi(model, u, psi)
-    try:
-        log_mgf = lmgf(model, scaling, n, root[0], 0)
-    except OverflowError:
-        log_mgf = math.inf
-    return TwistSolution(*root, log_mgf)
+    return TwistSolution(*root, lmgf(model, scaling, n, root[0]))
 
 
 def _require_query(n: float, u: float) -> None:
@@ -334,25 +304,15 @@ def _bracket_below(g: Callable[[float], float], hi: float, what: str) -> tuple[f
 def _solve_star(E: CharExponent, c: float, k: float, u: float, what: str) -> float:
     """Root of the increasing ``g(x) = c E'(k x) - u`` on ``(0, E.domain_sup / k)``.
 
-    ``g(0) = a*b - u``.  Where a jet overflows, the twist's own rule reads
-    each order on its own: an overflow in ``E'`` makes ``g`` infinite, one in
-    ``E''`` only the slope.
+    ``g(0) = a*b - u``.  Where ``E'`` lies past the float range its jet
+    reads +inf, and so does ``g``; where only ``E''`` does, the slope.
 
     The upper bracket is the domain edge ``sup (1 - 1e-12)`` when ``sup`` is
     finite, else the first of 1, 2, 4, ... up to 1e100 where ``g > 0``.  The
     root must reach a relative residual of 1e-12.
     """
-    jet = E.jet
-
     def g_and_slope(x: float) -> tuple[float, float]:
-        t = k * x
-        try:
-            _, e1, e2 = jet(t, 2)
-        except OverflowError:
-            e1 = e2 = math.inf
-            with contextlib.suppress(OverflowError):
-                e1 = E.deriv(t, 1)
-                e2 = E.deriv(t, 2)
+        _, e1, e2 = E.jet(k * x, 2)
         return c * e1 - u, c * k * e2
 
     def g(x: float) -> float:
@@ -398,6 +358,8 @@ def fast_expansion(model: ModelPair, u: float, order: int = 2) -> FastExpansion:
         v_2 = -[ b alpha'''(t*) v1^2 / 2
                  + beta''(0) v1 (alpha(t*) alpha''(t*) + alpha'(t*)^2)
                  + beta'''(0) alpha(t*)^2 alpha'(t*) / 2 ] / (b alpha''(t*)).
+
+    Raises :class:`ParamError` where a coefficient is not finite.
     """
     if order not in (0, 1, 2):
         raise OrderError(f"fast expansion supports orders 0..2, got {order}")
@@ -428,7 +390,8 @@ def slow_expansion(model: ModelPair, u: float, order: int = 2) -> SlowExpansion:
     ``w_1 = tau_star`` solves ``a beta'(a tau) = u``.  ``w_2`` has no printed
     general closed form; it is extracted by Richardson-extrapolated
     differentiation of the solved twist map ``x -> theta(psi = 1/x)`` at
-    ``x -> 0`` using the nodes ``{h, h/2, h/4}``.
+    ``x -> 0`` using the nodes ``{h, h/2, h/4}``.  Raises :class:`ParamError`
+    where a coefficient is not finite.
     """
     if order not in (1, 2):
         raise OrderError(f"slow expansion supports orders 1..2, got {order}")

@@ -102,6 +102,23 @@ class TestApprox:
         assert out == ""
         assert "NoSolutionError" in err
 
+    # A rate of 1e-170 puts the Gamma exponent's x ** 2 = (mu - t) ** 2 below
+    # the float range, and with it its second derivative: that order reads
+    # +inf, and the query ends in a result or a TwoscaleError, not a bare
+    # ZeroDivisionError or OverflowError.
+    @pytest.mark.parametrize("argv", [
+        ["--poisson-gamma", "1", "1", "1e-170", "--f", "1.5"],
+        ["--poisson-gamma", "1", "1", "1e-170", "--f", "0.5"],
+        ["--gamma-poisson", "1", "1e-170", "1", "--f", "1.5"],
+        ["--poisson-gamma", "1", "1", "1e-170", "--f", "1.5", "--mode", "series"],
+    ], ids=["pg-fast", "pg-slow", "gp-fast", "pg-fast-series"])
+    def test_tiny_rate_exits_0_or_2(self, capsys, argv):
+        code, out, err = run(capsys, ["approx", *argv, "--n", "100", "--u", "2e170"])
+        assert code in (0, 2), err
+        assert "InternalError" not in err
+        if code == 0:
+            assert math.isfinite(json.loads(out)["log_value"])
+
     def test_missing_required_flag_exits_2(self, pg_json, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["approx", "--model", pg_json, "--n", "100"])

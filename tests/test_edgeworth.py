@@ -17,7 +17,7 @@ from twoscale import (
     tilted_cdf_approx,
     tilted_negbin_cdf,
 )
-from conftest import gp_pair, pg_pair
+from conftest import count_derivs, gp_pair, pg_pair
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -235,3 +235,35 @@ def test_subsampled_lattice_matches_the_full_grid(n, points):
         full = full[np.linspace(0, full.size - 1, points).astype(int)]
     xs = [row[0] for row in diagnostic(model, scaling, n, u, points=points).rows]
     assert xs == [float(x) for x in (full + 0.5 - mean) / scale]
+
+
+# (f, exponent evaluations, rows, sup_gap) of the diagnostic on a fresh
+# Poisson(1)-on-Gamma(1, 3) pair at n = 400, u = 1, points = 5.  Both sit on
+# a branch without the location term: the expansion no longer computes v_1
+# (f = 2, 62 evaluations before) or w_2 (f = 0.5, 478 before, where w_2's
+# Richardson extrapolation ran a pilot and three twist solves).
+DIAGNOSTIC_BUDGET = [
+    (0.5, 128,
+     ((-4.466545785055822, -2.225483634818902e-05, 3.594298199396388e-27),
+      (-1.8503462513810727, 0.019121072713656744, 0.020080191261304135),
+      (0.7658532822936766, 0.7872878490307731, 0.783201885242553),
+      (3.382052815968426, 0.9986214152966745, 0.9973896441002592),
+      (6.009432689530674, 0.9999999840430468, 0.9999950786239336)),
+     0.004085963788220126),
+    (2.0, 60,
+     ((-6.024999999999997, -6.923609246329297e-10, 1.0260564788737282e-10),
+      (-3.0249999999999986, 0.0009639840569484984, 0.0009865946561337822),
+      (-0.024999999999999988, 0.4933488848830734, 0.49337576260216465),
+      (2.9749999999999983, 0.9982226333579848, 0.9981919577738341),
+      (6.024999999999997, 0.9999999976165429, 0.9999999956748623)),
+     3.067558415070781e-05),
+]
+
+
+@pytest.mark.parametrize("f,budget,rows,sup_gap", DIAGNOSTIC_BUDGET)
+def test_diagnostic_computes_only_what_its_branch_reads(monkeypatch, f, budget, rows, sup_gap):
+    model = pg_pair(1.0, 1.0, 3.0)
+    calls = count_derivs(monkeypatch, model)
+    d = diagnostic(model, PowerScaling(f), 400.0, 1.0, points=5)
+    assert calls[0] == budget
+    assert (d.rows, d.sup_gap) == (rows, sup_gap)

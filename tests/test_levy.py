@@ -5,7 +5,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twoscale import (
@@ -170,6 +170,56 @@ class TestJet:
         assert seen == [0, 1, 2, 3, 2]
 
 
+class TestFloatEdge:
+    """An order whose value lies past the float range reads +inf."""
+
+    @given(
+        kind=st.sampled_from(["poisson", "gamma"]),
+        rate=st.floats(1e-300, 1e100),
+        shape=st.floats(1e-3, 1e3),
+        frac=st.floats(0.0, 1.0, exclude_max=True),
+        t=st.floats(0.0, 1e308),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_built_in_orders_are_positive_or_inf(self, kind, rate, shape, frac, t):
+        # On [0, domain_sup): no OverflowError or ZeroDivisionError, and
+        # every order >= 1 is positive or +inf.
+        if kind == "poisson":
+            exponent = CharExponent.poisson(rate)
+        else:
+            exponent, t = CharExponent.gamma(shape, rate), frac * rate
+            assume(t < rate)
+        jet = exponent.jet(t, 3)
+        assert all(d > 0 for d in jet[1:])
+        assert jet == tuple(exponent.deriv(t, j) for j in range(4))
+
+    def test_poisson_overflow_reads_inf(self):
+        assert CharExponent.poisson(2.0).jet(710.0, 3) == (math.inf,) * 4
+
+    def test_gamma_underflowed_power_reads_inf(self):
+        # x = 1e-120: x ** 3 underflows to 0 while x ** 2 does not.
+        g = CharExponent.gamma(1.0, 1e-120)
+        value, d1, d2, d3 = g.jet(0.0, 3)
+        assert (value, d1, d2, d3) == (0.0, 1.0 / 1e-120, 1.0 / 1e-120 ** 2, math.inf)
+        assert CharExponent.gamma(1.0, 1e-170).jet(0.0, 2)[2] == math.inf
+
+    def test_custom_overflow_reads_inf_order_by_order(self):
+        seen = []
+
+        def derivs(t, order):
+            seen.append(order)
+            if order == 1 and t > 1.0:
+                raise OverflowError("order 1 overflows")
+            return _drift_derivs(t, order)
+
+        exponent = CharExponent.custom(derivs)
+        assert exponent.jet(2.0, 3) == (_drift_derivs(2.0, 0), math.inf, 1.7, 0.0)
+        seen.clear()
+        assert exponent.deriv(2.0, 1) == math.inf
+        assert exponent.deriv(2.0, 2) == 1.7
+        assert seen == [1, 2]
+
+
 class TestModelPair:
     def test_means_recomputed(self):
         m = pg_pair(1.4, 0.8, 2.1)
@@ -316,6 +366,31 @@ class TestLmgf:
         # alpha(theta)*psi >= mu at n = 100, psi = 10: lam(e^t - 1) >= 0.2
         with pytest.raises(DomainError):
             lmgf(m, s, 100.0, 1.0)
+
+    def test_clock_value_past_the_float_range_reads_inf(self):
+        # Gamma(1, 1) on a Poisson(1) clock at f = 0.5, n = 1e7: psi_n ~ 3162
+        # puts the clock's exponent at alpha(0.5) psi_n ~ 2192, past exp's range.
+        m, s = gp_pair(1.0, 1.0, 1.0), PowerScaling(0.5)
+        assert lmgf(m, s, 1e7, 0.5) == math.inf
+        assert lmgf(m, s, 1e7, 0.5, order=2) == math.inf
+
+    def test_only_the_clock_value_overflows(self):
+        # A Gamma(1, 3) clock as user code whose value alone overflows above
+        # 0.1: gamma_n reads +inf, its derivatives stay those of the stock pair.
+        def gamma(t, order):
+            if order == 0:
+                if t > 0.1:
+                    raise OverflowError("value overflows")
+                return math.log(3.0 / (3.0 - t))
+            return math.factorial(order - 1) / (3.0 - t) ** order
+
+        m = ModelPair(CharExponent.poisson(1.0), CharExponent.custom(gamma, domain_sup=3.0))
+        # At theta = 1.2, alpha(theta) psi_n = (e^1.2 - 1) / 20 ~ 0.116.
+        stock, s = pg_pair(1.0, 1.0, 3.0), PowerScaling(1.5)
+        assert lmgf(m, s, 400.0, 1.2) == math.inf
+        assert lmgf(stock, s, 400.0, 1.2) < math.inf
+        for order in (1, 2):
+            assert lmgf(m, s, 400.0, 1.2, order) == lmgf(stock, s, 400.0, 1.2, order)
 
     @given(
         theta=st.floats(-1.0, 1.2),

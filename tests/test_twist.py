@@ -294,6 +294,24 @@ class TestFastExpansion:
         with pytest.raises(OrderError):
             fast_expansion(m, 1.0, order=3)
 
+    def test_coefficient_past_the_float_range_raises(self):
+        # A Gamma clock of rate 1e-170: beta''(0) = r / mu ** 2 reads +inf.
+        # With alpha'' +inf at theta* = log 2 as well, v_1 = -(alpha alpha' /
+        # alpha'')(theta*) beta''(0) / b would be 0 * inf = nan; with the
+        # stock Poisson, -inf.
+        def poisson(t, order):
+            if order == 2 and t > 0.5:
+                raise OverflowError("order 2 overflows")
+            return math.expm1(t) if order == 0 else math.exp(t)
+
+        clock = CharExponent.gamma(1.0, 1e-170)
+        capped = ModelPair(CharExponent.custom(poisson), clock)
+        for model in (capped, ModelPair(CharExponent.poisson(1.0), clock)):
+            u = 2.0 * model.a * model.b
+            assert fast_expansion(model, u, order=0).theta_star == pytest.approx(math.log(2.0))
+            with pytest.raises(ParamError, match=r"v\[1\] must be finite"):
+                fast_expansion(model, u, order=1)
+
 
 class TestSlowExpansion:
     @pytest.mark.parametrize("lam,r,mu,u", RARE_GRID)
