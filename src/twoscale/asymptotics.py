@@ -31,7 +31,7 @@ from operator import attrgetter
 
 from . import models as worked
 from .errors import LatticeError, OrderError, ParamError, RegimeError, SeriesUnavailable, require_finite
-from .levy import ModelPair, PowerScaling
+from .levy import ModelPair, PowerScaling, _composed_jet
 from .twist import (
     _require_query,
     _require_rare,
@@ -132,10 +132,14 @@ def lattice_factor(theta: float, span: float) -> float:
     return span / -math.expm1(-theta * span)
 
 
-def _assemble(prefactor, terms, mode, order, lattice) -> AsymptoticEstimate:
-    if not 0.0 < prefactor < math.inf:  # 0.0 where sigma reads +inf
+def _assemble(front, spread, terms, mode, order, lattice) -> AsymptoticEstimate:
+    """The estimate with prefactor ``front / spread``; ParamError where it or the log is not finite."""
+    prefactor = front / spread if spread else math.inf
+    if not 0.0 < prefactor < math.inf:  # 0.0 where sigma reads +inf, +inf where it reads 0.0
         raise ParamError(f"the prefactor {prefactor} lies past the float range")
     log_value = math.log(prefactor) + sum(v for _, v in terms)
+    if math.isnan(log_value):  # exponent terms of both signs past the float range
+        raise ParamError("the exponent terms lie past the float range and sum to NaN")
     if log_value > _LOG_HUGE:
         value = math.inf
     elif log_value > _LOG_TINY:
@@ -174,13 +178,8 @@ def _leading(model: ModelPair, regime: str, u: float) -> tuple[float, float, flo
         rate, sigma = b0 - twist * u, a * math.sqrt(b2)
     else:
         twist = _solved(model, u, _twist_at_psi)[0]
-        a0, a1, a2 = model.A.jet(twist, 2)
-        b0, b1, b2 = model.B.jet(a0, 2)
-        rate = b0 - twist * u
-        try:
-            sigma = math.sqrt(b2 * a1 ** 2 + b1 * a2)
-        except OverflowError:  # a1 ** 2
-            sigma = math.inf
+        value, _, slope = _composed_jet(model, 1.0)(twist)
+        rate, sigma = value - twist * u, math.sqrt(slope)
     if not math.isfinite(rate):
         raise ParamError(f"the {regime}-regime rate {rate} at u = {u} lies past the float range")
     return twist, rate, sigma
@@ -217,14 +216,14 @@ def _approx(regime, model, scaling, n, u, mode, order, lattice) -> AsymptoticEst
         front = lattice_factor(unit * twist, d) * unit
     else:
         front = 1.0 / twist
-    prefactor = front / (sigma * math.sqrt(2.0 * math.pi * clock))
+    spread = sigma * math.sqrt(2.0 * math.pi * clock)
 
     linear = rate * clock
     if mode == "direct":
         sol = solve_twist(model, scaling, n, u)
         delta = sol.log_mgf - sol.theta_n * u * n
         terms = [("linear", linear), ("sublinear_remainder", delta - linear)]
-        return _assemble(prefactor, terms, "direct", None, lattice)
+        return _assemble(front, spread, terms, "direct", None, lattice)
     if mode != "series":
         raise OrderError(f"mode must be 'direct' or 'series', got {mode!r}")
     wm = worked.WorkedModel.from_pair(model)
@@ -239,7 +238,7 @@ def _approx(regime, model, scaling, n, u, mode, order, lattice) -> AsymptoticEst
         phi, psi = scaling.phi(n), scaling.psi(n)
         for k in range(k0, m + 1):
             terms.append((f"k={k}", bar[k - k0] * phi * psi ** (sign * k)))
-    return _assemble(prefactor, terms, "series", m, lattice)
+    return _assemble(front, spread, terms, "series", m, lattice)
 
 
 def approx_fast(
@@ -286,8 +285,8 @@ def approx_single_timescale(model: ModelPair, n: float, u: float) -> AsymptoticE
     """
     _require_query(n, u)
     theta0, rate, sigma0 = _leading(model, "single", u)
-    prefactor = 1.0 / (theta0 * sigma0 * math.sqrt(2.0 * math.pi * n))
-    return _assemble(prefactor, [("linear", rate * n)], "direct", None, False)
+    spread = theta0 * sigma0 * math.sqrt(2.0 * math.pi * n)
+    return _assemble(1.0, spread, [("linear", rate * n)], "direct", None, False)
 
 
 def log_asymptote(

@@ -23,6 +23,7 @@ scipy; ``oracle``, ``tables``, ``edgeworth`` and ``overdispersion`` do.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -36,7 +37,7 @@ from .models import WorkedModel, exact_law
 __all__ = ["main"]
 
 
-def _add_model_args(p: argparse.ArgumentParser, with_f: bool = True) -> None:
+def _add_model_args(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--model", metavar="PATH", help="model spec JSON file")
     src.add_argument(
@@ -53,18 +54,19 @@ def _add_model_args(p: argparse.ArgumentParser, with_f: bool = True) -> None:
         metavar=("R", "MU", "LAM"),
         help="inline Gamma(R, MU) outer process on a Poisson(LAM) clock",
     )
-    if with_f:
-        p.add_argument("--f", type=float, default=None,
-                       help="timescale exponent (required with inline parameters)")
+    p.add_argument("--f", type=float, default=None,
+                   help="timescale exponent (required with inline parameters)")
+    p.add_argument("--n", type=float, required=True)
+    p.add_argument("--u", type=float, required=True)
 
 
 def _resolve_model(args) -> tuple[ModelPair, PowerScaling]:
     if args.model is not None:
         model, scaling = load_model(args.model)
-        if getattr(args, "f", None) is not None:
+        if args.f is not None:
             scaling = PowerScaling(args.f)
         return model, scaling
-    if getattr(args, "f", None) is None:
+    if args.f is None:
         raise ParamError("--f is required when the model is given inline")
     if args.poisson_gamma is not None:
         wm = WorkedModel.poisson_gamma(*args.poisson_gamma)
@@ -74,40 +76,29 @@ def _resolve_model(args) -> tuple[ModelPair, PowerScaling]:
 
 
 def _emit(args, payload: dict, csv_text: str | None = None) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
+    elif args.format == "csv":
         if csv_text is None:
             raise ParamError("csv output is not available for this command")
         text = csv_text
     else:
-        sig = getattr(args, "sig", 3)
         lines = []
         for key in sorted(payload):
             val = payload[key]
             if isinstance(val, float):
-                val = format_sig(val, sig)
+                val = format_sig(val, args.sig)
             lines.append(f"{key}: {val}")
         text = "\n".join(lines) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
 def _estimate_payload(est, regime: str) -> dict:
-    return {
-        "regime": regime,
-        "prefactor": est.prefactor,
-        "exponent_terms": [[label, value] for label, value in est.exponent_terms],
-        "log_value": est.log_value,
-        "value": est.value,
-        "mode": est.mode,
-        "series_order": est.series_order,
-        "lattice_adjusted": est.lattice_adjusted,
-    }
+    terms = [list(term) for term in est.exponent_terms]  # text output prints lists as JSON does
+    return {**dataclasses.asdict(est), "regime": regime, "exponent_terms": terms}
 
 
 def _cmd_approx(args) -> int:
@@ -240,8 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx", help="evaluate the tail approximation")
     _add_model_args(p)
-    p.add_argument("--n", type=float, required=True)
-    p.add_argument("--u", type=float, required=True)
     p.add_argument("--mode", choices=("direct", "series"), default="direct")
     p.add_argument("--M", type=int, default=None, help="series truncation order")
     p.add_argument("--lattice", choices=("auto", "on", "off"), default="auto")
@@ -250,8 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact or Monte Carlo tail probability")
     _add_model_args(p)
-    p.add_argument("--n", type=float, required=True)
-    p.add_argument("--u", type=float, required=True)
     p.add_argument("--method", choices=("exact", "is", "mc"), default="exact")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -266,8 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("edgeworth", help="tilted-CDF approximation vs the exact tilted law")
     _add_model_args(p)
-    p.add_argument("--n", type=float, required=True)
-    p.add_argument("--u", type=float, required=True)
     p.add_argument("--x-min", type=float, default=-6.0)
     p.add_argument("--x-max", type=float, default=6.0)
     p.add_argument("--points", type=int, default=49)

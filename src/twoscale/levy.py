@@ -99,7 +99,8 @@ def _poisson_jet(lam: float) -> Callable:
 
 def _gamma_jet(r: float, mu: float) -> Callable:
     def jet(t: float, k: int) -> tuple[float, ...]:
-        # Order j >= 1 is r * (j - 1)! / x**j with x = mu - t; +inf where x**j underflows to 0.
+        # Order j >= 1 is r * (j - 1)! / x**j with x = mu - t; +inf where x**j
+        # underflows to 0, and divided by x j times where x**j overflows.
         if t >= mu:
             raise _domain_error(t, mu)
         x = mu - t
@@ -108,13 +109,20 @@ def _gamma_jet(r: float, mu: float) -> Callable:
             return (value,)
         if k == 1:
             return value, r / x
-        x2 = x ** 2
-        d2 = r / x2 if x2 else math.inf
+        try:
+            x2 = x ** 2
+            d2 = r / x2 if x2 else math.inf
+        except OverflowError:  # x ** 2 is past the float range, not the order
+            d2 = r / x / x
         if k == 2:
             return value, r / x, d2
         if k == 3:
-            x3 = x ** 3
-            return value, r / x, d2, r * 2 / x3 if x3 else math.inf
+            try:
+                x3 = x ** 3
+                d3 = r * 2 / x3 if x3 else math.inf
+            except OverflowError:
+                d3 = r * 2 / x / x / x
+            return value, r / x, d2, d3
         raise _order_error(k)
 
     return jet
@@ -131,7 +139,8 @@ class CharExponent:
     domain_sup:
         Supremum of the set of arguments with a finite exponent.  Evaluation
         at or beyond it raises :class:`DomainError` (the bound is exclusive:
-        the Gamma exponent diverges exactly there).
+        the Gamma exponent diverges exactly there).  A built-in exponent
+        derives it from ``params``; a custom one takes it as given.
     lattice_span:
         Span ``d > 0`` if the marginals live on ``x0 + d*Z``, else ``0.0``.
     params:
@@ -162,22 +171,21 @@ class CharExponent:
                 jet = _custom_jet(self._derivs, sup)
             elif kind == "poisson":
                 lam = params["lam"]
-                if lam <= 0:
+                if not lam > 0:
                     raise ParamError(f"poisson rate must be positive, got {lam}")
                 jet, sup = _poisson_jet(lam), math.inf
             elif kind == "gamma":
                 r, mu = params["r"], params["mu"]
-                if r <= 0 or mu <= 0:
+                if not (r > 0 and mu > 0):
                     raise ParamError(f"gamma parameters must be positive, got shape={r}, rate={mu}")
                 jet, sup = _gamma_jet(r, mu), mu
             else:
                 raise ParamError(f"unknown exponent kind {kind!r}")
         except KeyError as exc:
             raise ParamError(f"a {kind} exponent needs the parameter {exc}") from None
-        if kind != "custom" and sup != self.domain_sup:
-            raise ParamError(f"{kind} params {dict(params)} give domain_sup {sup}, not {self.domain_sup}")
         if self.lattice_span < 0:
             raise ParamError(f"lattice span must be >= 0, got {self.lattice_span}")
+        object.__setattr__(self, "domain_sup", sup)
         object.__setattr__(self, "jet", jet)
 
     @classmethod
@@ -244,13 +252,13 @@ class ModelPair:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.A.deriv(0.0, 0) != 0.0 or self.B.deriv(0.0, 0) != 0.0:
+        a0, a = self.A.jet(0.0, 1)
+        b0, b = self.B.jet(0.0, 1)
+        if a0 != 0.0 or b0 != 0.0:
             raise ParamError("characteristic exponents must vanish at the origin")
-        b = self.B.deriv(0.0, 1)
         object.__setattr__(self, "b", b)
         if b <= 0:
             raise ParamError(f"B must be an increasing subordinator: beta'(0) = {b} <= 0")
-        a = self.A.deriv(0.0, 1)
         object.__setattr__(self, "a", a)
         if a <= 0:
             raise UnsupportedSignError(
@@ -289,6 +297,30 @@ class PowerScaling:
             raise ParamError(f"{label} overflows at n = {n}, f = {self.f}") from None
 
 
+def _composed_jet(model: ModelPair, psi: float) -> Callable[[float], tuple[float, float, float]]:
+    """gamma_n and its first two derivatives over ``(phi_n, n, n)``, as a function of theta.
+
+    ``theta -> (beta(x), beta'(x) alpha'(theta), psi beta''(x) alpha'(theta)^2
+    + beta'(x) alpha''(theta))`` with ``x = alpha(theta) psi``, from one jet of
+    each exponent.  Every entry reads +inf where alpha does (B never sees an
+    infinite argument), the last where ``alpha'(theta)^2`` does.
+    """
+    jA, jB = model.A.jet, model.B.jet
+
+    def jet(theta: float) -> tuple[float, float, float]:
+        a0, a1, a2 = jA(theta, 2)
+        if a0 == math.inf:
+            return math.inf, math.inf, math.inf
+        b0, b1, b2 = jB(a0 * psi, 2)
+        try:
+            slope = psi * b2 * a1 ** 2 + b1 * a2
+        except OverflowError:  # a1 ** 2
+            slope = math.inf
+        return b0, b1 * a1, slope
+
+    return jet
+
+
 def lmgf(model: ModelPair, scaling: PowerScaling, n: float, theta: float, order: int = 0) -> float:
     """Log-mgf of ``C_n`` at ``theta``, or its first or second theta-derivative.
 
@@ -296,21 +328,18 @@ def lmgf(model: ModelPair, scaling: PowerScaling, n: float, theta: float, order:
     gamma_n'(theta)  = n * beta'(alpha(theta) psi_n) * alpha'(theta)
     gamma_n''(theta) = n * (psi_n beta''(.) alpha'(theta)^2 + beta'(.) alpha''(theta))
 
+    Every order evaluates both exponents up to their second derivative.
     Raises :class:`DomainError` when ``alpha(theta) * psi_n`` leaves the domain
-    of B's exponent (the usual sign that a twist search overshot), and reads
-    +inf where only B's value or derivatives lie past the float range.
+    of B's exponent (the usual sign that a twist search overshot).  Every order
+    reads +inf where ``alpha(theta)`` lies past the float range, and an order
+    reads +inf where a term of it does (B's value or derivatives, or
+    ``alpha'(theta)^2``).
     """
     if order not in (0, 1, 2):
         raise OrderError(f"lmgf derivative order must be 0, 1 or 2, got {order}")
     require_finite(n=n, theta=theta)
-    psi = scaling.psi(n)
-    a = model.A.jet(theta, order)
-    b = model.B.jet(a[0] * psi, order)
-    if order == 0:
-        return b[0] * scaling.phi(n)
-    if order == 1:
-        return n * b[1] * a[1]
-    return n * (psi * b[2] * a[1] ** 2 + b[1] * a[2])
+    entry = _composed_jet(model, scaling.psi(n))(theta)[order]
+    return entry * scaling.phi(n) if order == 0 else n * entry
 
 
 def mean_variance(model: ModelPair, scaling: PowerScaling, n: float) -> tuple[float, float]:

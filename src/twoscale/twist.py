@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import NoSolutionError, NotRareError, OrderError, ParamError, require_finite
-from .levy import CharExponent, ModelPair, PowerScaling, lmgf
+from .levy import CharExponent, ModelPair, PowerScaling, _composed_jet, lmgf
 
 __all__ = [
     "TwistSolution",
@@ -82,21 +82,22 @@ class SlowExpansion:
 
 
 def _solve_increasing(
-    g_and_slope: Callable[[float], tuple[float, float]],
+    jet: Callable[[float], tuple[float, float, float]],
+    u: float,
     lo: float,
     hi: float,
-    scale: float,
 ) -> tuple[float, float, int]:
-    """Root of an increasing function g with g(lo) < 0 < g(hi).
+    """Root of the increasing ``g(x) = F'(x) - u`` with g(lo) < 0 < g(hi).
 
-    ``g_and_slope(x)`` returns ``(g(x), g'(x))``.  Newton steps are clamped to
-    the live bracket; any step that leaves it is replaced by bisection.
-    Iterates to (near) machine precision; returns (root, |g(root)|, iterations),
-    where a stop on bracket collapse reports the iterations actually made and
-    the best iterate seen.
+    ``jet(x)`` returns ``(F(x), F'(x), F''(x))``; ``F(x)`` is not read.
+    Newton steps are clamped to the live bracket; any step that leaves it is
+    replaced by bisection.  Iterates to (near) machine precision; returns
+    (root, |g(root)|, iterations), where a stop on bracket collapse reports
+    the iterations actually made and the best iterate seen.
     """
     x = 0.5 * (lo + hi)
-    gx, dg = g_and_slope(x)
+    _, gx, dg = jet(x)
+    gx -= u
     best_x, best_g = x, abs(gx)
     for it in range(1, _MAX_NEWTON + 1):
         if gx > 0:
@@ -109,10 +110,11 @@ def _solve_increasing(
             cand = 0.5 * (lo + hi)
         step = abs(cand - x)
         x = cand
-        gx, dg = g_and_slope(x)
+        _, gx, dg = jet(x)
+        gx -= u
         if abs(gx) < best_g:
             best_x, best_g = x, abs(gx)
-        if abs(gx) <= 1e-14 * scale and step <= 1e-15 * max(abs(x), 1.0):
+        if abs(gx) <= 1e-14 * u and step <= 1e-15 * max(abs(x), 1.0):
             return x, abs(gx), it
         if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
             break
@@ -192,24 +194,7 @@ def _twist_at_psi(model: ModelPair, u: float, psi: float = 1.0) -> tuple:
     Returns ``(root, residual, iterations, bracket)``, none of which depends
     on n.  At the default psi = 1 it is the f = 1 (single-timescale) twist.
     """
-    jA, jB = model.A.jet, model.B.jet
-
-    def g_and_slope(theta: float) -> tuple[float, float]:
-        # One jet of each exponent serves g and g'.  Past the float range the
-        # jets read +inf, which brackets the root; B never sees an infinite alpha.
-        a0, a1, a2 = jA(theta, 2)
-        if a0 == math.inf:
-            return math.inf, math.inf
-        _, b1, b2 = jB(a0 * psi, 2)
-        try:
-            slope = psi * b2 * a1 ** 2 + b1 * a2
-        except OverflowError:  # a1 ** 2
-            slope = math.inf
-        return b1 * a1 - u, slope
-
-    def g(theta: float) -> float:
-        return g_and_slope(theta)[0]
-
+    jet = _composed_jet(model, psi)  # [1] = gamma_n'/n, [2] its slope; +inf brackets the root
     # Start at theta_star + 1 when it exists, kept inside the domain edge
     # theta_max, which is computed only when it may move the start or the
     # bracket has to grow towards it.
@@ -224,7 +209,7 @@ def _twist_at_psi(model: ModelPair, u: float, psi: float = 1.0) -> tuple:
     if theta_max is not None and math.isfinite(theta_max):
         hi = max(min(start, 0.99 * theta_max), 1e-12 * theta_max)
 
-    ghi = g(hi)
+    ghi = jet(hi)[1] - u
     if ghi < 0 and theta_max is None:
         theta_max = _theta_max(model, psi)
     expansions = 0
@@ -242,16 +227,16 @@ def _twist_at_psi(model: ModelPair, u: float, psi: float = 1.0) -> tuple:
                 )
         else:
             new_hi = hi * 2.0
-            if new_hi > 1e100 or (expansions > 60 and g(new_hi) <= ghi + 1e-300):
+            if new_hi > 1e100 or (expansions > 60 and jet(new_hi)[1] - u <= ghi + 1e-300):
                 raise NoSolutionError(
                     f"the tilted mean is bounded below u = {u}; no twist exists"
                 )
         hi = new_hi
-        ghi = g(hi)
+        ghi = jet(hi)[1] - u
 
     # g(0+) = a*b - u < 0, so the lower bracket exists for admissible u.
-    lo, hi = _bracket_below(g, hi, "the twist")
-    root, gabs, iters = _solve_increasing(g_and_slope, lo, hi, scale=u)
+    lo, hi = _bracket_below(jet, u, hi, "the twist")
+    root, gabs, iters = _solve_increasing(jet, u, lo, hi)
     residual = gabs / u
     if residual > RESIDUAL_TOL:
         raise NoSolutionError(
@@ -287,13 +272,13 @@ def _require_rare(model: ModelPair, u: float) -> None:
         raise NotRareError(f"u = {u} must exceed a*b = {ab} for a rare upper tail")
 
 
-def _bracket_below(g: Callable[[float], float], hi: float, what: str) -> tuple[float, float]:
-    """``(lo, hi)`` with ``g(lo) <= 0``, halving down from ``lo = hi / 2``.
+def _bracket_below(jet: Callable, u: float, hi: float, what: str) -> tuple[float, float]:
+    """``(lo, hi)`` with ``jet(lo)[1] <= u``, halving down from ``lo = hi / 2``.
 
     Every probe above the root becomes the new ``hi``, tightening the bracket.
     """
     lo = 0.5 * hi
-    while g(lo) > 0:
+    while jet(lo)[1] > u:
         hi = lo
         lo *= 0.5
         if lo < 5e-324:
@@ -311,26 +296,23 @@ def _solve_star(E: CharExponent, c: float, k: float, u: float, what: str) -> flo
     finite, else the first of 1, 2, 4, ... up to 1e100 where ``g > 0``.  The
     root must reach a relative residual of 1e-12.
     """
-    def g_and_slope(x: float) -> tuple[float, float]:
-        _, e1, e2 = E.jet(k * x, 2)
-        return c * e1 - u, c * k * e2
-
-    def g(x: float) -> float:
-        return g_and_slope(x)[0]
+    def jet(x: float) -> tuple[float, float, float]:
+        e0, e1, e2 = E.jet(k * x, 2)
+        return e0, c * e1, c * k * e2
 
     sup = E.domain_sup / k
     if math.isfinite(sup):
         hi = sup * (1.0 - 1e-12)
-        if g(hi) < 0:
+        if jet(hi)[1] < u:
             raise NoSolutionError(f"no {what}: its equation stays below u = {u} on the domain")
     else:
         hi = 1.0
-        while not g(hi) > 0:
+        while not jet(hi)[1] > u:
             hi *= 2.0
             if hi > 1e100:
                 raise NoSolutionError(f"no {what}: its equation appears bounded below u = {u}")
-    lo, hi = _bracket_below(g, hi, what)
-    root, gabs, _ = _solve_increasing(g_and_slope, lo, hi, scale=u)
+    lo, hi = _bracket_below(jet, u, hi, what)
+    root, gabs, _ = _solve_increasing(jet, u, lo, hi)
     if gabs / u > 1e-12:
         raise NoSolutionError(f"{what} solve stalled at residual {gabs / u:.3e}")
     return root

@@ -119,6 +119,33 @@ class TestApprox:
         if code == 0:
             assert math.isfinite(json.loads(out)["log_value"])
 
+    # A Gamma clock of rate 1e200: (rate - t) ** 2 overflows while the
+    # derivative it divides into underflows to 0.
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--f", "1.2"],
+        ["approx", "--f", "0.6"],
+        ["approx", "--f", "1.0"],
+        ["edgeworth", "--f", "1.2"],
+        ["edgeworth", "--f", "0.6"],
+    ], ids=["approx-fast", "approx-slow", "approx-single", "edgeworth-fast", "edgeworth-slow"])
+    def test_huge_rate_exits_0_or_2(self, capsys, argv):
+        code, _, err = run(
+            capsys, [*argv, "--poisson-gamma", "1", "1", "1e200", "--n", "100", "--u", "2e-200"]
+        )
+        assert code in (0, 2), err
+        assert "InternalError" not in err
+
+    def test_series_terms_summing_to_nan_exit_2(self, capsys):
+        # Series terms k = 1..5 alternate +inf and -inf.
+        code, out, err = run(capsys, [
+            "approx", "--gamma-poisson", "0.2155035111055345", "0.0030290654082589445",
+            "0.10516250246000786", "--f", "0.843190901733804", "--n", "12709090.104544785",
+            "--u", "4.199552369615465e+299", "--mode", "series",
+        ])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ParamError")
+
     def test_missing_required_flag_exits_2(self, pg_json, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["approx", "--model", pg_json, "--n", "100"])

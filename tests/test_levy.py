@@ -203,6 +203,11 @@ class TestFloatEdge:
         assert (value, d1, d2, d3) == (0.0, 1.0 / 1e-120, 1.0 / 1e-120 ** 2, math.inf)
         assert CharExponent.gamma(1.0, 1e-170).jet(0.0, 2)[2] == math.inf
 
+    def test_gamma_overflowed_power_reads_the_order(self):
+        # x = 1e200: x ** 2 and x ** 3 overflow; the orders underflow to 0.0.
+        assert CharExponent.gamma(1.0, 1e200).jet(0.0, 3) == (0.0, 1e-200, 0.0, 0.0)
+        assert CharExponent.gamma(1.0, 1e160).jet(0.0, 3)[2:] == (1.0 / 1e160 / 1e160, 0.0)
+
     def test_custom_overflow_reads_inf_order_by_order(self):
         seen = []
 
@@ -289,9 +294,15 @@ class TestBuiltInParams:
         p = dataclasses.replace(CharExponent.poisson(1.0), params={"lam": 2.5})
         assert p.deriv(0.0, 3) == 2.5
 
+    def test_domain_sup_comes_from_params(self):
+        g = dataclasses.replace(CharExponent.gamma(1.0, 2.0), params={"r": 5.0, "mu": 7.0})
+        assert g.domain_sup == 7.0
+        assert g == CharExponent.gamma(5.0, 7.0)
+        p = dataclasses.replace(CharExponent.poisson(1.0), domain_sup=3.0)
+        assert p.domain_sup == math.inf
+        assert p == CharExponent.poisson(1.0)
+
     @pytest.mark.parametrize("make", [
-        lambda: dataclasses.replace(CharExponent.gamma(1.0, 2.0), params={"r": 5.0, "mu": 7.0}),
-        lambda: dataclasses.replace(CharExponent.poisson(1.0), domain_sup=3.0),
         lambda: dataclasses.replace(CharExponent.gamma(1.0, 2.0), params={"r": 5.0}),
         lambda: dataclasses.replace(CharExponent.poisson(1.0), params={}),
         lambda: dataclasses.replace(CharExponent.poisson(1.0), kind="stable"),
@@ -300,6 +311,8 @@ class TestBuiltInParams:
             CharExponent.gamma(1.0, 2.0), params={"r": 0.0, "mu": 2.0}
         ),
         lambda: dataclasses.replace(CharExponent.poisson(1.0), lattice_span=-1.0),
+        lambda: CharExponent.gamma(1.0, math.nan),
+        lambda: CharExponent.poisson(math.nan),
     ])
     def test_inconsistent_definitions_rejected(self, make):
         with pytest.raises(ParamError):
@@ -373,6 +386,18 @@ class TestLmgf:
         m, s = gp_pair(1.0, 1.0, 1.0), PowerScaling(0.5)
         assert lmgf(m, s, 1e7, 0.5) == math.inf
         assert lmgf(m, s, 1e7, 0.5, order=2) == math.inf
+
+    def test_alpha_past_the_float_range_reads_inf_at_every_order(self):
+        # alpha(800) = e^800 - 1 overflows; B's exponent is never evaluated there.
+        m, s = pg_pair(1.0, 1.0, 2.0), PowerScaling(1.5)
+        assert [lmgf(m, s, 100.0, 800.0, order) for order in (0, 1, 2)] == [math.inf] * 3
+
+    def test_squared_slope_past_the_float_range_reads_inf(self):
+        # alpha'(1e-187) = 40.5 / 1e-187: its square overflows, the lower orders do not.
+        m, s = gp_pair(40.5, 2e-187, 1.6), PowerScaling(1.5)
+        assert lmgf(m, s, 100.0, 1e-187, order=2) == math.inf
+        assert math.isfinite(lmgf(m, s, 100.0, 1e-187, order=1))
+        assert math.isfinite(lmgf(m, s, 100.0, 1e-187))
 
     def test_only_the_clock_value_overflows(self):
         # A Gamma(1, 3) clock as user code whose value alone overflows above
