@@ -166,6 +166,11 @@ def _leading(model: ModelPair, regime: str, u: float) -> tuple[float, float, flo
     ``sigma_0^2 = beta''(alpha(t0)) alpha'(t0)^2 + beta'(alpha(t0)) alpha''(t0)``.
     The rate is per unit of the regime's clock (n, phi_n, n); one past the float range raises ParamError.
     """
+    return _solved(model, u, _solve_leading, regime)
+
+
+def _solve_leading(model: ModelPair, u: float, regime: str) -> tuple[float, float, float]:
+    """:func:`_leading`, solved."""
     _require_rare(model, u)
     if regime == "fast":
         twist = _solved(model, u, _solve_theta_star)

@@ -201,6 +201,8 @@ def diagnostic(
     if WorkedModel.from_pair(model) is None:
         raise ParamError("the Edgeworth diagnostic needs a built-in model pair")
     mean, scale = standardization(model, scaling, n, u)
+    if not scale > 0:
+        raise ParamError(f"the standardization scale {scale} at u = {u} is not positive")
     law = _tilted_law(model, scaling, n, u)
     if isinstance(law, NegBinLaw):
         top = mean + x_max * scale

@@ -18,7 +18,7 @@ As the timescales separate, ``theta_n`` admits power expansions:
 
 Coefficients up to order 2 are produced here for any model: ``v_1``/``v_2``
 by implicit differentiation of the tilting equation, ``w_2`` by Richardson
-extrapolation of the solved twist map (no general closed form exists).
+extrapolation of the solved twist map (a closed form exists; it is unused).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import NoSolutionError, NotRareError, OrderError, ParamError, require_finite
-from .levy import CharExponent, ModelPair, PowerScaling, _composed_jet, lmgf
+from .levy import CharExponent, ModelPair, PowerScaling, _composed_jet
 
 __all__ = [
     "TwistSolution",
@@ -86,19 +86,19 @@ def _solve_increasing(
     u: float,
     lo: float,
     hi: float,
-) -> tuple[float, float, int]:
+) -> tuple[float, float, int, float]:
     """Root of the increasing ``g(x) = F'(x) - u`` with g(lo) < 0 < g(hi).
 
-    ``jet(x)`` returns ``(F(x), F'(x), F''(x))``; ``F(x)`` is not read.
-    Newton steps are clamped to the live bracket; any step that leaves it is
-    replaced by bisection.  Iterates to (near) machine precision; returns
-    (root, |g(root)|, iterations), where a stop on bracket collapse reports
-    the iterations actually made and the best iterate seen.
+    ``jet(x)`` returns ``(F(x), F'(x), F''(x))``.  Newton steps are clamped
+    to the live bracket; any step that leaves it is replaced by bisection.
+    Iterates to (near) machine precision; returns (root, |g(root)|,
+    iterations, F(root)), where a stop on bracket collapse reports the
+    iterations actually made and the best iterate seen.
     """
     x = 0.5 * (lo + hi)
-    _, gx, dg = jet(x)
+    fx, gx, dg = jet(x)
     gx -= u
-    best_x, best_g = x, abs(gx)
+    best_x, best_g, best_f = x, abs(gx), fx
     for it in range(1, _MAX_NEWTON + 1):
         if gx > 0:
             hi = x
@@ -110,33 +110,34 @@ def _solve_increasing(
             cand = 0.5 * (lo + hi)
         step = abs(cand - x)
         x = cand
-        _, gx, dg = jet(x)
+        fx, gx, dg = jet(x)
         gx -= u
         if abs(gx) < best_g:
-            best_x, best_g = x, abs(gx)
+            best_x, best_g, best_f = x, abs(gx), fx
         if abs(gx) <= 1e-14 * u and step <= 1e-15 * max(abs(x), 1.0):
-            return x, abs(gx), it
+            return x, abs(gx), it, fx
         if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
             break
-    return best_x, best_g, it
+    return best_x, best_g, it, best_f
 
 
-def _solved(model: ModelPair, u: float, solve: Callable[[ModelPair, float], object]):
-    """``solve(model, u)``, solved once per ``(model, u)``.
+def _solved(model: ModelPair, u: float, solve: Callable[..., object], *args):
+    """``solve(model, u, *args)``, solved once per ``(model, u, args)``.
 
-    theta*, tau* and the f = 1 twist depend on the pair and ``u`` only, while
-    an n ladder at fixed ``u`` asks for them at every n.  ``model._memo`` keeps
-    them for the last ``u`` asked of the pair: a new ``u`` replaces the slot,
-    so every value in a slot was solved for that slot's ``u``.  A solve that
-    raises is not remembered.
+    theta*, tau*, the f = 1 twist and each regime's leading constants depend
+    on the pair and ``u`` only, while an n ladder at fixed ``u`` asks for them
+    at every n.  ``model._memo`` keeps them for the last ``u`` asked of the
+    pair: a new ``u`` replaces the slot, so every value in a slot was solved
+    for that slot's ``u``.  A solve that raises is not remembered.
     """
     slot = model._memo.get(u)
     if slot is None:
         model._memo.clear()
         slot = model._memo[u] = {}
-    value = slot.get(solve)
+    key = (solve, *args)
+    value = slot.get(key)
     if value is None:
-        value = slot[solve] = solve(model, u)
+        value = slot[key] = solve(model, u, *args)
     return value
 
 
@@ -145,11 +146,13 @@ def _theta_max(model: ModelPair, psi: float, start: float | None = None) -> floa
 
     Or None when two probes prove that clamping the twist's bracket
     ``start`` into ``[1e-12, 0.99] * theta_max`` leaves it alone, that is
-    theta_max lies in ``[start / 0.99, 1e12 * start]``, sparing the ~50-step
-    bisection.  alpha increases on [0, inf), so ``alpha(low) < sup_b / psi``
+    theta_max lies in ``[start / 0.99, 1e12 * start]``, sparing the search
+    for the edge.  alpha increases on [0, inf), so ``alpha(low) < sup_b / psi``
     puts theta_max at or above ``low`` (less the bisection's 1e-15
     tolerance), and ``alpha(high) >= sup_b / psi`` below ``high``; the
-    margins in ``low`` and ``high`` cover the tolerance.
+    margins in ``low`` and ``high`` cover the tolerance.  The edge is the
+    bisection's; :func:`_grid_edge` reads it off the grid where A's domain
+    is unbounded, still 0.0 for an edge below ``2**-50``.
     """
     jA = model.A.jet
     sup_a = model.A.domain_sup
@@ -176,6 +179,9 @@ def _theta_max(model: ModelPair, psi: float, start: float | None = None) -> floa
             hi *= 2.0
         else:
             return math.inf
+        edge = _grid_edge(jA, model.a, target, hi)
+        if edge is not None:
+            return edge
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -188,11 +194,46 @@ def _theta_max(model: ModelPair, psi: float, start: float | None = None) -> floa
     return lo
 
 
+def _grid_edge(jA: Callable, a: float, target: float, top: float) -> float | None:
+    """:func:`_theta_max`'s bisection of ``[0, top]``, read off its grid; None where that fails.
+
+    ``top`` is a power of two >= 1 with ``alpha(top) >= target``, and ``alpha(top / 2) <
+    target`` when ``top >= 2``.  So after k steps the bisection's ends are exact multiples
+    of ``g = top 2**-k``; it stops at k = 50, or at 51 where its test fails at 50, and
+    returns the largest ``j g`` with alpha below ``target`` (``j = 0`` unevaluated).
+    Newton from ``min(top, target / a)``, right of the root as alpha is convex with
+    ``alpha(x) >= a x``, finds ``j``; probes at ``j g`` and ``(j + 1) g`` confirm it.
+    """
+    x = min(top, target / a)
+    for _ in range(_MAX_NEWTON):
+        a0, a1 = jA(x, 1)
+        step = (a0 - target) / a1 if a1 > 0 else math.nan
+        x -= step
+        if not (0.0 <= x <= top and abs(step) > top * 2.0 ** -52):
+            break
+    if not (0.0 <= x <= top and abs(step) <= top * 2.0 ** -52):
+        return None
+    g = top * 2.0 ** -50
+    j = int(x / g)
+    for _ in range(4):
+        if j > 0 and not jA(j * g, 0)[0] < target:
+            j -= 1
+        elif jA((j + 1) * g, 0)[0] < target:
+            j += 1
+        else:
+            break
+    else:
+        return None
+    lo, hi = j * g, (j + 1) * g
+    mid = 0.5 * (lo + hi)  # the 51st step
+    return mid if hi - lo > 1e-15 * max(hi, 1.0) and jA(mid, 0)[0] < target else lo
+
+
 def _twist_at_psi(model: ModelPair, u: float, psi: float = 1.0) -> tuple:
     """Core solve of ``beta'(alpha(theta) psi) alpha'(theta) = u`` on (0, theta_max).
 
-    Returns ``(root, residual, iterations, bracket)``, none of which depends
-    on n.  At the default psi = 1 it is the f = 1 (single-timescale) twist.
+    Returns ``(root, residual, iterations, bracket, gamma_n(root) / phi_n)``,
+    none of which depends on n.  At psi = 1 it is the f = 1 (single-timescale) twist.
     """
     jet = _composed_jet(model, psi)  # [1] = gamma_n'/n, [2] its slope; +inf brackets the root
     # Start at theta_star + 1 when it exists, kept inside the domain edge
@@ -236,27 +277,27 @@ def _twist_at_psi(model: ModelPair, u: float, psi: float = 1.0) -> tuple:
 
     # g(0+) = a*b - u < 0, so the lower bracket exists for admissible u.
     lo, hi = _bracket_below(jet, u, hi, "the twist")
-    root, gabs, iters = _solve_increasing(jet, u, lo, hi)
+    root, gabs, iters, value = _solve_increasing(jet, u, lo, hi)
     residual = gabs / u
     if residual > RESIDUAL_TOL:
         raise NoSolutionError(
             f"twist solver stalled at relative residual {residual:.3e} (> {RESIDUAL_TOL})"
         )
-    return root, residual, iters, (lo, hi)
+    return root, residual, iters, (lo, hi), value
 
 
 def solve_twist(model: ModelPair, scaling: PowerScaling, n: float, u: float) -> TwistSolution:
     """Solve ``gamma_n'(theta) = u*n`` for the twisting factor ``theta_n``.
 
     Requires the rare direction ``u > a*b`` and ``n >= 1``.  The reported
-    residual is ``|gamma_n'(theta_n) - u n| / (u n)``; ``log_mgf`` reads +inf
-    where only B's value overflows, which the root itself never needs.
+    residual is ``|gamma_n'(theta_n) - u n| / (u n)``; ``log_mgf``, from the solver's
+    last jet, reads +inf where only B's value overflows, which the root never needs.
     """
     _require_query(n, u)
     _require_rare(model, u)
     psi = scaling.psi(n)
-    root = _solved(model, u, _twist_at_psi) if psi == 1.0 else _twist_at_psi(model, u, psi)
-    return TwistSolution(*root, lmgf(model, scaling, n, root[0]))
+    *root, value = _solved(model, u, _twist_at_psi) if psi == 1.0 else _twist_at_psi(model, u, psi)
+    return TwistSolution(*root, value * scaling.phi(n))
 
 
 def _require_query(n: float, u: float) -> None:
@@ -312,7 +353,7 @@ def _solve_star(E: CharExponent, c: float, k: float, u: float, what: str) -> flo
             if hi > 1e100:
                 raise NoSolutionError(f"no {what}: its equation appears bounded below u = {u}")
     lo, hi = _bracket_below(jet, u, hi, what)
-    root, gabs, _ = _solve_increasing(jet, u, lo, hi)
+    root, gabs, _, _ = _solve_increasing(jet, u, lo, hi)
     if gabs / u > 1e-12:
         raise NoSolutionError(f"{what} solve stalled at residual {gabs / u:.3e}")
     return root
@@ -352,6 +393,8 @@ def fast_expansion(model: ModelPair, u: float, order: int = 2) -> FastExpansion:
     if order >= 1:
         ja, jb = model.A.jet(theta_star, order + 1), model.B.jet(0.0, order + 1)
         a0, a1, a2 = ja[:3]
+        if a2 == 0.0:
+            raise ParamError(f"alpha''(theta*) underflows to 0 at u = {u}; v_1 is not finite")
         b1, b2 = model.b, jb[2]
         v1 = -(a0 * a1 / a2) * (b2 / b1)
         coeffs.append(v1)

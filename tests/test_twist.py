@@ -1,6 +1,7 @@
 """Tilting-equation solver and the twisting-factor expansions."""
 
 import math
+import random
 from dataclasses import replace
 
 import mpmath
@@ -84,24 +85,35 @@ class TestSolveTwist:
     def test_reference_query_derivative_budget(self, monkeypatch):
         # Poisson(1) on Gamma(1, 3), f = 1.5, n = 400, u = 1 on a fresh pair:
         # one theta* solve, no domain-edge bisection, alpha, alpha' and
-        # beta'(alpha psi) evaluated once per Newton step, then alpha and
-        # beta once at the root for gamma_n(theta_n).
+        # beta'(alpha psi) evaluated once per Newton step; gamma_n(theta_n)
+        # is read from the solver's last jet.
         m = pg_pair(1.0, 1.0, 3.0)
         calls = count_derivs(monkeypatch, m)
         sol = solve_twist(m, PowerScaling(1.5), 400.0, 1.0)
         assert sol.iterations == 6
         # One jet of each exponent per Newton step: 41 evaluations, where
-        # one deriv call per order took 85; and 2 for gamma_n(theta_n).
-        assert calls[0] == 41 + 2
+        # one deriv call per order took 85 (and 43 with a second jet at the
+        # root for gamma_n(theta_n)).
+        assert calls[0] == 41
 
     def test_direct_mode_derivative_budget(self, monkeypatch):
         # Direct mode reads gamma_n(theta_n) from the solve's record: the
-        # solve's 43 evaluations and one jet of alpha at theta* for the rate
+        # solve's 41 evaluations and one jet of alpha at theta* for the rate
         # and the prefactor.
         m = pg_pair(1.0, 1.0, 3.0)
         calls = count_derivs(monkeypatch, m)
         approx_fast(m, PowerScaling(1.5), 400.0, 1.0)
-        assert calls[0] == 44
+        assert calls[0] == 42
+
+    def test_slow_regime_derivative_budget(self, monkeypatch):
+        # Poisson(1) on Gamma(1, 3), f = 0.5, n = 400, u = 1 on a fresh pair:
+        # theta* + 1 lies past the domain edge, so theta_max is needed; it is
+        # read off its bisection grid (Newton and two or three probes) where
+        # the ~50-step bisection made 101 evaluations in all.
+        m = pg_pair(1.0, 1.0, 3.0)
+        calls = count_derivs(monkeypatch, m)
+        solve_twist(m, PowerScaling(0.5), 400.0, 1.0)
+        assert calls[0] == 55
 
     # A Poisson(1) outer process on a Gamma(1, 3) clock, written as user
     # code that overflows in one order only: the solve keeps the path, bit
@@ -259,6 +271,100 @@ class TestDomainEdge:
         assert sol.bracket[1] > 0.99 * theta_max_calls[0]
 
 
+def _bisected_edge(jA, sup_a, sup_b, psi):
+    """The unbounded-domain bisection for theta_max that ``_grid_edge`` reads
+    off its grid, kept verbatim as the witness of that shortcut."""
+    target = sup_b / psi
+    hi = 1.0
+    for _ in range(twist._MAX_EXPAND):
+        if jA(hi, 0)[0] >= target:
+            break
+        hi *= 2.0
+    else:
+        return math.inf
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if jA(mid if mid < sup_a else sup_a * (1 - 1e-15), 0)[0] < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * max(hi, 1.0):
+            break
+    return lo
+
+
+def _top(model, target):
+    """Where the bisection's doubling loop ends: the first power of two >= 1
+    whose alpha reaches ``target``."""
+    top = 1.0
+    while model.A.jet(top, 0)[0] < target:
+        top *= 2.0
+    return top
+
+
+def _drift_diffusion(t, order):
+    """Brownian motion with drift 1 and variance 1, as user code."""
+    return (t + 0.5 * t * t, 1.0 + t, 1.0, 0.0)[order]
+
+
+class TestGridEdge:
+    """``_theta_max`` on an unbounded outer domain equals its bisection bit
+    for bit; over psi 1e-8..1e30 ``_grid_edge`` finds it without falling back."""
+
+    PSIS = [10.0 ** (k / 40.0) for k in range(-320, 1201)]
+
+    @pytest.mark.parametrize("model", [
+        pg_pair(1.0, 1.0, 3.0),
+        pg_pair(0.7, 1.3, 1.9),
+        ModelPair(CharExponent.custom(_drift_diffusion), CharExponent.gamma(1.0, 2.0)),
+    ], ids=["pg113", "pg", "drift-diffusion-gamma"])
+    def test_equals_the_bisection(self, model):
+        cases = set()  # (top >= 2, K), or "zero" for the 0.0 edge
+        for psi in self.PSIS:
+            calls = [0]
+
+            def counted(t, k):
+                calls[0] += 1
+                return model.A.jet(t, k)
+
+            target = model.B.domain_sup / psi
+            want = _bisected_edge(counted, model.A.domain_sup, model.B.domain_sup, psi)
+            assert twist._theta_max(model, psi) == want, psi
+            top = _top(model, target)
+            assert twist._grid_edge(model.A.jet, model.a, target, top) == want, psi
+            # The doubling loop makes log2(top) + 1 evaluations, the bisection K.
+            cases.add("zero" if want == 0.0 else (top >= 2.0, calls[0] - math.log2(top) - 1))
+        assert cases == {"zero", (False, 50), (True, 50), (True, 51)}
+
+    def test_random_pairs(self):
+        rng = random.Random(1)
+        for _ in range(300):
+            lam, r, mu = (math.exp(rng.uniform(-3.0, 3.0)) for _ in range(3))
+            model = pg_pair(lam, r, mu)
+            psi = 10.0 ** rng.uniform(-8.0, 30.0)
+            want = _bisected_edge(model.A.jet, math.inf, mu, psi)
+            assert twist._theta_max(model, psi) == want, (lam, r, mu, psi)
+            assert twist._grid_edge(model.A.jet, model.a, mu / psi, _top(model, mu / psi)) == want
+
+    def test_alpha_past_the_float_range_falls_back_to_the_bisection(self):
+        # psi = 1e-300: alpha(1024) = e^1024 - 1 reads +inf, so Newton from
+        # top = 1024 has no step.
+        model = pg_pair(1.0, 1.0, 3.0)
+        assert twist._grid_edge(model.A.jet, model.a, 3e300, _top(model, 3e300)) is None
+        want = _bisected_edge(model.A.jet, math.inf, 3.0, 1e-300)
+        assert twist._theta_max(model, 1e-300) == want == pytest.approx(math.log(3e300))
+
+    def test_an_edge_below_the_grid_still_reads_zero(self, capsys):
+        # theta_max ~ 3 / psi = 3e-16 at n = 1e32 lies below 2**-50.
+        from twoscale.cli import main
+
+        assert twist._theta_max(pg_pair(1.0, 1.0, 3.0), 1e16) == 0.0
+        argv = ["approx", "--poisson-gamma", "1", "1", "3", "--f", "0.5", "--n", "1e32", "--u", "1"]
+        assert main(argv) == 2
+        assert "domain edge 0.0" in capsys.readouterr().err
+
+
 class TestFastExpansion:
     @pytest.mark.parametrize("lam,r,mu,u", RARE_GRID)
     def test_poisson_gamma_closed_forms(self, lam, r, mu, u):
@@ -311,6 +417,14 @@ class TestFastExpansion:
             assert fast_expansion(model, u, order=0).theta_star == pytest.approx(math.log(2.0))
             with pytest.raises(ParamError, match=r"v\[1\] must be finite"):
                 fast_expansion(model, u, order=1)
+
+    def test_underflowed_curvature_raises_param_error(self):
+        # Gamma(1, 1e200) on Poisson(1) at u = 2e-200: theta* = 5e199 and
+        # alpha''(theta*) = 1 / (5e199)^2 underflows to 0.
+        model = gp_pair(1.0, 1e200, 1.0)
+        assert fast_expansion(model, 2e-200, order=0).theta_star == pytest.approx(5e199)
+        with pytest.raises(ParamError, match="underflows"):
+            fast_expansion(model, 2e-200, order=1)
 
 
 class TestSlowExpansion:
