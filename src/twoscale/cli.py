@@ -126,10 +126,7 @@ def _cmd_oracle(args) -> int:
     from .oracle import StatisticalBound, is_tail, plain_mc_tail
 
     if args.method == "exact":
-        wm = WorkedModel.from_pair(model)
-        if wm is None:
-            raise ParamError("exact oracles exist for the built-in model pairs only")
-        res = exact_law(wm, scaling, args.n).tail(args.u * args.n)
+        res = exact_law(WorkedModel.from_pair(model), scaling, args.n).tail(args.u * args.n)
     else:
         if args.seed is None:
             raise ParamError(f"--seed is required for method {args.method!r}")

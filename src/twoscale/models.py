@@ -176,10 +176,10 @@ class NegBinLaw:
         return float(out) if np.ndim(x) == 0 else out
 
     def tail(self, threshold: float):
-        """P(X >= threshold) from :func:`oracle.negbin_tail`, threshold rounded up to a count."""
+        """P(X >= threshold) from :func:`oracle.negbin_tail`, which rounds the threshold to a count."""
         from .oracle import negbin_tail
 
-        return negbin_tail(self.successes, self.p, math.ceil(threshold - 1e-9))
+        return negbin_tail(self.successes, self.p, threshold)
 
 
 @dataclass(frozen=True)
@@ -236,8 +236,10 @@ class CompoundPoissonGammaLaw:
         return compound_poisson_gamma_tail(self.rate, self.jump_shape, self.jump_rate, threshold)
 
 
-def exact_law(model: WorkedModel, scaling: PowerScaling, n: float):
-    """The exact marginal law of C_n for a worked model."""
+def exact_law(model: WorkedModel | None, scaling: PowerScaling, n: float):
+    """The exact marginal law of C_n for a worked model; None (a custom pair) raises ParamError."""
+    if model is None:
+        raise ParamError("exact oracles exist for the built-in model pairs only")
     require_finite(n=n)
     phi, psi = scaling.phi(n), scaling.psi(n)
     lam, r, mu = model.lam, model.r, model.mu

@@ -131,8 +131,16 @@ class OracleResult:
 
 
 def _ceil_threshold(threshold: float) -> int:
-    """Smallest integer m with m >= threshold; ties included, float noise absorbed."""
-    return int(math.ceil(threshold - 1e-9 * max(1.0, abs(threshold))))
+    """Turn a threshold into a count: the one rule for every oracle and sampler.
+
+    An integral threshold is its own count (ties included); any other is rounded
+    up once float noise of at most ``min(1e-9 * max(1, |threshold|), 1/2)`` above
+    an integer is absorbed.
+    """
+    t = float(threshold)
+    if t.is_integer():
+        return int(t)
+    return int(math.ceil(t - min(1e-9 * max(1.0, abs(t)), 0.5)))
 
 
 def _negbin_logpmf(x: np.ndarray, k: float, p: float) -> np.ndarray:
@@ -206,9 +214,10 @@ def negbin_tail(successes: float, p: float, threshold: float) -> OracleResult:
     """P(X >= threshold) for X negative binomial (real ``successes`` allowed).
 
     Convention: pmf(x) = C(x + k - 1, x) p^k (1-p)^x, x = 0, 1, ... counts the
-    arrivals; ties at an integral threshold are included.  Below the mean the
-    complementary sum is used; either way the truncation bound is rigorous and
-    the log probability stays accurate deep under the float range.
+    arrivals; :func:`_ceil_threshold` makes the threshold a count (ties included).
+    Below the mean the complementary sum is used; either way the truncation
+    bound is rigorous and the log probability stays accurate deep under the
+    float range.
     """
     require_finite(successes=successes, p=p, threshold=threshold)
     if not 0.0 < p < 1.0:

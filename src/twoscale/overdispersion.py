@@ -30,16 +30,14 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 from scipy import special
 
 from .errors import NotRareError, ParamError, require_finite
 from .formatting import format_sig
-from .oracle import OracleResult, negbin_tail
+from .oracle import OracleResult, _ceil_threshold, negbin_tail
 
 __all__ = [
     "ArrivalQuery",
@@ -108,13 +106,13 @@ class ArrivalQuery:
 
 
 def pi_exact(q: ArrivalQuery) -> OracleResult:
-    """Exact tail: the count is NegBin(K, mu_bar/(1+mu_bar))."""
-    return negbin_tail(q.K, q.mu_bar / (1.0 + q.mu_bar), math.ceil(q.u_bar))
+    """Exact tail: the count is NegBin(K, mu_bar/(1+mu_bar)); ``negbin_tail`` rounds u_bar."""
+    return negbin_tail(q.K, q.mu_bar / (1.0 + q.mu_bar), q.u_bar)
 
 
 def pi_pois(q: ArrivalQuery) -> float:
-    """Poisson(K E Lambda) tail at the (integer) threshold, ties included."""
-    return float(special.gammainc(math.ceil(q.u_bar), q.K / q.mu_bar))
+    """Poisson(K E Lambda) tail from u_bar rounded as :func:`pi_exact` rounds it, ties included."""
+    return float(special.gammainc(_ceil_threshold(q.u_bar), q.K / q.mu_bar))
 
 
 def pi_gamma(q: ArrivalQuery) -> float:
@@ -238,28 +236,20 @@ def _row(params: tuple[int, float, float], crude, hat, refined, M: int) -> tuple
 def reproduce_tables(workers: int = 1) -> tuple[ApproxTable, ApproxTable]:
     """Build the two reference comparison tables (fast and slow scenarios).
 
-    Rows may be fanned out over a thread pool; ordering is deterministic.
+    The rows are computed one after another; ``workers`` must be >= 1 and
+    changes nothing.
     """
     if workers < 1:
         raise ParamError(f"workers must be >= 1, got {workers}")
-    row1 = partial(_row, crude=pi_pois, hat=pi_hat_fast, refined=pi_fast, M=1)
-    row2 = partial(_row, crude=pi_gamma, hat=pi_hat_slow, refined=pi_slow, M=0)
-    if workers == 1:
-        rows1 = [row1(p) for p in TABLE1_PARAMS]
-        rows2 = [row2(p) for p in TABLE2_PARAMS]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows1 = list(pool.map(row1, TABLE1_PARAMS))
-            rows2 = list(pool.map(row2, TABLE2_PARAMS))
-    head = ("K", "mu_bar", "u_bar")
+    head = ("K", "mu_bar", "u_bar", "pi_exact")
     t1 = ApproxTable(
         "fast_regime",
-        head + ("pi_exact", "pi_pois", "pi_hat_fast", "pi_fast_0", "pi_fast_1"),
-        tuple(tuple(r) for r in rows1),
+        head + ("pi_pois", "pi_hat_fast", "pi_fast_0", "pi_fast_1"),
+        tuple(_row(p, pi_pois, pi_hat_fast, pi_fast, M=1) for p in TABLE1_PARAMS),
     )
     t2 = ApproxTable(
         "slow_regime",
-        head + ("pi_exact", "pi_gamma", "pi_hat_slow", "pi_slow_0", "pi_slow_1"),
-        tuple(tuple(r) for r in rows2),
+        head + ("pi_gamma", "pi_hat_slow", "pi_slow_0", "pi_slow_1"),
+        tuple(_row(p, pi_gamma, pi_hat_slow, pi_slow, M=0) for p in TABLE2_PARAMS),
     )
     return t1, t2

@@ -224,6 +224,19 @@ class TestOracle:
         assert code == 0
         assert out == self.EXACT_STDOUT[kind]
 
+    def test_exact_counts_the_sampled_event(self, capsys):
+        # u n = 500000.00001 lies within float noise of the count 500000: the
+        # exact oracle and is_tail's indicator both count from there
+        from twoscale import PowerScaling, WorkedModel, exact_law, negbin_tail
+
+        u, n = 0.50000000001, 1e6
+        code, out, _ = run(capsys, ["oracle", "--poisson-gamma", "1", "1", "3", "--f", "1.5",
+                                    "--n", "1e6", "--u", "0.50000000001"])
+        law = exact_law(WorkedModel.poisson_gamma(1.0, 1.0, 3.0), PowerScaling(1.5), n)
+        want = negbin_tail(law.successes, law.p, u * n).log_probability
+        assert code == 0 and json.loads(out)["log_probability"] == want
+        assert want == negbin_tail(law.successes, law.p, 500000).log_probability
+
     def test_threads_env_is_not_read(self, capsys, pg_json, monkeypatch):
         argv = ["oracle", "--model", pg_json, "--n", "400", "--u", "0.7",
                 "--method", "is", "--samples", "2001", "--seed", "9"]
@@ -366,6 +379,15 @@ class TestErrorSurface:
         bad.write_text('{"A": {"kind": "weird"}, "B": {"kind": "gamma", "r": 1, "mu": 2}, "f": 1.5}')
         code, _, err = run(capsys, ["approx", "--model", str(bad), "--n", "10", "--u", "1"])
         assert code == 2 and "ParamError" in err
+
+    @pytest.mark.parametrize("command", [["oracle", "--method", "exact"], ["edgeworth"]])
+    def test_pair_that_is_not_built_in(self, capsys, tmp_path, command):
+        # Poisson on Poisson has no exact law: exit 2 with a ParamError
+        path = tmp_path / "pp.json"
+        path.write_text('{"A": {"kind": "poisson", "lambda": 1.0},'
+                        ' "B": {"kind": "poisson", "lambda": 2.0}, "f": 1.5}')
+        code, out, err = run(capsys, [*command, "--model", str(path), "--n", "100", "--u", "3"])
+        assert code == 2 and out == "" and "ParamError" in err
 
     def test_missing_model_file(self, capsys):
         code, _, err = run(capsys, ["approx", "--model", "/nonexistent.json", "--n", "10", "--u", "1"])

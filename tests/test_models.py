@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from twoscale import (
+    CharExponent,
     CompoundPoissonGammaLaw,
+    ModelPair,
     NegBinLaw,
     NotRareError,
     ParamError,
@@ -192,6 +194,21 @@ class TestExactLaw:
             with pytest.raises(ParamError):
                 exact_law(wm, PowerScaling(1.5), n)
 
+    def test_custom_pair_has_no_exact_law(self):
+        # from_pair reads None for a pair that is not built in
+        poisson = CharExponent.custom(lambda t, k: math.expm1(t) if k == 0 else math.exp(t), lattice_span=1.0)
+        custom = ModelPair(poisson, CharExponent.gamma(1.0, 3.0))
+        assert WorkedModel.from_pair(custom) is None
+        with pytest.raises(ParamError, match="built-in model pairs only"):
+            exact_law(WorkedModel.from_pair(custom), PowerScaling(1.5), 100.0)
+        with pytest.raises(ParamError):
+            exact_law(None, PowerScaling(1.5), 100.0)
+
+    @pytest.mark.parametrize("m", [1e9, 4e9])
+    def test_negbin_tail_keeps_ties_above_1e9(self, m):
+        res = NegBinLaw(1.0, 0.5).tail(m)
+        assert res.log_probability == pytest.approx(m * math.log(0.5), rel=1e-12)
+
 
 LAWS = [
     NegBinLaw(successes=7.5, p=0.4),
@@ -215,7 +232,7 @@ class TestLawMethods:
 
         for x in (3.0, 17.2, 40.0):
             if isinstance(law, NegBinLaw):
-                want = negbin_tail(law.successes, law.p, math.ceil(x - 1e-9))
+                want = negbin_tail(law.successes, law.p, x)
             else:
                 want = compound_poisson_gamma_tail(law.rate, law.jump_shape, law.jump_rate, x)
             assert law.tail(x) == want

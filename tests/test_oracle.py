@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from twoscale import (
@@ -86,6 +88,54 @@ class TestNegbinTail:
             negbin_tail(-1.0, 0.5, 3)
         with pytest.raises(ParamError):
             negbin_tail(5.0, 0.5, -2)
+
+
+def _old_ceil_threshold(threshold):
+    """Verbatim copy of the rule before its half-count cap: wrong from 1e9 up."""
+    return int(math.ceil(threshold - 1e-9 * max(1.0, abs(threshold))))
+
+
+class TestCeilThreshold:
+    """``_ceil_threshold`` is the one rule that turns a threshold into a count."""
+
+    GRID = [
+        base + off
+        for base in (0.0, 1.0, 2.5, 150.0, 5e5, 1e7, 123456789.0, 4.9e8, -3.0, -2e8)
+        for off in (0.0, 1e-12, 1e-10, 1e-9, 3e-9, 1e-7, 0.1, 0.5, 0.9999999)
+    ]
+
+    def test_old_rule_below_5e8_on_a_grid(self):
+        for t in self.GRID:
+            assert abs(t) < 5e8
+            assert oracle._ceil_threshold(t) == _old_ceil_threshold(t), t
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(min_value=-4.999999999e8, max_value=4.999999999e8))
+    def test_old_rule_below_5e8(self, t):
+        assert oracle._ceil_threshold(t) == _old_ceil_threshold(t)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(min_value=-(2**53), max_value=2**53))
+    def test_integral_floats_are_their_own_count(self, m):
+        assert oracle._ceil_threshold(float(m)) == m
+
+    @pytest.mark.parametrize("m", [5e8, 1e9, 4e9, 2.0**40, 2.0**53])
+    def test_ties_kept_above_1e9(self, m):
+        assert oracle._ceil_threshold(m) == int(m)
+        # the old rule drops 1e-9 m counts, so from 1e9 up it loses the tie
+        assert (_old_ceil_threshold(m) < m) == (m >= 1e9)
+
+    def test_absorbs_at_most_half_a_count(self):
+        assert oracle._ceil_threshold(1e9 + 0.25) == 10**9
+        assert oracle._ceil_threshold(1e9 + 0.75) == 10**9 + 1
+        assert oracle._ceil_threshold(150.0 + 1e-8) == 150
+        assert oracle._ceil_threshold(150.0 + 1e-6) == 151
+
+    @pytest.mark.parametrize("m", [1e8, 1e9, 4e9])
+    def test_geometric_tail_above_1e9(self, m):
+        # successes 1: P(X >= m) = (1 - p)^m, so the log is m log(1 - p)
+        want = m * math.log(0.5)
+        assert negbin_tail(1.0, 0.5, m).log_probability == pytest.approx(want, rel=1e-12)
 
 
 class TestCompoundPoissonGammaTail:

@@ -20,6 +20,7 @@ from twoscale import (
     pi_hat_fast,
     pi_hat_slow,
     pi_pois,
+    negbin_tail,
     pi_slow,
     reproduce_tables,
 )
@@ -96,6 +97,23 @@ class TestPointValues:
 
     def test_pois_tends_to_one(self):
         assert pi_pois(ArrivalQuery(100_000, 150.0, 10.0)) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestThresholdCount:
+    """pi_exact and pi_pois turn u_bar into a count by the oracles' one rule."""
+
+    @pytest.mark.parametrize("fn", [pi_exact, pi_pois], ids=["exact", "pois"])
+    def test_noise_above_an_integer_is_absorbed(self, fn):
+        def value(u_bar):
+            out = fn(ArrivalQuery(1_000, u_bar, 10.0))
+            return getattr(out, "probability", out)
+
+        assert value(150.0 + 1e-8) == value(150.0)
+        assert value(150.0 + 1e-6) == value(151.0) < value(150.0)
+
+    def test_exact_is_negbin_tail_at_u_bar(self):
+        q = ArrivalQuery(1_000, 150.0 + 1e-8, 10.0)
+        assert pi_exact(q) == negbin_tail(1_000, 10.0 / 11.0, q.u_bar)
 
 
 class TestTruncationBehaviour:
@@ -183,6 +201,10 @@ class TestTables:
         for idx in (4, 5, 6):  # pi_pois, pi_hat_fast, pi_fast_0 depend only on rho, u_bar
             col = [row[idx] for row in t1.rows]
             assert max(col) - min(col) <= 1e-15 * max(col)
+
+    def test_workers_validated(self):
+        with pytest.raises(ParamError):
+            reproduce_tables(workers=0)
 
     def test_workers_do_not_change_rows(self):
         t1a, t2a = reproduce_tables(workers=1)
