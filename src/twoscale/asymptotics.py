@@ -231,15 +231,14 @@ def _approx(regime, model, scaling, n, u, mode, order, lattice) -> AsymptoticEst
         return _assemble(front, spread, terms, "direct", None, lattice)
     if mode != "series":
         raise OrderError(f"mode must be 'direct' or 'series', got {mode!r}")
-    wm = worked.WorkedModel.from_pair(model)
-    if wm is None:
+    if worked._builtin(model) is None:
         raise SeriesUnavailable("series mode needs a built-in model pair")
     m = default_order(info) if order is None else order
     if m < k0 - 1:
         raise OrderError(f"series order must be >= {k0 - 1}, got {m}")
     terms = [("linear", linear)]
     if m >= k0:
-        _, _, bar = getattr(worked, coeffs)(wm, u, k_max=m)
+        _, _, bar = getattr(worked, coeffs)(model, u, k_max=m)
         phi, psi = scaling.phi(n), scaling.psi(n)
         for k in range(k0, m + 1):
             terms.append((f"k={k}", bar[k - k0] * phi * psi ** (sign * k)))

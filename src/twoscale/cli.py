@@ -8,9 +8,9 @@ tables          write the two reference comparison tables (CSV + JSON sidecar)
 edgeworth       tilted-CDF approximation vs the exact tilted law on an x grid
 overdispersion  all arrival-count approximations for one (K, u_bar, mu_bar)
 
-A model comes from ``--model`` (a JSON spec) or inline: ``--poisson-gamma LAM R
-MU`` and ``--gamma-poisson R MU LAM`` build the ``WorkedModel`` pair of that
-name.  Only ``oracle`` takes ``--workers``, the Monte Carlo substream count.
+A model comes from ``--model`` (a JSON spec file) or inline, as a built-in pair:
+``--poisson-gamma LAM R MU`` or ``--gamma-poisson R MU LAM``.  Only ``oracle``
+takes ``--workers``, the Monte Carlo substream count.
 
 Every command emits machine-readable output (JSON by default); identical
 configuration and seed produce byte-identical files.  Exit codes: 0 success,
@@ -31,8 +31,8 @@ from pathlib import Path
 from . import asymptotics
 from .errors import ParamError, TwoscaleError, require_finite
 from .formatting import format_sig
-from .levy import ModelPair, PowerScaling, load_model
-from .models import WorkedModel, exact_law
+from .levy import CharExponent, ModelPair, PowerScaling, load_model
+from .models import exact_law
 
 __all__ = ["main"]
 
@@ -69,10 +69,10 @@ def _resolve_model(args) -> tuple[ModelPair, PowerScaling]:
     if args.f is None:
         raise ParamError("--f is required when the model is given inline")
     if args.poisson_gamma is not None:
-        wm = WorkedModel.poisson_gamma(*args.poisson_gamma)
-    else:
-        wm = WorkedModel.gamma_poisson(*args.gamma_poisson)
-    return wm.to_pair(), PowerScaling(args.f)
+        lam, r, mu = args.poisson_gamma
+        return ModelPair(CharExponent.poisson(lam), CharExponent.gamma(r, mu)), PowerScaling(args.f)
+    r, mu, lam = args.gamma_poisson
+    return ModelPair(CharExponent.gamma(r, mu), CharExponent.poisson(lam)), PowerScaling(args.f)
 
 
 def _emit(args, payload: dict, csv_text: str | None = None) -> None:
@@ -126,7 +126,7 @@ def _cmd_oracle(args) -> int:
     from .oracle import StatisticalBound, is_tail, plain_mc_tail
 
     if args.method == "exact":
-        res = exact_law(WorkedModel.from_pair(model), scaling, args.n).tail(args.u * args.n)
+        res = exact_law(model, scaling, args.n).tail(args.u * args.n)
     else:
         if args.seed is None:
             raise ParamError(f"--seed is required for method {args.method!r}")

@@ -28,7 +28,7 @@ from scipy import special
 from .asymptotics import _leading, classify
 from .errors import ParamError, RegimeError, _in_float_range, require_finite
 from .levy import ModelPair, PowerScaling
-from .models import NegBinLaw, WorkedModel, exact_law
+from .models import NegBinLaw, _builtin, exact_law
 from .twist import fast_expansion, slow_expansion, solve_twist
 
 __all__ = [
@@ -137,21 +137,16 @@ def tilted_cdf_approx(model: ModelPair, scaling: PowerScaling, n: float, u: floa
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _tilted_law(model: ModelPair, scaling: PowerScaling, n: float, u: float):
-    """The exact law of C_n under the theta_n tilt, for a built-in pair."""
-    law = exact_law(WorkedModel.from_pair(model), scaling, n)
-    return law.tilt(solve_twist(model, scaling, n, u).theta_n)
-
-
 def tilted_negbin_cdf(model: ModelPair, scaling: PowerScaling, n: float, u: float, counts):
     """Exact CDF of the theta_n-tilted count at integer values (poisson_gamma only).
 
     Tilting a negative binomial by theta shifts its success probability to
     ``1 - (1 - p) exp(theta)``; the twist domain guarantees this stays in (0, 1).
     """
-    if (model.A.kind, model.B.kind) != ("poisson", "gamma"):
+    law = exact_law(model, scaling, n)
+    if not isinstance(law, NegBinLaw):
         raise ParamError("the exact tilted CDF oracle needs the poisson_gamma model")
-    return _tilted_law(model, scaling, n, u).cdf(counts)
+    return law.tilt(solve_twist(model, scaling, n, u).theta_n).cdf(counts)
 
 
 def standardization(model: ModelPair, scaling: PowerScaling, n: float, u: float) -> tuple[float, float]:
@@ -198,12 +193,12 @@ def diagnostic(
     require_finite(x_min=x_min, x_max=x_max)
     if points is not None and points < 1:
         raise ParamError(f"points must be >= 1, got {points}")
-    if WorkedModel.from_pair(model) is None:
+    if _builtin(model) is None:
         raise ParamError("the Edgeworth diagnostic needs a built-in model pair")
     mean, scale = standardization(model, scaling, n, u)
     if not scale > 0:
         raise ParamError(f"the standardization scale {scale} at u = {u} is not positive")
-    law = _tilted_law(model, scaling, n, u)
+    law = exact_law(model, scaling, n).tilt(solve_twist(model, scaling, n, u).theta_n)
     if isinstance(law, NegBinLaw):
         top = mean + x_max * scale
         if not math.isfinite(top):

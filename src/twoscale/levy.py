@@ -359,43 +359,51 @@ def mean_variance(model: ModelPair, scaling: PowerScaling, n: float) -> tuple[fl
     return n * a * b, n * scaling.psi(n) * sigma_minus_sq + n * sigma_plus_sq
 
 
+def _number(spec: Mapping, key: str, where: str) -> float:
+    """``spec[key]`` as a float; ParamError when it is missing or not a number."""
+    if key not in spec:
+        raise ParamError(f"missing field {key!r} in {where}")
+    try:
+        return float(spec[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ParamError(f"field {key!r} in {where} must be a number, got {spec[key]!r}") from None
+
+
 def _exponent_from_spec(spec: Mapping, which: str) -> CharExponent:
     if not isinstance(spec, Mapping) or "kind" not in spec:
         raise ParamError(f"model entry {which!r} must be an object with a 'kind' field")
-    kind = spec["kind"]
-    try:
-        if kind == "poisson":
-            extra = set(spec) - {"kind", "lambda", "d"}
-            if extra:
-                raise ParamError(f"unknown fields {sorted(extra)} for poisson entry {which!r}")
-            return CharExponent.poisson(float(spec["lambda"]), float(spec.get("d", 1.0)))
-        if kind == "gamma":
-            extra = set(spec) - {"kind", "r", "mu"}
-            if extra:
-                raise ParamError(f"unknown fields {sorted(extra)} for gamma entry {which!r}")
-            return CharExponent.gamma(float(spec["r"]), float(spec["mu"]))
-    except KeyError as exc:
-        raise ParamError(f"missing field {exc} in model entry {which!r}") from exc
+    kind, where = spec["kind"], f"model entry {which!r}"
+    if kind == "poisson":
+        extra = set(spec) - {"kind", "lambda", "d"}
+        if extra:
+            raise ParamError(f"unknown fields {sorted(extra)} for poisson entry {which!r}")
+        lam = _number(spec, "lambda", where)
+        return CharExponent.poisson(lam, _number(spec, "d", where) if "d" in spec else 1.0)
+    if kind == "gamma":
+        extra = set(spec) - {"kind", "r", "mu"}
+        if extra:
+            raise ParamError(f"unknown fields {sorted(extra)} for gamma entry {which!r}")
+        return CharExponent.gamma(_number(spec, "r", where), _number(spec, "mu", where))
     raise ParamError(f"unknown exponent kind {kind!r} in model entry {which!r}")
 
 
 def load_model(source) -> tuple[ModelPair, PowerScaling]:
-    """Load a model specification from a JSON file path, JSON text, or dict.
+    """Load a model specification from a JSON file (a path) or a mapping.
 
     Schema (field names fixed)::
 
         {"A": {"kind": "poisson", "lambda": 1.0, "d": 1.0},
          "B": {"kind": "gamma", "r": 1.0, "mu": 2.0},
          "f": 1.5}
+
+    A file that is not UTF-8 JSON, a spec that is not an object and a field
+    that is not a number raise :class:`ParamError`, as every bad spec does.
     """
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        if path.exists():
-            text = path.read_text()
-        elif isinstance(source, str) and source.lstrip().startswith("{"):
-            text = source
-        else:
-            raise ParamError(f"model file not found: {source}")
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except (OSError, ValueError) as exc:  # missing, a directory, a name too long, not UTF-8
+            raise ParamError(f"cannot read the model file {source}: {exc}") from None
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -404,9 +412,11 @@ def load_model(source) -> tuple[ModelPair, PowerScaling]:
         data = source
     else:
         raise ParamError(f"unsupported model source type {type(source).__name__}")
+    if not isinstance(data, Mapping):
+        raise ParamError(f"model spec must be a JSON object, got {type(data).__name__}")
 
     for key in ("A", "B", "f"):
         if key not in data:
             raise ParamError(f"model spec is missing required field {key!r}")
     model = ModelPair(_exponent_from_spec(data["A"], "A"), _exponent_from_spec(data["B"], "B"))
-    return model, PowerScaling(float(data["f"]))
+    return model, PowerScaling(_number(data, "f", "the model spec"))

@@ -1,7 +1,8 @@
 """Closed forms for the two built-in model pairs.
 
-Both worked models admit explicit twisting factors, expansion coefficients
-to every order, and an exact marginal law:
+A ``ModelPair`` of two built-in exponents, recognised by their kinds, admits
+explicit twisting factors, expansion coefficients to every order, and an
+exact marginal law; this module has none of them for any other pair:
 
 * ``poisson_gamma``  -- A Poisson(lam), B Gamma(r, mu).  C_n is negative
   binomial with successes r*phi_n and success probability mu/(mu + lam psi_n).
@@ -22,8 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotRareError, ParamError, _in_float_range, require_finite
-from .levy import CharExponent, ModelPair, PowerScaling
+from .errors import NotRareError, ParamError, SeriesUnavailable, _in_float_range, require_finite
+from .levy import ModelPair, PowerScaling
 
 __all__ = [
     "WorkedModel",
@@ -39,45 +40,39 @@ __all__ = [
 K_MAX_DEFAULT = 50
 
 
-@dataclass(frozen=True)
+def _builtin(model: ModelPair) -> tuple[str, float, float, float] | None:
+    """``(variant, lam, r, mu)`` of a built-in pair; None for anything custom."""
+    A, B = model.A, model.B
+    kinds = (A.kind, B.kind)
+    if kinds == ("poisson", "gamma"):
+        return "poisson_gamma", A.params["lam"], B.params["r"], B.params["mu"]
+    if kinds == ("gamma", "poisson"):
+        return "gamma_poisson", B.params["lam"], A.params["r"], A.params["mu"]
+    return None
+
+
 class WorkedModel:
-    variant: str  # "poisson_gamma" | "gamma_poisson"
-    lam: float
-    r: float
-    mu: float
+    """Kept for its one caller, ``perfbench/workloads.py:353``, until the benchmark is re-recorded."""
 
-    @classmethod
-    def poisson_gamma(cls, lam: float, r: float, mu: float) -> "WorkedModel":
-        return cls("poisson_gamma", lam, r, mu)
+    @staticmethod
+    def from_pair(model: ModelPair) -> ModelPair | None:
+        """``model`` itself for a built-in pair; None for anything custom."""
+        return model if _builtin(model) is not None else None
 
-    @classmethod
-    def gamma_poisson(cls, r: float, mu: float, lam: float) -> "WorkedModel":
-        return cls("gamma_poisson", lam, r, mu)
 
-    @classmethod
-    def from_pair(cls, model: ModelPair) -> "WorkedModel | None":
-        """Recognise a built-in pair; None for anything custom."""
-        ka, kb = model.A.kind, model.B.kind
-        if ka == "poisson" and kb == "gamma":
-            return cls("poisson_gamma", model.A.params["lam"], model.B.params["r"], model.B.params["mu"])
-        if ka == "gamma" and kb == "poisson":
-            return cls("gamma_poisson", model.B.params["lam"], model.A.params["r"], model.A.params["mu"])
-        return None
-
-    def to_pair(self) -> ModelPair:
-        if self.variant == "poisson_gamma":
-            return ModelPair(CharExponent.poisson(self.lam), CharExponent.gamma(self.r, self.mu))
-        return ModelPair(CharExponent.gamma(self.r, self.mu), CharExponent.poisson(self.lam))
-
-    def rho(self, u: float) -> float:
-        return self.lam * self.r / (self.mu * u)
-
-    def _require_rare(self, u: float) -> float:
-        require_finite(u=u)
-        rho = self.rho(u)
-        if not rho < 1:
-            raise NotRareError(f"rho = lam*r/(mu*u) = {rho} must be < 1")
-        return rho
+def _ladder(model: ModelPair, u: float, k_max: int) -> tuple[str, float, float, float, float]:
+    """``(variant, lam, r, mu, rho)`` of a built-in pair at a rare ``u``, for a ladder of ``k_max`` terms."""
+    numbers = _builtin(model)
+    if numbers is None:
+        raise SeriesUnavailable("closed-form coefficient ladders exist for the built-in model pairs only")
+    if k_max < 1:
+        raise ParamError(f"k_max must be >= 1, got {k_max}")
+    require_finite(u=u)
+    variant, lam, r, mu = numbers
+    rho = lam * r / (mu * u)
+    if not rho < 1:
+        raise NotRareError(f"rho = lam*r/(mu*u) = {rho} must be < 1")
+    return variant, lam, r, mu, rho
 
 
 def _series_exp(t: list[float], k_max: int) -> list[float]:
@@ -92,17 +87,14 @@ def _series_exp(t: list[float], k_max: int) -> list[float]:
 
 
 @_in_float_range
-def fast_series_coeffs(model: WorkedModel, u: float, k_max: int = K_MAX_DEFAULT):
+def fast_series_coeffs(model: ModelPair, u: float, k_max: int = K_MAX_DEFAULT):
     """(theta_star, v, vbar): twist coefficients and exponent-term coefficients.
 
     ``v[k-1]`` is v_k for k = 1..k_max; ``vbar[k-2]`` is the coefficient of
     ``phi_n psi_n^k`` in the tilted exponent for k = 2..k_max.
     """
-    if k_max < 1:
-        raise ParamError(f"k_max must be >= 1, got {k_max}")
-    rho = model._require_rare(u)
-    lam, r, mu = model.lam, model.r, model.mu
-    if model.variant == "poisson_gamma":
+    variant, lam, r, mu, rho = _ladder(model, u, k_max)
+    if variant == "poisson_gamma":
         theta_star = math.log(1.0 / rho)
         z1, z2 = lam / mu, u / r
         v = [(-1.0) ** (k + 1) / k * (z1**k - z2**k) for k in range(1, k_max + 1)]
@@ -120,19 +112,16 @@ def fast_series_coeffs(model: WorkedModel, u: float, k_max: int = K_MAX_DEFAULT)
 
 
 @_in_float_range
-def slow_series_coeffs(model: WorkedModel, u: float, k_max: int = K_MAX_DEFAULT):
+def slow_series_coeffs(model: ModelPair, u: float, k_max: int = K_MAX_DEFAULT):
     """(tau_star, w, wbar): slow-regime twins of :func:`fast_series_coeffs`.
 
     ``w[k-1]`` is w_k for k = 1..k_max; ``wbar[k-1]`` is the coefficient of
     ``phi_n psi_n^{-k}`` for k = 1..k_max (it consumes w_{k+1}, which is
     computed internally).
     """
-    if k_max < 1:
-        raise ParamError(f"k_max must be >= 1, got {k_max}")
-    rho = model._require_rare(u)
-    lam, r, mu = model.lam, model.r, model.mu
+    variant, lam, r, mu, rho = _ladder(model, u, k_max)
     kk = k_max + 1  # wbar_k needs w_{k+1}
-    if model.variant == "poisson_gamma":
+    if variant == "poisson_gamma":
         zb1, zb2 = mu / lam, r / u
         w = [(-1.0) ** (k + 1) / k * (zb1**k - zb2**k) for k in range(1, kk + 1)]
         tau_star = w[0]
@@ -236,13 +225,14 @@ class CompoundPoissonGammaLaw:
         return compound_poisson_gamma_tail(self.rate, self.jump_shape, self.jump_rate, threshold)
 
 
-def exact_law(model: WorkedModel | None, scaling: PowerScaling, n: float):
-    """The exact marginal law of C_n for a worked model; None (a custom pair) raises ParamError."""
-    if model is None:
+def exact_law(model: ModelPair | None, scaling: PowerScaling, n: float):
+    """The exact marginal law of C_n for a built-in pair; any other pair (or None) raises ParamError."""
+    numbers = None if model is None else _builtin(model)
+    if numbers is None:
         raise ParamError("exact oracles exist for the built-in model pairs only")
     require_finite(n=n)
     phi, psi = scaling.phi(n), scaling.psi(n)
-    lam, r, mu = model.lam, model.r, model.mu
-    if model.variant == "poisson_gamma":
+    variant, lam, r, mu = numbers
+    if variant == "poisson_gamma":
         return NegBinLaw(successes=r * phi, p=mu / (mu + lam * psi))
     return CompoundPoissonGammaLaw(rate=phi * lam, jump_shape=r * psi, jump_rate=mu)

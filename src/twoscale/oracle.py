@@ -33,7 +33,7 @@ from scipy import special
 
 from .errors import DomainError, ParamError, require_finite
 from .levy import ModelPair, PowerScaling
-from .models import WorkedModel
+from .models import _builtin
 from .twist import solve_twist
 
 __all__ = [
@@ -341,29 +341,34 @@ def _mc_tail(
     return OracleResult(mean, log_prob, StatisticalBound(se, samples, seed), method)
 
 
-def _worked(model: ModelPair, what: str) -> WorkedModel:
-    wm = WorkedModel.from_pair(model)
-    if wm is None:
+def _worked(model: ModelPair, what: str) -> tuple[str, float, float, float]:
+    """``(variant, lam, r, mu)`` of a built-in pair; ParamError naming ``what`` for any other."""
+    numbers = _builtin(model)
+    if numbers is None:
         raise ParamError(f"{what} is implemented for the built-in model pairs only")
-    return wm
+    return numbers
 
 
 def _sampler(
-    wm: WorkedModel, scaling: PowerScaling, n: float, u: float, theta: float, log_norm: float
+    numbers: tuple, scaling: PowerScaling, n: float, u: float, theta: float, log_norm: float
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Draws of ``exp(log_norm - theta C) 1{C >= u n}`` with C under the theta tilt.
 
-    ``log_norm`` is gamma_n(theta); ``theta = log_norm = 0`` is plain Monte
-    Carlo, with every weight exactly 1.
+    ``numbers`` are the pair's, as :func:`_worked` reads them; ``log_norm`` is
+    gamma_n(theta); ``theta = log_norm = 0`` is plain Monte Carlo, with every
+    weight exactly 1.  A threshold ``u n`` past the float range raises ParamError.
     """
+    thresh = u * n
+    if not math.isfinite(thresh):
+        raise ParamError(f"the threshold u n = {thresh} lies past the float range")
     phi, psi = scaling.phi(n), scaling.psi(n)
-    lam, r, mu = wm.lam, wm.r, wm.mu
-    if wm.variant == "poisson_gamma":
+    variant, lam, r, mu = numbers
+    if variant == "poisson_gamma":
         rate_tilt = mu - lam * math.expm1(theta) * psi
         if rate_tilt <= 0:
             raise DomainError(f"tilt pushed the clock's rate to {rate_tilt} <= 0")
         jump = lam * math.exp(theta) * psi
-        m0 = _ceil_threshold(u * n)
+        m0 = _ceil_threshold(thresh)
 
         def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
             clock = rng.gamma(shape=r * phi, scale=1.0 / rate_tilt, size=m)
@@ -374,7 +379,6 @@ def _sampler(
     if theta >= mu:
         raise DomainError(f"tilt {theta} reaches the jump rate {mu}")
     count_rate = phi * lam * (mu / (mu - theta)) ** (r * psi)
-    thresh = u * n
 
     def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
         counts = rng.poisson(count_rate, size=m)
@@ -399,9 +403,9 @@ def is_tail(
     (the twisted laws are known in closed form there).  Deterministic for a
     fixed (seed, workers) pair.
     """
-    wm = _worked(model, "twisted sampling")
+    numbers = _worked(model, "twisted sampling")
     sol = solve_twist(model, scaling, n, u)
-    sampler = _sampler(wm, scaling, n, u, sol.theta_n, sol.log_mgf)
+    sampler = _sampler(numbers, scaling, n, u, sol.theta_n, sol.log_mgf)
     return _mc_tail(sampler, samples, seed, workers, "importance_sampling")
 
 

@@ -87,6 +87,34 @@ def count_derivs(monkeypatch, *models) -> list:
     return calls
 
 
+_SPEC = '{"A": {"kind": "poisson", "lambda": %s}, "B": {"kind": "gamma", "r": 1, "mu": 2}, "f": %s}'
+
+#: Model sources that ``load_model`` refuses with ParamError (the CLI exits 2
+#: on each): file bytes, or None where ``malformed_model`` builds the path.
+MALFORMED_MODELS = {
+    "name-too-long": None,
+    "directory": None,
+    "not-utf8": b'\xff\xfe{"f": 1.5}',
+    "lambda-abc": (_SPEC % ('"abc"', "1.5")).encode(),
+    "lambda-null": (_SPEC % ("null", "1.5")).encode(),
+    "f-x": (_SPEC % ("1", '"x"')).encode(),
+    "lambda-list": (_SPEC % ("[1.0]", "1.5")).encode(),
+    "mu-past-float": (_SPEC % ("1", "1.5")).replace('"mu": 2', '"mu": 1' + "0" * 400).encode(),
+    "not-an-object": b"5",
+}
+
+
+def malformed_model(tmp_path: Path, case: str) -> str:
+    """The path of the ``MALFORMED_MODELS`` source named ``case``, under ``tmp_path``."""
+    if case == "name-too-long":
+        return str(tmp_path / ("m" * 300 + ".json"))
+    if case == "directory":
+        return str(tmp_path)
+    path = tmp_path / "model.json"
+    path.write_bytes(MALFORMED_MODELS[case])
+    return str(path)
+
+
 def matches_displayed(computed: float, displayed: float) -> bool:
     """Agreement with a 3-significant-digit reference value.
 

@@ -35,7 +35,7 @@ from twoscale import (
     slow_expansion,
     solve_twist,
 )
-from twoscale.models import WorkedModel, exact_law
+from twoscale.models import exact_law
 from conftest import RARE_GRID, gp_pair, matches_displayed, pg_pair
 
 
@@ -214,7 +214,7 @@ def test_criterion_5_asymptotic_validity():
         s = PowerScaling(f)
         out = []
         for n in (1e2, 1e3, 1e4):
-            law = exact_law(WorkedModel.poisson_gamma(lam, r, mu), s, n)
+            law = exact_law(pg_pair(lam, r, mu), s, n)
             exact_log = negbin_tail(law.successes, law.p, u * n).log_probability
             est = approx_fn(model, s, n, u, mode="direct", lattice=lattice)
             out.append(math.exp(exact_log - est.log_value))
@@ -249,7 +249,7 @@ def test_criterion_6_oracle_cross_validation():
     s = PowerScaling(1.5)
     pg = pg_pair(1.0, 1.0, 3.0)
     n, u = 400.0, 0.48
-    law = exact_law(WorkedModel.poisson_gamma(1.0, 1.0, 3.0), s, n)
+    law = exact_law(pg_pair(1.0, 1.0, 3.0), s, n)
     exact_pg = negbin_tail(law.successes, law.p, u * n).probability
     est_pg = is_tail(pg, s, n, u, samples=samples, seed=20240809)
     z_pg = abs(est_pg.probability - exact_pg) / est_pg.error.std_error

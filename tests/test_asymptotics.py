@@ -21,7 +21,7 @@ from twoscale import (
     negbin_tail,
 )
 from twoscale.levy import CharExponent, ModelPair, lmgf
-from twoscale.models import exact_law, WorkedModel
+from twoscale.models import exact_law
 from twoscale.twist import solve_twist
 from conftest import count_derivs, gp_pair, pg_pair
 
@@ -102,7 +102,7 @@ class TestApproxFast:
         phi, psi = s.phi(n), s.psi(n)
         from twoscale import fast_series_coeffs
 
-        _, _, vbar = fast_series_coeffs(WorkedModel.gamma_poisson(r, mu, lam), u, k_max=3)
+        _, _, vbar = fast_series_coeffs(gp_pair(r, mu, lam), u, k_max=3)
         exponent = (1.0 - 1.0 / rho + math.log(1.0 / rho)) * lam * r * n
         exponent += vbar[0] * phi * psi**2 + vbar[1] * phi * psi**3
         expected = math.exp(exponent) / ((1.0 / rho - 1.0) * math.sqrt(2.0 * math.pi * lam * r * n))
@@ -169,7 +169,7 @@ class TestApproxFast:
         lam, r, mu, u = 1.0, 1.0, 2.0, 1.0
         m, s = pg_pair(lam, r, mu), PowerScaling(1.5)
         n = 1e3
-        law = exact_law(WorkedModel.poisson_gamma(lam, r, mu), s, n)
+        law = exact_law(pg_pair(lam, r, mu), s, n)
         exact = negbin_tail(law.successes, law.p, u * n)
         est = approx_fast(m, s, n, u, mode="direct", lattice=True)
         assert math.exp(exact.log_probability - est.log_value) == pytest.approx(1.0, abs=0.05)
@@ -198,7 +198,7 @@ class TestApproxSlow:
         phi, psi = s.phi(n), s.psi(n)
         from twoscale import slow_series_coeffs
 
-        _, _, wbar = slow_series_coeffs(WorkedModel.poisson_gamma(lam, r, mu), u, k_max=1)
+        _, _, wbar = slow_series_coeffs(pg_pair(lam, r, mu), u, k_max=1)
         exponent = (1.0 - 1.0 / rho + math.log(1.0 / rho)) * r * phi + wbar[0] * phi / psi
         expected = math.exp(exponent) / ((1.0 / rho - 1.0) * math.sqrt(2.0 * math.pi * r * phi))
         assert est.value == pytest.approx(expected, rel=1e-12)
@@ -236,7 +236,7 @@ class TestApproxSlow:
         lam, r, mu, u = 1.0, 1.0, 2.0, 1.0
         m, s = pg_pair(lam, r, mu), PowerScaling(0.5)
         n = 1e3
-        law = exact_law(WorkedModel.poisson_gamma(lam, r, mu), s, n)
+        law = exact_law(pg_pair(lam, r, mu), s, n)
         exact = negbin_tail(law.successes, law.p, u * n)
         est = approx_slow(m, s, n, u, mode="direct", lattice=False)
         assert math.exp(exact.log_probability - est.log_value) == pytest.approx(1.0, abs=0.05)
@@ -272,7 +272,7 @@ class TestSingleTimescale:
     def test_close_to_exact(self, pg113):
         # f = 1 keeps the negative binomial law exact; sanity-check the value.
         n, u = 400.0, 1.0
-        law = exact_law(WorkedModel.poisson_gamma(1.0, 1.0, 3.0), PowerScaling(1.0), n)
+        law = exact_law(pg_pair(1.0, 1.0, 3.0), PowerScaling(1.0), n)
         exact = negbin_tail(law.successes, law.p, u * n)
         est = approx_single_timescale(pg113, n, u)
         # the smooth prefactor differs from the lattice one by about theta*d/ ...;

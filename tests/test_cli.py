@@ -6,6 +6,7 @@ import math
 import pytest
 
 from twoscale.cli import main
+from conftest import MALFORMED_MODELS, malformed_model
 
 
 @pytest.fixture
@@ -224,15 +225,15 @@ class TestOracle:
         assert code == 0
         assert out == self.EXACT_STDOUT[kind]
 
-    def test_exact_counts_the_sampled_event(self, capsys):
+    def test_exact_counts_the_sampled_event(self, capsys, pg113):
         # u n = 500000.00001 lies within float noise of the count 500000: the
         # exact oracle and is_tail's indicator both count from there
-        from twoscale import PowerScaling, WorkedModel, exact_law, negbin_tail
+        from twoscale import PowerScaling, exact_law, negbin_tail
 
         u, n = 0.50000000001, 1e6
         code, out, _ = run(capsys, ["oracle", "--poisson-gamma", "1", "1", "3", "--f", "1.5",
                                     "--n", "1e6", "--u", "0.50000000001"])
-        law = exact_law(WorkedModel.poisson_gamma(1.0, 1.0, 3.0), PowerScaling(1.5), n)
+        law = exact_law(pg113, PowerScaling(1.5), n)
         want = negbin_tail(law.successes, law.p, u * n).log_probability
         assert code == 0 and json.loads(out)["log_probability"] == want
         assert want == negbin_tail(law.successes, law.p, 500000).log_probability
@@ -392,6 +393,21 @@ class TestErrorSurface:
     def test_missing_model_file(self, capsys):
         code, _, err = run(capsys, ["approx", "--model", "/nonexistent.json", "--n", "10", "--u", "1"])
         assert code == 2 and "ParamError" in err
+
+    @pytest.mark.parametrize("case", MALFORMED_MODELS)
+    def test_malformed_model_source(self, capsys, tmp_path, case):
+        argv = ["approx", "--model", malformed_model(tmp_path, case), "--n", "100", "--u", "1"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and err.startswith("ParamError")
+
+    @pytest.mark.parametrize("pair", [["--poisson-gamma", "1", "1", "3"], ["--gamma-poisson", "1", "3", "1"]])
+    def test_mc_threshold_past_float_range(self, capsys, pair):
+        # u n = 1e400 overflows to inf; the sampler refuses it rather than
+        # rounding it to a count (pg) or counting no hits (gp)
+        argv = ["oracle", *pair, "--f", "1.5", "--n", "1e200", "--u", "1e200",
+                "--method", "mc", "--samples", "10", "--seed", "1"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and err.startswith("ParamError")
 
 
 class TestNonFiniteInput:

@@ -23,7 +23,7 @@ from twoscale import (
     slow_expansion,
     solve_twist,
 )
-from conftest import count_derivs, gp_pair, pg_pair
+from conftest import MALFORMED_MODELS, count_derivs, gp_pair, malformed_model, pg_pair
 
 
 class TestCharExponent:
@@ -513,3 +513,13 @@ class TestLoadModel:
         bad.write_text("{not json")
         with pytest.raises(ParamError):
             load_model(bad)
+
+    @pytest.mark.parametrize("case", MALFORMED_MODELS)
+    def test_malformed_source(self, tmp_path, case):
+        with pytest.raises(ParamError):
+            load_model(malformed_model(tmp_path, case))
+
+    def test_json_text_is_not_a_source(self):
+        # a source string is a path, never spec text
+        with pytest.raises(ParamError, match="cannot read the model file"):
+            load_model('{"A": {"kind": "poisson", "lambda": 1}, "B": {"kind": "gamma", "r": 1, "mu": 2}, "f": 1}')

@@ -13,6 +13,7 @@ from twoscale import (
     NotRareError,
     ParamError,
     PowerScaling,
+    SeriesUnavailable,
     WorkedModel,
     exact_law,
     fast_expansion,
@@ -24,61 +25,63 @@ from twoscale import (
 from conftest import RARE_GRID, gp_pair, pg_pair
 
 
+def _custom_pair() -> ModelPair:
+    """Poisson(1) on a Gamma(1, 3) clock, with A given as a custom exponent."""
+    poisson = CharExponent.custom(lambda t, k: math.expm1(t) if k == 0 else math.exp(t), lattice_span=1.0)
+    return ModelPair(poisson, CharExponent.gamma(1.0, 3.0))
+
+
 class TestRecognition:
     def test_from_pair(self):
-        assert WorkedModel.from_pair(pg_pair(1.0, 2.0, 3.0)).variant == "poisson_gamma"
-        assert WorkedModel.from_pair(gp_pair(1.0, 2.0, 3.0)).variant == "gamma_poisson"
-
-    def test_round_trip(self):
-        wm = WorkedModel.poisson_gamma(1.3, 0.8, 2.5)
-        pair = wm.to_pair()
-        back = WorkedModel.from_pair(pair)
-        assert back == wm
-
-    def test_rho(self):
-        wm = WorkedModel.poisson_gamma(1.0, 1.0, 3.0)
-        assert wm.rho(1.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
+        # from_pair hands a built-in pair back as it is
+        for pair in (pg_pair(1.0, 2.0, 3.0), gp_pair(1.0, 2.0, 3.0)):
+            assert WorkedModel.from_pair(pair) is pair
+        assert WorkedModel.from_pair(_custom_pair()) is None
 
     def test_not_rare(self):
-        wm = WorkedModel.poisson_gamma(1.0, 1.0, 2.0)
+        pair = pg_pair(1.0, 1.0, 2.0)
         with pytest.raises(NotRareError):
-            fast_series_coeffs(wm, 0.5)
+            fast_series_coeffs(pair, 0.5)
         with pytest.raises(NotRareError):
-            slow_series_coeffs(wm, 0.4)
+            slow_series_coeffs(pair, 0.4)
+
+    @pytest.mark.parametrize("coeffs", [fast_series_coeffs, slow_series_coeffs])
+    def test_ladders_need_a_built_in_pair(self, coeffs):
+        with pytest.raises(SeriesUnavailable, match="built-in model pairs only"):
+            coeffs(_custom_pair(), 1.0)
+        # the pair is recognised before the order is checked
+        with pytest.raises(SeriesUnavailable):
+            coeffs(_custom_pair(), 1.0, k_max=0)
 
 
 class TestFastCoefficients:
     @pytest.mark.parametrize("lam,r,mu,u", RARE_GRID)
     def test_match_generic_expansion(self, lam, r, mu, u):
-        for wm, pair in (
-            (WorkedModel.poisson_gamma(lam, r, mu), pg_pair(lam, r, mu)),
-            (WorkedModel.gamma_poisson(r, mu, lam), gp_pair(r, mu, lam)),
-        ):
-            theta_star, v, _ = fast_series_coeffs(wm, u, k_max=2)
+        for pair in (pg_pair(lam, r, mu), gp_pair(r, mu, lam)):
+            theta_star, v, _ = fast_series_coeffs(pair, u, k_max=2)
             generic = fast_expansion(pair, u, order=2)
             assert theta_star == pytest.approx(generic.theta_star, rel=1e-9)
             assert v[0] == pytest.approx(generic.v[1], rel=1e-9)
             assert v[1] == pytest.approx(generic.v[2], rel=1e-9)
 
     def test_poisson_gamma_first_coefficient(self):
-        wm = WorkedModel.poisson_gamma(1.0, 1.0, 3.0)
-        _, v, _ = fast_series_coeffs(wm, 1.0, k_max=1)
+        pair = pg_pair(1.0, 1.0, 3.0)
+        _, v, _ = fast_series_coeffs(pair, 1.0, k_max=1)
         z1, z2 = 1.0 / 3.0, 1.0
         assert v[0] == pytest.approx(z1 - z2, rel=1e-14)
 
     @pytest.mark.parametrize("lam,r,mu,u", RARE_GRID[:8])
     def test_linear_term_identity(self, lam, r, mu, u):
         # -r v_1 = (1 - rho) u = b alpha(theta*)
-        wm = WorkedModel.poisson_gamma(lam, r, mu)
-        rho = wm.rho(u)
-        theta_star, v, _ = fast_series_coeffs(wm, u, k_max=1)
+        rho = lam * r / (mu * u)
+        theta_star, v, _ = fast_series_coeffs(pg_pair(lam, r, mu), u, k_max=1)
         b = r / mu
         assert -r * v[0] == pytest.approx((1.0 - rho) * u, rel=1e-12)
         assert -r * v[0] == pytest.approx(b * lam * (math.exp(theta_star) - 1.0), rel=1e-12)
 
     def test_gamma_poisson_printed_v2(self):
-        wm = WorkedModel.gamma_poisson(1.0, 2.0, 1.0)
-        _, v, _ = fast_series_coeffs(wm, 1.0, k_max=2)
+        pair = gp_pair(1.0, 2.0, 1.0)
+        _, v, _ = fast_series_coeffs(pair, 1.0, k_max=2)
         rho = 0.5
         ell = math.log(2.0)
         assert v[0] == pytest.approx(-2.0 * 1.0 * rho * ell, rel=1e-14)
@@ -87,16 +90,16 @@ class TestFastCoefficients:
     def test_vbar_consistency_between_variants(self):
         # Same underlying recursion, two printed shapes: vbar = -(r v_k + u v_{k-1})
         # for the counting model, vbar = -u(v_k/r + v_{k-1}) for the jump model.
-        wm = WorkedModel.poisson_gamma(1.0, 1.0, 3.0)
-        _, v, vbar = fast_series_coeffs(wm, 1.0, k_max=5)
+        pair = pg_pair(1.0, 1.0, 3.0)
+        _, v, vbar = fast_series_coeffs(pair, 1.0, k_max=5)
         for k in range(2, 6):
             assert vbar[k - 2] == pytest.approx(-(1.0 * v[k - 1] + 1.0 * v[k - 2]), rel=1e-13)
 
     def test_explicit_vbar_formula(self):
         # vbar_k = (-1)^k (r(z1^k - z2^k)/k - u(z1^{k-1} - z2^{k-1})/(k-1))
         lam, r, mu, u = 1.0, 1.3, 2.4, 1.1
-        wm = WorkedModel.poisson_gamma(lam, r, mu)
-        _, _, vbar = fast_series_coeffs(wm, u, k_max=6)
+        pair = pg_pair(lam, r, mu)
+        _, _, vbar = fast_series_coeffs(pair, u, k_max=6)
         z1, z2 = lam / mu, u / r
         for k in range(2, 7):
             expected = (-1.0) ** k * (
@@ -108,11 +111,8 @@ class TestFastCoefficients:
 class TestSlowCoefficients:
     @pytest.mark.parametrize("lam,r,mu,u", RARE_GRID)
     def test_match_generic_expansion(self, lam, r, mu, u):
-        for wm, pair in (
-            (WorkedModel.poisson_gamma(lam, r, mu), pg_pair(lam, r, mu)),
-            (WorkedModel.gamma_poisson(r, mu, lam), gp_pair(r, mu, lam)),
-        ):
-            tau_star, w, _ = slow_series_coeffs(wm, u, k_max=2)
+        for pair in (pg_pair(lam, r, mu), gp_pair(r, mu, lam)):
+            tau_star, w, _ = slow_series_coeffs(pair, u, k_max=2)
             generic = slow_expansion(pair, u, order=2)
             assert tau_star == pytest.approx(generic.tau_star, rel=1e-9)
             assert w[0] == pytest.approx(generic.w[0], rel=1e-9)
@@ -120,9 +120,8 @@ class TestSlowCoefficients:
 
     def test_poisson_gamma_tau_star_forms(self):
         lam, r, mu, u = 1.0, 1.0, 3.0, 1.0
-        wm = WorkedModel.poisson_gamma(lam, r, mu)
-        tau_star, w, _ = slow_series_coeffs(wm, u, k_max=3)
-        rho = wm.rho(u)
+        tau_star, w, _ = slow_series_coeffs(pg_pair(lam, r, mu), u, k_max=3)
+        rho = lam * r / (mu * u)
         zb1, zb2 = mu / lam, r / u
         assert tau_star == pytest.approx((r / u) * (1.0 / rho - 1.0), rel=1e-14)
         assert tau_star == pytest.approx(zb1 - zb2, rel=1e-14)
@@ -132,22 +131,21 @@ class TestSlowCoefficients:
     def test_poisson_gamma_beta_identity(self):
         # beta(a tau*) = r log(1/rho)
         lam, r, mu, u = 0.8, 1.2, 2.6, 1.0
-        wm = WorkedModel.poisson_gamma(lam, r, mu)
-        tau_star, _, _ = slow_series_coeffs(wm, u, k_max=1)
+        tau_star, _, _ = slow_series_coeffs(pg_pair(lam, r, mu), u, k_max=1)
         beta_val = r * math.log(mu / (mu - lam * tau_star))
-        assert beta_val == pytest.approx(r * math.log(1.0 / wm.rho(u)), rel=1e-12)
+        assert beta_val == pytest.approx(r * math.log(mu * u / (lam * r)), rel=1e-12)
 
     def test_gamma_poisson_printed_w2(self):
-        wm = WorkedModel.gamma_poisson(1.0, 2.0, 1.0)
-        tau_star, w, _ = slow_series_coeffs(wm, 1.0, k_max=2)
+        pair = gp_pair(1.0, 2.0, 1.0)
+        tau_star, w, _ = slow_series_coeffs(pair, 1.0, k_max=2)
         ell = math.log(2.0)
         assert tau_star == pytest.approx(2.0 * ell, rel=1e-14)
         assert w[1] == pytest.approx(-2.0 * ell * (1.0 + ell / 2.0), rel=1e-14)
 
     def test_wbar_uses_next_coefficient(self):
         lam, r, mu, u = 1.0, 1.0, 3.0, 1.0
-        wm = WorkedModel.poisson_gamma(lam, r, mu)
-        _, w5, wbar4 = slow_series_coeffs(wm, u, k_max=5)
+        pair = pg_pair(lam, r, mu)
+        _, w5, wbar4 = slow_series_coeffs(pair, u, k_max=5)
         zb1, zb2 = mu / lam, r / u
         w6 = ((-1.0) ** 7 / 6.0) * (zb1**6 - zb2**6)
         # wbar_5 = -(r w_5 + u w_6)
@@ -156,33 +154,31 @@ class TestSlowCoefficients:
 
 class TestExactLaw:
     def test_negbin_parameters(self):
-        wm = WorkedModel.poisson_gamma(1.0, 1.0, 2.0)
-        law = exact_law(wm, PowerScaling(1.0), 10.0)
+        pair = pg_pair(1.0, 1.0, 2.0)
+        law = exact_law(pair, PowerScaling(1.0), 10.0)
         assert isinstance(law, NegBinLaw)
         assert law.successes == pytest.approx(10.0)
         assert law.p == pytest.approx(2.0 / 3.0, rel=1e-14)
 
     def test_negbin_lmgf_matches_composed(self):
-        wm = WorkedModel.poisson_gamma(1.0, 1.0, 2.0)
+        pair = pg_pair(1.0, 1.0, 2.0)
         s, n = PowerScaling(1.0), 10.0
-        law = exact_law(wm, s, n)
-        pair = wm.to_pair()
+        law = exact_law(pair, s, n)
         for theta in np.linspace(-1.0, 0.35, 12):
             assert law.lmgf(theta) == pytest.approx(lmgf(pair, s, n, theta), abs=1e-12)
 
     def test_compound_jump_shape(self):
-        wm = WorkedModel.gamma_poisson(1.0, 2.0, 1.0)
-        law = exact_law(wm, PowerScaling(0.5), 100.0)
+        pair = gp_pair(1.0, 2.0, 1.0)
+        law = exact_law(pair, PowerScaling(0.5), 100.0)
         assert isinstance(law, CompoundPoissonGammaLaw)
         assert law.jump_shape == pytest.approx(10.0)  # r * psi = 1 * 100^0.5
         assert law.rate == pytest.approx(10.0)  # phi * lam
         assert law.jump_rate == pytest.approx(2.0)
 
     def test_compound_lmgf_matches_composed(self):
-        wm = WorkedModel.gamma_poisson(1.2, 2.5, 0.8)
+        pair = gp_pair(1.2, 2.5, 0.8)
         s, n = PowerScaling(0.6), 50.0
-        law = exact_law(wm, s, n)
-        pair = wm.to_pair()
+        law = exact_law(pair, s, n)
         for theta in np.linspace(-2.0, 1.8, 10):
             assert law.lmgf(theta) == pytest.approx(
                 lmgf(pair, s, n, theta), rel=1e-12, abs=1e-12
@@ -190,18 +186,16 @@ class TestExactLaw:
 
     @pytest.mark.parametrize("n", [math.nan, math.inf, 0.0, -1.0])
     def test_non_finite_n_rejected(self, n):
-        for wm in (WorkedModel.poisson_gamma(1.0, 1.0, 2.0), WorkedModel.gamma_poisson(1.0, 2.0, 1.0)):
+        for pair in (pg_pair(1.0, 1.0, 2.0), gp_pair(1.0, 2.0, 1.0)):
             with pytest.raises(ParamError):
-                exact_law(wm, PowerScaling(1.5), n)
+                exact_law(pair, PowerScaling(1.5), n)
 
     def test_custom_pair_has_no_exact_law(self):
-        # from_pair reads None for a pair that is not built in
-        poisson = CharExponent.custom(lambda t, k: math.expm1(t) if k == 0 else math.exp(t), lattice_span=1.0)
-        custom = ModelPair(poisson, CharExponent.gamma(1.0, 3.0))
-        assert WorkedModel.from_pair(custom) is None
+        custom = _custom_pair()
         with pytest.raises(ParamError, match="built-in model pairs only"):
-            exact_law(WorkedModel.from_pair(custom), PowerScaling(1.5), 100.0)
-        with pytest.raises(ParamError):
+            exact_law(custom, PowerScaling(1.5), 100.0)
+        # None, what WorkedModel.from_pair reads for a custom pair
+        with pytest.raises(ParamError, match="built-in model pairs only"):
             exact_law(None, PowerScaling(1.5), 100.0)
 
     @pytest.mark.parametrize("m", [1e9, 4e9])
@@ -267,10 +261,8 @@ def test_compound_cdf_guard():
 
 
 @pytest.mark.parametrize("coeffs", [fast_series_coeffs, slow_series_coeffs])
-@pytest.mark.parametrize("wm", [
-    WorkedModel.poisson_gamma(1.0, 1.0, 2.0), WorkedModel.gamma_poisson(1.0, 2.0, 1.0),
-], ids=["pg", "gp"])
+@pytest.mark.parametrize("pair", [pg_pair(1.0, 1.0, 2.0), gp_pair(1.0, 2.0, 1.0)], ids=["pg", "gp"])
 @pytest.mark.parametrize("u", [math.nan, math.inf])
-def test_series_coeffs_reject_non_finite_u(coeffs, wm, u):
+def test_series_coeffs_reject_non_finite_u(coeffs, pair, u):
     with pytest.raises(ParamError):
-        coeffs(wm, u)
+        coeffs(pair, u)

@@ -239,9 +239,9 @@ class TestImportanceSampling:
     def test_agrees_with_negbin_exact(self, pg113):
         s, n, u = PowerScaling(1.5), 400.0, 0.48
         res = is_tail(pg113, s, n, u, samples=60_000, seed=20240801)
-        from twoscale.models import WorkedModel, exact_law
+        from twoscale.models import exact_law
 
-        law = exact_law(WorkedModel.poisson_gamma(1.0, 1.0, 3.0), s, n)
+        law = exact_law(pg113, s, n)
         exact = negbin_tail(law.successes, law.p, u * n).probability
         assert abs(res.probability - exact) <= 3.0 * res.error.std_error
         assert res.error.std_error / res.probability <= 0.05
@@ -251,9 +251,9 @@ class TestImportanceSampling:
         # error small anyway.
         s, n, u = PowerScaling(1.5), 400.0, 1.0
         res = is_tail(pg113, s, n, u, samples=60_000, seed=7)
-        from twoscale.models import WorkedModel, exact_law
+        from twoscale.models import exact_law
 
-        law = exact_law(WorkedModel.poisson_gamma(1.0, 1.0, 3.0), s, n)
+        law = exact_law(pg113, s, n)
         exact = math.exp(negbin_tail(law.successes, law.p, u * n).log_probability)
         assert abs(res.probability - exact) <= 3.0 * res.error.std_error
         assert res.error.std_error / res.probability <= 0.05
@@ -283,9 +283,9 @@ class TestImportanceSampling:
     def test_unbiased_coverage(self, pg113):
         # exact value inside the 99% CI for the vast majority of seeds
         s, n, u = PowerScaling(1.5), 400.0, 0.48
-        from twoscale.models import WorkedModel, exact_law
+        from twoscale.models import exact_law
 
-        law = exact_law(WorkedModel.poisson_gamma(1.0, 1.0, 3.0), s, n)
+        law = exact_law(pg113, s, n)
         exact = negbin_tail(law.successes, law.p, u * n).probability
         hits = 0
         for seed in range(30):
@@ -333,6 +333,12 @@ class TestPlainMc:
         res = plain_mc_tail(pg113, PowerScaling(1.5), 50.0, 0.4, samples=2_000, seed=21)
         assert isinstance(res.error, StatisticalBound)
         assert res.error.samples == 2_000 and res.error.seed == 21
+
+    def test_threshold_past_float_range(self, pg113, gp121):
+        # n and u are finite, their product is not
+        for m in (pg113, gp121):
+            with pytest.raises(ParamError, match="threshold u n = inf"):
+                plain_mc_tail(m, PowerScaling(1.5), 1e200, 1e200, samples=10, seed=1)
 
 
 # Exact (probability, std_error) of the Monte Carlo oracles, recorded before
