@@ -13,11 +13,16 @@ A model comes from ``--model`` (a JSON spec file) or inline, as a built-in pair:
 takes ``--workers``, the Monte Carlo substream count.
 
 Every command emits machine-readable output (JSON by default); identical
-configuration and seed produce byte-identical files.  Exit codes: 0 success,
-2 invalid input (the error class name goes to stderr), 1 internal failure.
+configuration and seed produce byte-identical files, whatever the machine's
+core count.  Exit codes: 0 success, 2 invalid input (the error class name goes
+to stderr), 1 internal failure.
 
 Each command imports the modules it uses, so ``approx`` never loads numpy or
-scipy; ``oracle``, ``tables``, ``edgeworth`` and ``overdispersion`` do.
+scipy, and the Monte Carlo methods of ``oracle`` load numpy only; the exact
+oracle, ``tables``, ``edgeworth`` and ``overdispersion`` load both.  The
+process runs BLAS on one thread: ``main`` sets ``OPENBLAS_NUM_THREADS=1``
+before numpy loads, so no idle worker threads spin and no dot product is split
+by the core count.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -269,6 +275,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Assigned, not defaulted: the byte-identical contract needs one thread
+    # whatever the caller set.  A caller that has loaded numpy already keeps
+    # its BLAS threads.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

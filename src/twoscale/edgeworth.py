@@ -29,7 +29,7 @@ from .asymptotics import _leading, classify
 from .errors import ParamError, RegimeError, _in_float_range, require_finite
 from .levy import ModelPair, PowerScaling
 from .models import NegBinLaw, _builtin, exact_law
-from .twist import fast_expansion, slow_expansion, solve_twist
+from .twist import _require_query, fast_expansion, slow_expansion, solve_twist
 
 __all__ = [
     "EdgeworthExpansion",
@@ -150,8 +150,11 @@ def tilted_negbin_cdf(model: ModelPair, scaling: PowerScaling, n: float, u: floa
 
 
 def standardization(model: ModelPair, scaling: PowerScaling, n: float, u: float) -> tuple[float, float]:
-    """(mean, scale) of the tilted count's standardization: mean u*n, scale by regime."""
-    require_finite(n=n, u=u)
+    """(mean, scale) of the tilted count's standardization: mean u*n, scale by regime.
+
+    A query that is not finite, or has ``n < 1``, raises ParamError.
+    """
+    _require_query(n, u)
     regime = classify(scaling).regime
     if regime == "single":
         raise RegimeError("standardization is defined for f != 1")

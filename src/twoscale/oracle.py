@@ -19,7 +19,11 @@ the same sampler at tilt 0, the naive estimator, intended only near the mean.
 Both split the sample budget across ``workers`` independently seeded
 substreams, run one after another, so a fixed (seed, workers) pair reproduces
 bit-identical results; numpy's generators use exact (transformed-rejection)
-Poisson sampling, no normal approximation.
+Poisson sampling, no normal approximation.  A Poisson rate past numpy's limit
+(about 9.2e18) raises ParamError.
+
+Only the exact sums call scipy, and they import it where they call it, so the
+Monte Carlo estimators load numpy alone.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, ParamError, require_finite
 from .levy import ModelPair, PowerScaling
@@ -49,6 +52,9 @@ __all__ = [
 _BLOCK = 4096
 _NEGBIN_REL_BOUND = 1e-15
 _COMPOUND_ABS_BOUND = 1e-14
+#: numpy's largest Poisson rate, ``int64 max - 10 sqrt(int64 max)``; it raises
+#: ValueError for any rate above this.
+_POISSON_RATE_MAX = (2**63 - 1) - 10.0 * math.sqrt(2**63 - 1)
 
 # --- uniformly accurate log-pmfs ------------------------------------------
 # Naive gammaln differences lose ~|lgamma| * eps absolute accuracy, which is
@@ -65,6 +71,8 @@ _LOG_NIL = -750.0
 
 def _stirlerr(n: np.ndarray) -> np.ndarray:
     """log(n!) - (n log n - n + log(2 pi n)/2), for real n >= 1."""
+    from scipy import special
+
     n = np.asarray(n, dtype=float)
     out = np.empty_like(n)
     small = n < 16.0
@@ -166,6 +174,8 @@ def _negbin_logpmf(x: np.ndarray, k: float, p: float) -> np.ndarray:
 
 def _negbin_upper_logsum(k: float, p: float, m0: int) -> tuple[float, float]:
     """(log sum_{x >= m0} pmf(x), log absolute truncation bound)."""
+    from scipy import special
+
     total = -math.inf
     x0 = m0
     while True:
@@ -182,6 +192,8 @@ def _negbin_upper_logsum(k: float, p: float, m0: int) -> tuple[float, float]:
 
 def _negbin_lower_logsum(k: float, p: float, m0: int) -> tuple[float, float]:
     """(log sum_{x < m0} pmf(x), log bound).  Descends from the in-range mode."""
+    from scipy import special
+
     mode = int((k - 1.0) * (1.0 - p) / p) if k > 1 else 0
     peak = min(max(mode, 0), m0 - 1)
     total = -math.inf
@@ -277,6 +289,8 @@ def compound_poisson_gamma_tail(
     block whose weights do not all underflow to 0.0, and is truncated once its
     remaining mass (every term's weight) drops below 1e-14.
     """
+    from scipy import special
+
     require_finite(
         poisson_rate=poisson_rate, jump_shape=jump_shape, jump_rate=jump_rate, threshold=threshold
     )
@@ -356,7 +370,8 @@ def _sampler(
 
     ``numbers`` are the pair's, as :func:`_worked` reads them; ``log_norm`` is
     gamma_n(theta); ``theta = log_norm = 0`` is plain Monte Carlo, with every
-    weight exactly 1.  A threshold ``u n`` past the float range raises ParamError.
+    weight exactly 1.  A threshold ``u n`` past the float range, or a Poisson
+    rate past numpy's limit, raises ParamError.
     """
     thresh = u * n
     if not math.isfinite(thresh):
@@ -371,14 +386,16 @@ def _sampler(
         m0 = _ceil_threshold(thresh)
 
         def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-            clock = rng.gamma(shape=r * phi, scale=1.0 / rate_tilt, size=m)
-            counts = rng.poisson(jump * clock)
+            rates = jump * rng.gamma(shape=r * phi, scale=1.0 / rate_tilt, size=m)
+            _require_poisson_rate(rates.max())
+            counts = rng.poisson(rates)
             return np.exp(log_norm - theta * counts) * (counts >= m0)
 
         return sampler
     if theta >= mu:
         raise DomainError(f"tilt {theta} reaches the jump rate {mu}")
     count_rate = phi * lam * (mu / (mu - theta)) ** (r * psi)
+    _require_poisson_rate(count_rate)
 
     def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
         counts = rng.poisson(count_rate, size=m)
@@ -386,6 +403,11 @@ def _sampler(
         return np.exp(log_norm - theta * totals) * (totals >= thresh)
 
     return sampler
+
+
+def _require_poisson_rate(rate: float) -> None:
+    if not rate <= _POISSON_RATE_MAX:
+        raise ParamError(f"the Poisson rate {rate} lies past numpy's limit {_POISSON_RATE_MAX}")
 
 
 def is_tail(

@@ -35,19 +35,21 @@ RARE_GRID = rare_grid()
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(*argv: str, timeout: float = 60.0) -> subprocess.CompletedProcess:
+def run_python(*argv: str, timeout: float = 60.0, env=None) -> subprocess.CompletedProcess:
     """``python *argv`` in a fresh interpreter with ``src/`` on its path.
 
-    A run that outlives ``timeout`` seconds is killed and fails the test with
-    ``subprocess.TimeoutExpired``.
+    The child's environment is ``env`` (this process's by default) with
+    ``src/`` put first on ``PYTHONPATH``.  A run that outlives ``timeout``
+    seconds is killed and fails the test with ``subprocess.TimeoutExpired``.
     """
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *argv],
         capture_output=True,
         text=True,
         timeout=timeout,
-        env={**os.environ, "PYTHONPATH": path},
+        env=env,
     )
 
 

@@ -2,11 +2,19 @@
 
 import json
 import math
+import os
 
 import pytest
 
 from twoscale.cli import main
-from conftest import MALFORMED_MODELS, malformed_model
+from conftest import MALFORMED_MODELS, malformed_model, run_python
+
+
+@pytest.fixture(autouse=True)
+def _blas_threads_restored(monkeypatch):
+    # main() sets OPENBLAS_NUM_THREADS for its process; each test here puts
+    # this process's value back afterwards.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
 
 @pytest.fixture
@@ -333,6 +341,21 @@ class TestEdgeworth:
         assert all(math.isfinite(v) for row in payload["rows"] for v in row.values())
         assert payload["rows"][-1]["approx"] == 1.0
 
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # The compound law's CDF takes a dot product of ~1e5 weights here,
+        # which OpenBLAS splits across its threads, moving the last bits.
+        argv = ["-m", "twoscale.cli", "edgeworth", "--gamma-poisson", "1", "1", "1", "--f", "1.5",
+                "--n", "1e5", "--u", "2", "--points", "3"]
+        unset = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        outs = set()
+        for env in (unset, {**unset, "OPENBLAS_NUM_THREADS": "2"},
+                    {**unset, "OPENBLAS_NUM_THREADS": "1"}):
+            proc = run_python(*argv, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outs.add(proc.stdout)
+        assert len(outs) == 1
+
     @pytest.mark.parametrize("edges", [
         ["--x-max=1e308"], ["--x-max=-1e308"], ["--x-min=3", "--x-max=-3"], ["--points", "0"],
     ], ids=["upper-inf", "upper-minus-inf", "empty-grid", "no-points"])
@@ -409,6 +432,16 @@ class TestErrorSurface:
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "" and err.startswith("ParamError")
 
+    @pytest.mark.parametrize("query", [
+        ["--gamma-poisson", "1", "3", "1", "--n", "1e100", "--u", "1e-90", "--method", "mc"],
+        ["--poisson-gamma", "1", "1", "3", "--n", "1e20", "--u", "1", "--method", "mc"],
+        ["--poisson-gamma", "1", "1", "3", "--n", "1e20", "--u", "5", "--method", "is"],
+    ], ids=["mc-gp", "mc-pg", "is-pg"])
+    def test_poisson_rate_past_numpy_limit(self, capsys, query):
+        argv = ["oracle", *query, "--f", "1.5", "--samples", "10", "--seed", "1"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and err.startswith("ParamError: the Poisson rate")
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("argv", [
@@ -427,9 +460,11 @@ class TestNonFiniteInput:
         ["approx", "--poisson-gamma", "1", "2", "3", "--f", "1.5", "--n", "1e300", "--u", "1",
          "--mode", "series"],
         ["oracle", "--poisson-gamma", "1", "2", "3", "--f", "1.5", "--n", "0", "--u", "1"],
+        ["edgeworth", "--poisson-gamma", "1", "1", "3", "--f", "1.5", "--n", "-5", "--u", "1"],
     ], ids=["oracle-n", "oracle-u-nan", "oracle-u-inf", "mc-n", "edgeworth-n", "edgeworth-u",
             "overdispersion-u-bar", "overdispersion-mu-bar", "approx-series-n-below-1",
-            "approx-phi-overflow", "approx-series-phi-overflow", "oracle-n-zero"])
+            "approx-phi-overflow", "approx-series-phi-overflow", "oracle-n-zero",
+            "edgeworth-n-negative"])
     def test_non_finite_input_exits_2(self, capsys, argv):
         code, out, err = run(capsys, argv)
         assert code == 2, err

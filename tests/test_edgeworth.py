@@ -180,6 +180,12 @@ class TestNonFiniteInput:
         with pytest.raises(ParamError):
             diagnostic(pair, PowerScaling(1.5), **args)
 
+    @pytest.mark.parametrize("f", [1.5, 0.5], ids=["fast", "slow"])
+    @pytest.mark.parametrize("n", [-5.0, 0.0, 0.5])
+    def test_standardization_needs_n_at_least_1(self, f, n):
+        with pytest.raises(ParamError, match="n must be >= 1"):
+            standardization(pg_pair(1.0, 1.0, 3.0), PowerScaling(f), n, 1.0)
+
     def test_expansion_and_cdf(self, pg112):
         s = PowerScaling(1.5)
         with pytest.raises(ParamError):

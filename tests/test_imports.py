@@ -4,6 +4,8 @@ Each check runs in a fresh interpreter: this test process has numpy loaded
 already.
 """
 
+import os
+
 import pytest
 
 from conftest import run_python
@@ -44,13 +46,41 @@ def test_cli_approx_never_imports_numpy(argv, exit_code):
     proc = run_python("-X", "importtime", "-m", "twoscale.cli", *argv)
     assert proc.returncode == exit_code, proc.stderr
     assert (proc.stdout != "") == (exit_code == 0)
-    imported = [
-        line.rsplit("|", 1)[1].strip()
-        for line in proc.stderr.splitlines()
-        if line.startswith("import time:") and "|" in line
-    ]
+    imported = _imported(proc.stderr)
     assert "twoscale.asymptotics" in imported
     assert not [m for m in imported if m.split(".")[0] in ("numpy", "scipy")]
+
+
+@pytest.mark.parametrize("method", ["is", "mc"])
+def test_cli_monte_carlo_loads_numpy_alone(method):
+    proc = run_python("-X", "importtime", "-m", "twoscale.cli", "oracle", "--poisson-gamma", "1",
+                      "1", "3", "--f", "1.5", "--n", "400", "--u", "1", "--method", method,
+                      "--samples", "2000", "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    tops = {m.split(".")[0] for m in _imported(proc.stderr)}
+    assert "numpy" in tops and "scipy" not in tops
+
+
+def test_cli_runs_blas_on_one_thread():
+    # The caller's value is overwritten, not kept.
+    code = (
+        "import os\n"
+        "from twoscale.cli import main\n"
+        "assert main(['approx', '--poisson-gamma', '1', '1', '3', '--f', '1.5',"
+        " '--n', '400', '--u', '1']) == 0\n"
+        "assert os.environ['OPENBLAS_NUM_THREADS'] == '1', os.environ['OPENBLAS_NUM_THREADS']\n"
+    )
+    proc = run_python("-c", code, env={**os.environ, "OPENBLAS_NUM_THREADS": "4"})
+    assert proc.returncode == 0, proc.stderr
+
+
+def _imported(importtime_stderr: str) -> list:
+    """The modules named by ``python -X importtime`` output."""
+    return [
+        line.rsplit("|", 1)[1].strip()
+        for line in importtime_stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    ]
 
 
 def test_every_public_name_resolves():

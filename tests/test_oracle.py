@@ -341,6 +341,23 @@ class TestPlainMc:
                 plain_mc_tail(m, PowerScaling(1.5), 1e200, 1e200, samples=10, seed=1)
 
 
+class TestPoissonRateLimit:
+    def test_limit_is_numpys(self):
+        rng = np.random.default_rng(0)
+        rng.poisson(oracle._POISSON_RATE_MAX)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(np.nextafter(oracle._POISSON_RATE_MAX, math.inf))
+
+    @pytest.mark.parametrize("estimator, pair, n, u", [
+        (plain_mc_tail, gp_pair(1.0, 3.0, 1.0), 1e100, 1e-90),  # count rate 1e150
+        (plain_mc_tail, pg_pair(1.0, 1.0, 3.0), 1e20, 1.0),  # jump * clock ~ 3e19
+        (is_tail, pg_pair(1.0, 1.0, 3.0), 1e20, 5.0),
+    ], ids=["mc-gp", "mc-pg", "is-pg"])
+    def test_rate_past_the_limit(self, estimator, pair, n, u):
+        with pytest.raises(ParamError, match="Poisson rate"):
+            estimator(pair, PowerScaling(1.5), n, u, samples=10, seed=1)
+
+
 # Exact (probability, std_error) of the Monte Carlo oracles, recorded before
 # plain Monte Carlo became the zero tilt of the importance sampler and the
 # substreams stopped running on a thread pool: pg(1, 1, 3) and gp(1, 2, 1),
