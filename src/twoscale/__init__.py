@@ -27,8 +27,9 @@ _LAZY = {
             "hermite", "standardization", "tilted_cdf_approx", "tilted_negbin_cdf",
         )),
         ("oracle", (
-            "OracleResult", "RigorousBound", "StatisticalBound", "compound_poisson_gamma_tail",
-            "is_tail", "negbin_tail", "plain_mc_tail",
+            "CompoundPoissonGammaLaw", "NegBinLaw", "OracleResult", "RigorousBound",
+            "StatisticalBound", "compound_poisson_gamma_tail", "exact_law", "is_tail",
+            "negbin_tail", "plain_mc_tail",
         )),
         ("overdispersion", (
             "ApproxTable", "ArrivalQuery", "pi_exact", "pi_fast", "pi_gamma", "pi_hat_fast",

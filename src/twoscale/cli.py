@@ -38,7 +38,6 @@ from . import asymptotics
 from .errors import ParamError, TwoscaleError, require_finite
 from .formatting import format_sig
 from .levy import CharExponent, ModelPair, PowerScaling, load_model
-from .models import exact_law
 
 __all__ = ["main"]
 
@@ -129,7 +128,7 @@ def _cmd_approx(args) -> int:
 def _cmd_oracle(args) -> int:
     model, scaling = _resolve_model(args)
     require_finite(n=args.n, u=args.u)
-    from .oracle import StatisticalBound, is_tail, plain_mc_tail
+    from .oracle import StatisticalBound, exact_law, is_tail, plain_mc_tail
 
     if args.method == "exact":
         res = exact_law(model, scaling, args.n).tail(args.u * args.n)

@@ -28,7 +28,7 @@ from scipy import special
 from .asymptotics import _leading, classify
 from .errors import ParamError, RegimeError, _in_float_range, require_finite
 from .levy import ModelPair, PowerScaling
-from .models import NegBinLaw, _builtin, exact_law
+from .oracle import NegBinLaw, _worked, exact_law
 from .twist import _require_query, fast_expansion, slow_expansion, solve_twist
 
 __all__ = [
@@ -196,8 +196,7 @@ def diagnostic(
     require_finite(x_min=x_min, x_max=x_max)
     if points is not None and points < 1:
         raise ParamError(f"points must be >= 1, got {points}")
-    if _builtin(model) is None:
-        raise ParamError("the Edgeworth diagnostic needs a built-in model pair")
+    _worked(model, "the Edgeworth diagnostic")
     mean, scale = standardization(model, scaling, n, u)
     if not scale > 0:
         raise ParamError(f"the standardization scale {scale} at u = {u} is not positive")

@@ -1,16 +1,11 @@
-"""Closed forms for the two built-in model pairs.
+"""Closed-form coefficient ladders for the two built-in model pairs.
 
 A ``ModelPair`` of two built-in exponents, recognised by their kinds, admits
-explicit twisting factors, expansion coefficients to every order, and an
-exact marginal law; this module has none of them for any other pair:
+explicit twisting factors and expansion coefficients to every order; this
+module has none of them for any other pair:
 
-* ``poisson_gamma``  -- A Poisson(lam), B Gamma(r, mu).  C_n is negative
-  binomial with successes r*phi_n and success probability mu/(mu + lam psi_n).
-* ``gamma_poisson``  -- A Gamma(r, mu), B Poisson(lam).  C_n is compound
-  Poisson with rate phi_n*lam and Gamma(r psi_n, mu) jumps.
-
-Each law carries its ``lmgf``, its Esscher ``tilt`` (a law of the same kind),
-its ``cdf`` and its exact ``tail``; numpy, scipy and ``oracle`` load on first use.
+* ``poisson_gamma``  -- A Poisson(lam), B Gamma(r, mu).
+* ``gamma_poisson``  -- A Gamma(r, mu), B Poisson(lam).
 
 Writing ``rho = lam*r/(mu*u)`` (rare direction: rho < 1), the fast/slow
 coefficient ladders are generated either from the printed closed forms
@@ -21,18 +16,14 @@ with the geometric series for ``1/(1 + r psi)`` (gamma_poisson).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NotRareError, ParamError, SeriesUnavailable, _in_float_range, require_finite
-from .levy import ModelPair, PowerScaling
+from .levy import ModelPair
 
 __all__ = [
     "WorkedModel",
-    "NegBinLaw",
-    "CompoundPoissonGammaLaw",
     "fast_series_coeffs",
     "slow_series_coeffs",
-    "exact_law",
 ]
 
 #: Default coefficient count; series sums stop early once a term stops
@@ -135,104 +126,3 @@ def slow_series_coeffs(model: ModelPair, u: float, k_max: int = K_MAX_DEFAULT):
         w = [-mu * e[k] for k in range(1, kk + 1)]
         wbar = [-u * (w[k - 1] / r + w[k]) for k in range(1, k_max + 1)]
     return tau_star, tuple(w[:k_max]), tuple(wbar)
-
-
-@dataclass(frozen=True)
-class NegBinLaw:
-    """Negative binomial: pmf(x) = C(x+k-1, x) p^k (1-p)^x on x = 0, 1, ..."""
-
-    successes: float
-    p: float
-
-    def lmgf(self, theta: float) -> float:
-        q = 1.0 - self.p
-        if theta >= -math.log(q):
-            raise ParamError(f"negative binomial lmgf diverges at theta = {theta}")
-        return self.successes * math.log(self.p / (1.0 - q * math.exp(theta)))
-
-    def tilt(self, theta: float) -> "NegBinLaw":
-        """Esscher transform: again negative binomial, with q scaled by exp(theta)."""
-        return NegBinLaw(self.successes, 1.0 - (1.0 - self.p) * math.exp(theta))
-
-    def cdf(self, x):
-        """P(X <= x) at integer x (scalar or array); 0 below 0."""
-        import numpy as np
-        from scipy import special
-
-        xs = np.asarray(x, dtype=float)
-        below = special.betainc(self.successes, np.maximum(xs, 0.0) + 1.0, self.p)
-        out = np.where(xs < 0, 0.0, below)
-        return float(out) if np.ndim(x) == 0 else out
-
-    def tail(self, threshold: float):
-        """P(X >= threshold) from :func:`oracle.negbin_tail`, which rounds the threshold to a count."""
-        from .oracle import negbin_tail
-
-        return negbin_tail(self.successes, self.p, threshold)
-
-
-@dataclass(frozen=True)
-class CompoundPoissonGammaLaw:
-    """Poisson(rate)-many iid Gamma(jump_shape, jump_rate) jumps."""
-
-    rate: float
-    jump_shape: float
-    jump_rate: float
-
-    def lmgf(self, theta: float) -> float:
-        if theta >= self.jump_rate:
-            raise ParamError(f"compound Poisson lmgf diverges at theta = {theta}")
-        return self.rate * ((self.jump_rate / (self.jump_rate - theta)) ** self.jump_shape - 1.0)
-
-    def tilt(self, theta: float) -> "CompoundPoissonGammaLaw":
-        """Esscher transform: the rate grows and the jumps' rate drops by theta."""
-        rate = self.rate * (self.jump_rate / (self.jump_rate - theta)) ** self.jump_shape
-        return CompoundPoissonGammaLaw(rate, self.jump_shape, self.jump_rate - theta)
-
-    def cdf(self, x):
-        """P(X <= x) (scalar or array), summing the Poisson mixture over +-12 sigma.
-
-        The mass outside the window is far below any tolerance used here.
-        """
-        import numpy as np
-        from scipy import special
-
-        rate = self.rate
-        j_lo = max(1, int(rate - 12.0 * math.sqrt(rate) - 60.0))
-        j_hi = int(rate + 12.0 * math.sqrt(rate) + 60.0)
-        if j_hi - j_lo > 2_000_000:
-            raise ParamError(
-                "the exact tilted compound mixture has too many relevant terms at "
-                f"this scale (Poisson rate {rate:.3g}); use a smaller n"
-            )
-        ys = np.atleast_1d(np.asarray(x, dtype=float))
-        js = np.arange(j_lo, j_hi + 1, dtype=float)
-        weights = np.exp(-rate + js * math.log(rate) - special.gammaln(js + 1.0))
-        atom = math.exp(-rate) if j_lo == 1 else 0.0
-        out = np.empty_like(ys)
-        for i, y in enumerate(ys):
-            if y < 0:
-                out[i] = 0.0
-                continue
-            lower = special.gammainc(js * self.jump_shape, self.jump_rate * y)
-            out[i] = atom + float(weights @ lower)
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-    def tail(self, threshold: float):
-        """P(X >= threshold) from :func:`oracle.compound_poisson_gamma_tail`."""
-        from .oracle import compound_poisson_gamma_tail
-
-        return compound_poisson_gamma_tail(self.rate, self.jump_shape, self.jump_rate, threshold)
-
-
-def exact_law(model: ModelPair | None, scaling: PowerScaling, n: float):
-    """The exact marginal law of C_n for a built-in pair; any other pair (or None) raises ParamError."""
-    numbers = None if model is None else _builtin(model)
-    if numbers is None:
-        raise ParamError("exact oracles exist for the built-in model pairs only")
-    require_finite(n=n)
-    phi, psi = scaling.phi(n), scaling.psi(n)
-    variant, lam, r, mu = numbers
-    if variant == "poisson_gamma":
-        return NegBinLaw(successes=r * phi, p=mu / (mu + lam * psi))
-    return CompoundPoissonGammaLaw(rate=phi * lam, jump_shape=r * psi, jump_rate=mu)

@@ -1,4 +1,10 @@
-"""Ground-truth tail probabilities: exact summations and Monte Carlo.
+"""Ground-truth tail probabilities: exact laws, exact summations and Monte Carlo.
+
+Exact laws
+----------
+``exact_law`` gives the law of C_n for a built-in pair (negative binomial, or
+compound Poisson-Gamma).  Each law owns its ``lmgf``, its Esscher ``tilt``
+(refused where the lmgf diverges), its ``cdf`` and its exact ``tail`` below.
 
 Exact oracles
 -------------
@@ -22,8 +28,8 @@ bit-identical results; numpy's generators use exact (transformed-rejection)
 Poisson sampling, no normal approximation.  A Poisson rate past numpy's limit
 (about 9.2e18) raises ParamError.
 
-Only the exact sums call scipy, and they import it where they call it, so the
-Monte Carlo estimators load numpy alone.
+Only the exact sums and the laws' ``cdf`` call scipy, and they import it where
+they call it, so the Monte Carlo estimators load numpy alone.
 """
 
 from __future__ import annotations
@@ -43,6 +49,9 @@ __all__ = [
     "OracleResult",
     "RigorousBound",
     "StatisticalBound",
+    "NegBinLaw",
+    "CompoundPoissonGammaLaw",
+    "exact_law",
     "negbin_tail",
     "compound_poisson_gamma_tail",
     "is_tail",
@@ -323,6 +332,97 @@ def compound_poisson_gamma_tail(
     return OracleResult(prob, log_prob, RigorousBound(bound), "compound_series")
 
 
+@dataclass(frozen=True)
+class NegBinLaw:
+    """Negative binomial: pmf(x) = C(x+k-1, x) p^k (1-p)^x on x = 0, 1, ..."""
+
+    successes: float
+    p: float
+
+    def _require_domain(self, theta: float) -> None:
+        # p rounded to 1 leaves a point mass at 0, whose lmgf is finite everywhere.
+        q = 1.0 - self.p
+        if q > 0 and theta >= -math.log(q):
+            raise ParamError(f"negative binomial lmgf diverges at theta = {theta}")
+
+    def lmgf(self, theta: float) -> float:
+        self._require_domain(theta)
+        return self.successes * math.log(self.p / (1.0 - (1.0 - self.p) * math.exp(theta)))
+
+    def tilt(self, theta: float) -> "NegBinLaw":
+        """Esscher transform: again negative binomial, with q scaled by exp(theta)."""
+        self._require_domain(theta)
+        return NegBinLaw(self.successes, 1.0 - (1.0 - self.p) * math.exp(theta))
+
+    def cdf(self, x):
+        """P(X <= x) at integer x (scalar or array); 0 below 0."""
+        from scipy import special
+
+        xs = np.asarray(x, dtype=float)
+        below = special.betainc(self.successes, np.maximum(xs, 0.0) + 1.0, self.p)
+        out = np.where(xs < 0, 0.0, below)
+        return float(out) if np.ndim(x) == 0 else out
+
+    def tail(self, threshold: float):
+        """P(X >= threshold) from :func:`negbin_tail`, which rounds the threshold to a count."""
+        return negbin_tail(self.successes, self.p, threshold)
+
+
+@dataclass(frozen=True)
+class CompoundPoissonGammaLaw:
+    """Poisson(rate)-many iid Gamma(jump_shape, jump_rate) jumps."""
+
+    rate: float
+    jump_shape: float
+    jump_rate: float
+
+    def _require_domain(self, theta: float) -> None:
+        if theta >= self.jump_rate:
+            raise ParamError(f"compound Poisson lmgf diverges at theta = {theta}")
+
+    def lmgf(self, theta: float) -> float:
+        self._require_domain(theta)
+        return self.rate * ((self.jump_rate / (self.jump_rate - theta)) ** self.jump_shape - 1.0)
+
+    def tilt(self, theta: float) -> "CompoundPoissonGammaLaw":
+        """Esscher transform: the rate grows and the jumps' rate drops by theta."""
+        self._require_domain(theta)
+        rate = self.rate * (self.jump_rate / (self.jump_rate - theta)) ** self.jump_shape
+        return CompoundPoissonGammaLaw(rate, self.jump_shape, self.jump_rate - theta)
+
+    def cdf(self, x):
+        """P(X <= x) (scalar or array), summing the Poisson mixture over +-12 sigma.
+
+        The mass outside the window is far below any tolerance used here.
+        """
+        from scipy import special
+
+        rate = self.rate
+        j_lo = max(1, int(rate - 12.0 * math.sqrt(rate) - 60.0))
+        j_hi = int(rate + 12.0 * math.sqrt(rate) + 60.0)
+        if j_hi - j_lo > 2_000_000:
+            raise ParamError(
+                "the exact tilted compound mixture has too many relevant terms at "
+                f"this scale (Poisson rate {rate:.3g}); use a smaller n"
+            )
+        ys = np.atleast_1d(np.asarray(x, dtype=float))
+        js = np.arange(j_lo, j_hi + 1, dtype=float)
+        weights = np.exp(-rate + js * math.log(rate) - special.gammaln(js + 1.0))
+        atom = math.exp(-rate) if j_lo == 1 else 0.0
+        out = np.empty_like(ys)
+        for i, y in enumerate(ys):
+            if y < 0:
+                out[i] = 0.0
+                continue
+            lower = special.gammainc(js * self.jump_shape, self.jump_rate * y)
+            out[i] = atom + float(weights @ lower)
+        return float(out[0]) if np.ndim(x) == 0 else out
+
+    def tail(self, threshold: float):
+        """P(X >= threshold) from :func:`compound_poisson_gamma_tail`."""
+        return compound_poisson_gamma_tail(self.rate, self.jump_shape, self.jump_rate, threshold)
+
+
 def _mc_tail(
     sampler: Callable[[np.random.Generator, int], np.ndarray],
     samples: int,
@@ -355,12 +455,22 @@ def _mc_tail(
     return OracleResult(mean, log_prob, StatisticalBound(se, samples, seed), method)
 
 
-def _worked(model: ModelPair, what: str) -> tuple[str, float, float, float]:
-    """``(variant, lam, r, mu)`` of a built-in pair; ParamError naming ``what`` for any other."""
-    numbers = _builtin(model)
+def _worked(model: ModelPair | None, what: str) -> tuple[str, float, float, float]:
+    """``(variant, lam, r, mu)`` of a built-in pair; ParamError naming ``what`` for any other, or None."""
+    numbers = None if model is None else _builtin(model)
     if numbers is None:
         raise ParamError(f"{what} is implemented for the built-in model pairs only")
     return numbers
+
+
+def exact_law(model: ModelPair | None, scaling: PowerScaling, n: float):
+    """The exact marginal law of C_n for a built-in pair; any other pair (or None) raises ParamError."""
+    variant, lam, r, mu = _worked(model, "the exact law")
+    require_finite(n=n)
+    phi, psi = scaling.phi(n), scaling.psi(n)
+    if variant == "poisson_gamma":
+        return NegBinLaw(successes=r * phi, p=mu / (mu + lam * psi))
+    return CompoundPoissonGammaLaw(rate=phi * lam, jump_shape=r * psi, jump_rate=mu)
 
 
 def _sampler(

@@ -35,7 +35,7 @@ from twoscale import (
     slow_expansion,
     solve_twist,
 )
-from twoscale.models import exact_law
+from twoscale.oracle import exact_law
 from conftest import RARE_GRID, gp_pair, matches_displayed, pg_pair
 
 

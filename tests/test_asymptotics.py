@@ -21,7 +21,7 @@ from twoscale import (
     negbin_tail,
 )
 from twoscale.levy import CharExponent, ModelPair, lmgf
-from twoscale.models import exact_law
+from twoscale.oracle import exact_law
 from twoscale.twist import solve_twist
 from conftest import count_derivs, gp_pair, pg_pair
 

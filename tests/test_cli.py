@@ -3,11 +3,23 @@
 import json
 import math
 import os
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twoscale import (
+    PowerScaling,
+    TwoscaleError,
+    approx_fast,
+    approx_single_timescale,
+    approx_slow,
+    classify,
+)
 from twoscale.cli import main
-from conftest import MALFORMED_MODELS, malformed_model, run_python
+from conftest import MALFORMED_MODELS, gp_pair, malformed_model, pg_pair, run_python
 
 
 @pytest.fixture(autouse=True)
@@ -45,6 +57,21 @@ class TestApprox:
         assert payload["lattice_adjusted"] is True  # Poisson outer process
         assert payload["value"] == 0.0  # deep tail underflows; log stays finite
         assert payload["log_value"] < -1900
+
+    def test_model_file_takes_f_from_the_command_line(self, capsys, tmp_path):
+        spec = tmp_path / "pg.json"
+        spec.write_text('{"A": {"kind": "poisson", "lambda": 1.0},'
+                        ' "B": {"kind": "gamma", "r": 1.0, "mu": 3.0}, "f": 1.5}')
+        query = ["--n", "400", "--u", "1"]
+        outs = [
+            run(capsys, ["approx", *source, *query])
+            for source in (["--model", str(spec), "--f", "0.6"],
+                           ["--poisson-gamma", "1", "1", "3", "--f", "0.6"],
+                           ["--model", str(spec)])
+        ]
+        assert [code for code, _, _ in outs] == [0, 0, 0]
+        overridden, inline, own = (out for _, out, _ in outs)
+        assert overridden == inline != own
 
     def test_not_rare_exits_2(self, capsys, pg_json):
         code, out, err = run(capsys, ["approx", "--model", pg_json, "--n", "10000", "--u", "0.1"])
@@ -170,6 +197,52 @@ class TestApprox:
         payload = json.loads(out)
         assert payload["regime"] == "slow"
         assert payload["lattice_adjusted"] is False
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    gp=st.booleans(),
+    params=st.tuples(*[_log_uniform(1e-3, 1e3)] * 3),
+    # Within 1e-3 of f = 1 series mode's default order passes 1000, and the gp
+    # ladder's cost grows as its square: minutes at f = 0.99999.
+    f=st.one_of(st.just(1.0), st.floats(0.05, 0.999), st.floats(1.001, 4.0)),
+    n=_log_uniform(1.0, 1e12),
+    u=_log_uniform(1e-4, 1e4),
+    lattice=st.booleans(),
+    mode=st.sampled_from(["direct", "series"]),
+)
+def test_approx_is_finite_or_a_twoscale_error(gp, params, f, n, u, lattice, mode):
+    # every approximant returns a finite log_value or raises TwoscaleError,
+    # and the CLI exits 0 or 2, never 1
+    model = (gp_pair if gp else pg_pair)(*params)
+    scaling = PowerScaling(f)
+    regime = classify(scaling).regime
+    if regime == "single":
+        calls = [lambda: approx_single_timescale(model, n, u)]
+    else:
+        fn = approx_fast if regime == "fast" else approx_slow
+        calls = [
+            lambda m=m: fn(model, scaling, n, u, mode=m, lattice=lattice) for m in ("direct", "series")
+        ]
+    for call in calls:
+        try:
+            est = call()
+        except TwoscaleError:
+            continue
+        assert math.isfinite(est.log_value), est
+    argv = ["approx", "--gamma-poisson" if gp else "--poisson-gamma", *map(repr, params),
+            "--f", repr(f), "--n", repr(n), "--u", repr(u), "--mode", mode,
+            "--lattice", "on" if lattice else "off"]
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 0:
+        assert math.isfinite(json.loads(out.getvalue())["log_value"]), argv
 
 
 class TestOracle:

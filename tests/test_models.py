@@ -221,6 +221,15 @@ class TestLawMethods:
                 want = law.lmgf(t + s) - law.lmgf(t)
                 assert tilted.lmgf(s) == pytest.approx(want, rel=1e-12)
 
+    def test_tilt_refuses_what_lmgf_refuses(self, law):
+        # past the edge the tilted law would have p <= 0 or a complex rate
+        edge = -math.log(1.0 - law.p) if isinstance(law, NegBinLaw) else law.jump_rate
+        for theta in (edge, 2.0 * edge):
+            with pytest.raises(ParamError, match="diverges"):
+                law.lmgf(theta)
+            with pytest.raises(ParamError, match="diverges"):
+                law.tilt(theta)
+
     def test_tail_is_the_oracle(self, law):
         from twoscale import compound_poisson_gamma_tail, negbin_tail
 
@@ -252,6 +261,14 @@ def test_negbin_cdf_matches_scipy():
     law = NegBinLaw(successes=7.5, p=0.4)
     xs = np.arange(0.0, 60.0)
     assert law.cdf(xs) == pytest.approx(stats.nbinom.cdf(xs, 7.5, 0.4), rel=1e-12)
+
+
+def test_negbin_point_mass_tilts_anywhere():
+    # p rounded to 1 (a huge clock rate) leaves a point mass at 0: its lmgf is
+    # 0 for every theta, and every tilt is the law itself
+    law = NegBinLaw(successes=3.0, p=1.0)
+    assert law.lmgf(0.5) == 0.0
+    assert law.tilt(2.0) == law
 
 
 def test_compound_cdf_guard():

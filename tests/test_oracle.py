@@ -239,7 +239,7 @@ class TestImportanceSampling:
     def test_agrees_with_negbin_exact(self, pg113):
         s, n, u = PowerScaling(1.5), 400.0, 0.48
         res = is_tail(pg113, s, n, u, samples=60_000, seed=20240801)
-        from twoscale.models import exact_law
+        from twoscale.oracle import exact_law
 
         law = exact_law(pg113, s, n)
         exact = negbin_tail(law.successes, law.p, u * n).probability
@@ -251,7 +251,7 @@ class TestImportanceSampling:
         # error small anyway.
         s, n, u = PowerScaling(1.5), 400.0, 1.0
         res = is_tail(pg113, s, n, u, samples=60_000, seed=7)
-        from twoscale.models import exact_law
+        from twoscale.oracle import exact_law
 
         law = exact_law(pg113, s, n)
         exact = math.exp(negbin_tail(law.successes, law.p, u * n).log_probability)
@@ -283,7 +283,7 @@ class TestImportanceSampling:
     def test_unbiased_coverage(self, pg113):
         # exact value inside the 99% CI for the vast majority of seeds
         s, n, u = PowerScaling(1.5), 400.0, 0.48
-        from twoscale.models import exact_law
+        from twoscale.oracle import exact_law
 
         law = exact_law(pg113, s, n)
         exact = negbin_tail(law.successes, law.p, u * n).probability
