@@ -27,20 +27,11 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
 
 from . import models as worked
 from .errors import LatticeError, OrderError, ParamError, RegimeError, SeriesUnavailable, require_finite
-from .levy import ModelPair, PowerScaling, _composed_jet
-from .twist import (
-    _require_query,
-    _require_rare,
-    _solve_tau_star,
-    _solve_theta_star,
-    _solved,
-    _twist_at_psi,
-    solve_twist,
-)
+from .levy import ModelPair, PowerScaling
+from .twist import _leading, _require_query, solve_twist
 
 __all__ = [
     "RegimeInfo",
@@ -157,68 +148,21 @@ def _assemble(front, spread, terms, mode, order, lattice) -> AsymptoticEstimate:
     )
 
 
-def _leading(model: ModelPair, regime: str, u: float) -> tuple[float, float, float]:
-    """Leading-order ``(twist, rate, sigma)`` of a regime at a rare ``u``.
-
-    fast: ``theta*``, ``b alpha(theta*) - theta* u``, sigma_plus; slow: ``tau*``,
-    ``beta(a tau*) - tau* u``, sigma_minus; single: the f = 1 twist ``t0``,
-    ``beta(alpha(t0)) - t0 u`` and sigma_0, with
-    ``sigma_0^2 = beta''(alpha(t0)) alpha'(t0)^2 + beta'(alpha(t0)) alpha''(t0)``.
-    The rate is per unit of the regime's clock (n, phi_n, n); one past the float range raises ParamError.
-    """
-    return _solved(model, u, _solve_leading, regime)
-
-
-def _solve_leading(model: ModelPair, u: float, regime: str) -> tuple[float, float, float]:
-    """:func:`_leading`, solved."""
-    _require_rare(model, u)
-    if regime == "fast":
-        twist = _solved(model, u, _solve_theta_star)
-        a0, _, a2 = model.A.jet(twist, 2)
-        rate, sigma = model.b * a0 - twist * u, math.sqrt(model.b * a2)
-    elif regime == "slow":
-        twist = _solved(model, u, _solve_tau_star)
-        a = model.a
-        b0, _, b2 = model.B.jet(a * twist, 2)
-        rate, sigma = b0 - twist * u, a * math.sqrt(b2)
-    else:
-        twist = _solved(model, u, _twist_at_psi)[0]
-        value, _, slope = _composed_jet(model, 1.0)(twist)
-        rate, sigma = value - twist * u, math.sqrt(slope)
-    if not math.isfinite(rate):
-        raise ParamError(f"the {regime}-regime rate {rate} at u = {u} lies past the float range")
-    return twist, rate, sigma
-
-
-# What the fast and the slow approximant do differently: the range of f, the
-# clock of the linear term (n or phi_n), whose lattice span applies and the
-# unit of that process's time (lattice factor at unit*twist, times unit), the
-# default series order, and the series sum_{k >= k0} bar[k - k0] phi psi^(sign k)
-# with its coefficients from ``models`` (named, so a wrapper installed on the
-# module, such as the benchmark's tracer, sees the call).
-_SIDES = {
-    "fast": ("f > 1", lambda scaling, n: n, "A", lambda model: 1.0,
-             attrgetter("m_plus"), 2, 1, "fast_series_coeffs"),
-    "slow": ("0 < f < 1", PowerScaling.phi, "B", attrgetter("a"),
-             attrgetter("m_minus"), 1, -1, "slow_series_coeffs"),
-}
-
-
 def _approx(regime, model, scaling, n, u, mode, order, lattice) -> AsymptoticEstimate:
     """The body shared by :func:`approx_fast` and :func:`approx_slow`."""
-    requires, clock_of, process, unit_of, default_order, k0, sign, coeffs = _SIDES[regime]
+    fast = regime == "fast"
     _require_query(n, u)
     info = classify(scaling)
     if info.regime != regime:
+        requires = "f > 1" if fast else "0 < f < 1"
         raise RegimeError(f"approx_{regime} requires {requires}, got f = {scaling.f}")
     twist, rate, sigma = _leading(model, regime, u)
-    clock = clock_of(scaling, n)
+    clock = n if fast else scaling.phi(n)
     if lattice:
-        d = getattr(model, process).lattice_span
-        if d <= 0:
-            raise LatticeError(f"lattice adjustment requested but {process} has lattice span 0")
-        unit = unit_of(model)
-        front = lattice_factor(unit * twist, d) * unit
+        process, unit = (model.A, 1.0) if fast else (model.B, model.a)
+        if process.lattice_span <= 0:
+            raise LatticeError(f"lattice adjustment requested but {'A' if fast else 'B'} has lattice span 0")
+        front = lattice_factor(unit * twist, process.lattice_span) * unit
     else:
         front = 1.0 / twist
     spread = sigma * math.sqrt(2.0 * math.pi * clock)
@@ -233,15 +177,18 @@ def _approx(regime, model, scaling, n, u, mode, order, lattice) -> AsymptoticEst
         raise OrderError(f"mode must be 'direct' or 'series', got {mode!r}")
     if worked._builtin(model) is None:
         raise SeriesUnavailable("series mode needs a built-in model pair")
-    m = default_order(info) if order is None else order
-    if m < k0 - 1:
-        raise OrderError(f"series order must be >= {k0 - 1}, got {m}")
+    m = (info.m_plus if fast else info.m_minus) if order is None else order
+    k0 = 2 if fast else 1
+    if not k0 - 1 <= m <= worked.K_MAX:
+        raise OrderError(f"series order must lie in {k0 - 1}..{worked.K_MAX}, got {m}")
     terms = [("linear", linear)]
     if m >= k0:
-        _, _, bar = getattr(worked, coeffs)(model, u, k_max=m)
+        # Looked up at call time, so a wrapper installed on ``models`` sees the call.
+        series = worked.fast_series_coeffs if fast else worked.slow_series_coeffs
+        _, _, bar = series(model, u, k_max=m)
         phi, psi = scaling.phi(n), scaling.psi(n)
         for k in range(k0, m + 1):
-            terms.append((f"k={k}", bar[k - k0] * phi * psi ** (sign * k)))
+            terms.append((f"k={k}", bar[k - k0] * phi * psi ** (k if fast else -k)))
     return _assemble(front, spread, terms, "series", m, lattice)
 
 

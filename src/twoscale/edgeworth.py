@@ -25,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .asymptotics import _leading, classify
+from .asymptotics import classify
 from .errors import ParamError, RegimeError, _in_float_range, require_finite
 from .levy import ModelPair, PowerScaling
 from .oracle import NegBinLaw, _worked, exact_law
-from .twist import _require_query, fast_expansion, slow_expansion, solve_twist
+from .twist import _leading, _require_query, fast_expansion, slow_expansion, solve_twist
 
 __all__ = [
     "EdgeworthExpansion",

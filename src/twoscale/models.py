@@ -26,9 +26,10 @@ __all__ = [
     "slow_series_coeffs",
 ]
 
-#: Default coefficient count; series sums stop early once a term stops
-#: affecting the total at relative 1e-15.
-K_MAX_DEFAULT = 50
+#: The most series terms any ladder, series-mode order or arrival-count
+#: refinement sums: the term count ``floor(f/|1-f|)`` grows without limit as
+#: f -> 1, and the gamma_poisson ladder costs O(k_max^2).
+K_MAX = 50
 
 
 def _builtin(model: ModelPair) -> tuple[str, float, float, float] | None:
@@ -56,8 +57,8 @@ def _ladder(model: ModelPair, u: float, k_max: int) -> tuple[str, float, float, 
     numbers = _builtin(model)
     if numbers is None:
         raise SeriesUnavailable("closed-form coefficient ladders exist for the built-in model pairs only")
-    if k_max < 1:
-        raise ParamError(f"k_max must be >= 1, got {k_max}")
+    if not 1 <= k_max <= K_MAX:
+        raise ParamError(f"k_max must lie in 1..{K_MAX}, got {k_max}")
     require_finite(u=u)
     variant, lam, r, mu = numbers
     rho = lam * r / (mu * u)
@@ -78,7 +79,7 @@ def _series_exp(t: list[float], k_max: int) -> list[float]:
 
 
 @_in_float_range
-def fast_series_coeffs(model: ModelPair, u: float, k_max: int = K_MAX_DEFAULT):
+def fast_series_coeffs(model: ModelPair, u: float, k_max: int = K_MAX):
     """(theta_star, v, vbar): twist coefficients and exponent-term coefficients.
 
     ``v[k-1]`` is v_k for k = 1..k_max; ``vbar[k-2]`` is the coefficient of
@@ -103,7 +104,7 @@ def fast_series_coeffs(model: ModelPair, u: float, k_max: int = K_MAX_DEFAULT):
 
 
 @_in_float_range
-def slow_series_coeffs(model: ModelPair, u: float, k_max: int = K_MAX_DEFAULT):
+def slow_series_coeffs(model: ModelPair, u: float, k_max: int = K_MAX):
     """(tau_star, w, wbar): slow-regime twins of :func:`fast_series_coeffs`.
 
     ``w[k-1]`` is w_k for k = 1..k_max; ``wbar[k-1]`` is the coefficient of

@@ -439,6 +439,8 @@ def _mc_tail(
         raise ParamError(f"samples must be >= 2, got {samples}")
     if workers < 1:
         raise ParamError(f"workers must be >= 1, got {workers}")
+    if seed < 0:
+        raise ParamError(f"seed must be >= 0, got {seed}")
     base, rem = divmod(samples, workers)
     parts = []
     for i, stream in enumerate(np.random.SeedSequence(seed).spawn(workers)):

@@ -37,6 +37,7 @@ from scipy import special
 
 from .errors import NotRareError, ParamError, require_finite
 from .formatting import format_sig
+from .models import K_MAX
 from .oracle import OracleResult, _ceil_threshold, negbin_tail
 
 __all__ = [
@@ -52,7 +53,6 @@ __all__ = [
     "reproduce_tables",
 ]
 
-_ADAPTIVE_CAP = 50
 _ADAPTIVE_TOL = 1e-12
 
 #: Reference parameter triples (K, mu_bar, u_bar).  The second slow row uses
@@ -140,7 +140,7 @@ def _sum_terms(q, term, first: int, M: int | None, linear: float) -> float:
         # the ladder is being used outside its regime; truncate like an
         # asymptotic series, at the smallest term.
         prev = abs(linear)
-        for k in range(first, _ADAPTIVE_CAP + 1):
+        for k in range(first, K_MAX + 1):
             t = term(q, k)
             if abs(t) >= prev:
                 break
@@ -165,11 +165,11 @@ def _bounded_exp(log_value: float) -> float:
 def pi_fast(q: ArrivalQuery, M: int | None = None) -> float:
     """Fast-regime refinement; the exponent sum runs k = 2..M (M = 1: empty).
 
-    M = None selects adaptive truncation (cap 50, stop below 1e-12).
+    M = None selects adaptive truncation (cap K_MAX, stop below 1e-12).
     """
     rho = q._require_rare()
-    if M is not None and M < 1:
-        raise ParamError(f"M must be >= 1 for pi_fast, got {M}")
+    if M is not None and not 1 <= M <= K_MAX:
+        raise ParamError(f"M must lie in 1..{K_MAX} for pi_fast, got {M}")
     linear = (1.0 - rho + math.log(rho)) * q.u_bar
     s = linear + _sum_terms(q, _fast_term, 2, M, linear)
     return _bounded_exp(s - math.log((1.0 - rho) * math.sqrt(2.0 * math.pi * q.u_bar)))
@@ -178,8 +178,8 @@ def pi_fast(q: ArrivalQuery, M: int | None = None) -> float:
 def pi_slow(q: ArrivalQuery, M: int | None = None) -> float:
     """Slow-regime refinement; the exponent sum runs k = 1..M (M = 0: empty)."""
     rho = q._require_rare()
-    if M is not None and M < 0:
-        raise ParamError(f"M must be >= 0 for pi_slow, got {M}")
+    if M is not None and not 0 <= M <= K_MAX:
+        raise ParamError(f"M must lie in 0..{K_MAX} for pi_slow, got {M}")
     linear = (1.0 - 1.0 / rho + math.log(1.0 / rho)) * q.K
     s = linear + _sum_terms(q, _slow_term, 1, M, linear)
     return _bounded_exp(s - math.log((1.0 / rho - 1.0) * math.sqrt(2.0 * math.pi * q.K)))

@@ -369,6 +369,39 @@ def _solve_tau_star(model: ModelPair, u: float) -> float:
     return _solve_star(model.B, model.a, model.a, u, "tau_star")
 
 
+def _leading(model: ModelPair, regime: str, u: float) -> tuple[float, float, float]:
+    """Leading-order ``(twist, rate, sigma)`` of a regime at a rare ``u``.
+
+    fast: ``theta*``, ``b alpha(theta*) - theta* u``, sigma_plus; slow: ``tau*``,
+    ``beta(a tau*) - tau* u``, sigma_minus; single: the f = 1 twist ``t0``,
+    ``beta(alpha(t0)) - t0 u`` and sigma_0, with
+    ``sigma_0^2 = beta''(alpha(t0)) alpha'(t0)^2 + beta'(alpha(t0)) alpha''(t0)``.
+    The rate is per unit of the regime's clock (n, phi_n, n); one past the float range raises ParamError.
+    """
+    return _solved(model, u, _solve_leading, regime)
+
+
+def _solve_leading(model: ModelPair, u: float, regime: str) -> tuple[float, float, float]:
+    """:func:`_leading`, solved."""
+    _require_rare(model, u)
+    if regime == "fast":
+        twist = _solved(model, u, _solve_theta_star)
+        a0, _, a2 = model.A.jet(twist, 2)
+        rate, sigma = model.b * a0 - twist * u, math.sqrt(model.b * a2)
+    elif regime == "slow":
+        twist = _solved(model, u, _solve_tau_star)
+        a = model.a
+        b0, _, b2 = model.B.jet(a * twist, 2)
+        rate, sigma = b0 - twist * u, a * math.sqrt(b2)
+    else:
+        twist = _solved(model, u, _twist_at_psi)[0]
+        value, _, slope = _composed_jet(model, 1.0)(twist)
+        rate, sigma = value - twist * u, math.sqrt(slope)
+    if not math.isfinite(rate):
+        raise ParamError(f"the {regime}-regime rate {rate} at u = {u} lies past the float range")
+    return twist, rate, sigma
+
+
 def fast_expansion(model: ModelPair, u: float, order: int = 2) -> FastExpansion:
     """Expansion coefficients of ``theta_n`` in powers of ``psi_n`` (fast regime).
 

@@ -8,6 +8,7 @@ import pytest
 from twoscale import (
     LatticeError,
     NotRareError,
+    OrderError,
     ParamError,
     PowerScaling,
     RegimeError,
@@ -21,6 +22,7 @@ from twoscale import (
     negbin_tail,
 )
 from twoscale.levy import CharExponent, ModelPair, lmgf
+from twoscale.models import K_MAX
 from twoscale.oracle import exact_law
 from twoscale.twist import solve_twist
 from conftest import count_derivs, gp_pair, pg_pair
@@ -133,6 +135,19 @@ class TestApproxFast:
             for M in range(2, 7)
         ]
         assert all(errs[i + 1] <= errs[i] * (1 + 1e-9) for i in range(len(errs) - 1))
+
+    @pytest.mark.parametrize("f", [1.0001, 0.9999])
+    @pytest.mark.parametrize("pair", [pg_pair(1.0, 1.0, 2.0), gp_pair(1.0, 10.0, 1.0)])
+    def test_series_order_is_bounded(self, f, pair):
+        # near f = 1 the default order floor(f/|1-f|) passes 9000; an order past
+        # K_MAX, default or given, is refused before any ladder is built
+        fn = approx_fast if f > 1 else approx_slow
+        s = PowerScaling(f)
+        with pytest.raises(OrderError, match=r"\.\.50, got"):
+            fn(pair, s, 1.0, 1.0, mode="series")
+        with pytest.raises(OrderError, match=r"\.\.50, got"):
+            fn(pair, s, 1.0, 1.0, mode="series", order=K_MAX + 1)
+        assert math.isfinite(fn(pair, s, 1.0, 1.0, mode="series", order=K_MAX).log_value)
 
     def test_boundary_f2_constant_term(self):
         # At f = 2 the k = 2 term is the constant vbar_2; direct and series

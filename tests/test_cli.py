@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twoscale import (
@@ -207,9 +207,8 @@ def _log_uniform(lo: float, hi: float):
 @given(
     gp=st.booleans(),
     params=st.tuples(*[_log_uniform(1e-3, 1e3)] * 3),
-    # Within 1e-3 of f = 1 series mode's default order passes 1000, and the gp
-    # ladder's cost grows as its square: minutes at f = 0.99999.
-    f=st.one_of(st.just(1.0), st.floats(0.05, 0.999), st.floats(1.001, 4.0)),
+    # Near f = 1 series mode's default order passes K_MAX, which it refuses.
+    f=st.one_of(st.just(1.0), st.floats(0.05, 4.0)),
     n=_log_uniform(1.0, 1e12),
     u=_log_uniform(1e-4, 1e4),
     lattice=st.booleans(),
@@ -243,6 +242,96 @@ def test_approx_is_finite_or_a_twoscale_error(gp, params, f, n, u, lattice, mode
     assert code in (0, 2), (argv, err.getvalue())
     if code == 0:
         assert math.isfinite(json.loads(out.getvalue())["log_value"]), argv
+
+
+def _model_argv(gp: bool, params, f: float) -> list[str]:
+    return ["--gamma-poisson" if gp else "--poisson-gamma", *map(repr, params), "--f", repr(f)]
+
+
+def _count_mean(gp: bool, params, f: float, n: float) -> float:
+    """Mean ``lam phi_n`` of a gamma_poisson pair's jump count, 0 for poisson_gamma.
+
+    The exact compound tail sums O(sqrt(mean)) terms: ~0.2 s at 1e9.
+    """
+    return params[2] * n**f if gp else 0.0
+
+
+def _tilted_count_mean(gp: bool, params, f: float, n: float, u: float) -> float:
+    """Bound ``u n mu / (r psi_n)`` on that mean under the tilt, 0 for poisson_gamma.
+
+    The tilted sum has mean ``u n`` and its jumps ``r psi_n / (mu - theta_n)``, theta_n > 0.
+    The Edgeworth diagnostic's exact CDF sums O(sqrt(mean)) terms per point.
+    """
+    return u * n * params[1] / (params[0] * n ** (1.0 - f)) if gp else 0.0
+
+
+def _exit_code(argv) -> int:
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    return code
+
+
+_MODEL = dict(
+    gp=st.booleans(),
+    params=st.tuples(*[_log_uniform(1e-3, 1e3)] * 3),
+    u=_log_uniform(1e-4, 1e4),
+)
+# --sig below 1 and a negative --seed are bad input: exit 2.
+_OUTPUT = dict(fmt=st.sampled_from(["json", "text", "csv"]), sig=st.integers(-2, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    **_MODEL, **_OUTPUT,
+    f=st.one_of(st.just(1.0), st.floats(0.05, 4.0)),
+    n=_log_uniform(1.0, 1e5),
+    method=st.sampled_from(["exact", "is", "mc"]),
+    samples=st.integers(0, 2_000),
+    seed=st.integers(-5, 2**32),
+    workers=st.integers(0, 3),
+)
+def test_oracle_exits_0_or_2(gp, params, f, u, fmt, sig, n, method, samples, seed, workers):
+    assume(method != "exact" or _count_mean(gp, params, f, n) <= 1e9)
+    _exit_code(["oracle", *_model_argv(gp, params, f), "--n", repr(n), "--u", repr(u),
+                "--method", method, "--samples", str(samples), "--seed", str(seed),
+                "--workers", str(workers), "--format", fmt, "--sig", str(sig)])
+
+
+# f = 1 is a RegimeError here, so it is not drawn on purpose.
+@settings(max_examples=40, deadline=None)
+@given(**_MODEL, **_OUTPUT, f=st.floats(0.05, 4.0), n=_log_uniform(1.0, 1e5), points=st.integers(-1, 100))
+def test_edgeworth_exits_0_or_2(gp, params, f, u, fmt, sig, n, points):
+    assume(_tilted_count_mean(gp, params, f, n, u) <= 1e6)
+    _exit_code(["edgeworth", *_model_argv(gp, params, f), "--n", repr(n), "--u", repr(u),
+                "--points", str(points), "--format", fmt, "--sig", str(sig)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    **_OUTPUT,
+    K=_log_uniform(1.0, 1e6).map(int),
+    u_bar=_log_uniform(1e-2, 1e7),
+    mu_bar=_log_uniform(1e-3, 1e4),
+    M_fast=st.none() | st.integers(-2, 60),
+    M_slow=st.none() | st.integers(-2, 60),
+)
+def test_overdispersion_exits_0_or_2(fmt, sig, K, u_bar, mu_bar, M_fast, M_slow):
+    argv = ["overdispersion", "--K", str(K), "--u-bar", repr(u_bar), "--mu-bar", repr(mu_bar),
+            "--format", fmt, "--sig", str(sig)]
+    for flag, M in (("--M-fast", M_fast), ("--M-slow", M_slow)):
+        if M is not None:
+            argv += [flag, str(M)]
+    _exit_code(argv)
+
+
+@settings(max_examples=10, deadline=None)
+@given(sig=st.integers(-2, 12))
+def test_tables_exits_0_or_2(tmp_path_factory, sig):
+    out_dir = tmp_path_factory.mktemp("tables")
+    assert _exit_code(["tables", "--sig", str(sig), "--out-dir", str(out_dir)]) == (0 if sig >= 1 else 2)
+
 
 
 class TestOracle:
@@ -514,6 +603,50 @@ class TestErrorSurface:
         argv = ["oracle", *query, "--f", "1.5", "--samples", "10", "--seed", "1"]
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "" and err.startswith("ParamError: the Poisson rate")
+
+
+class TestBoundedInput:
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--gamma-poisson", "1", "10", "1", "--f", "0.9999", "--n", "1", "--u", "1",
+         "--mode", "series"],
+        ["approx", "--poisson-gamma", "1", "2", "3", "--f", "1.5", "--n", "100", "--u", "1",
+         "--mode", "series", "--M", "100000"],
+        ["overdispersion", "--K", "1000", "--u-bar", "150", "--mu-bar", "10", "--M-fast", "10000000"],
+        ["overdispersion", "--K", "1000", "--u-bar", "150", "--mu-bar", "10", "--M-slow", "51"],
+    ], ids=["approx-default-order-near-f-1", "approx-explicit-order", "pi-fast-order", "pi-slow-order"])
+    def test_series_order_past_k_max_exits_2(self, capsys, argv):
+        # these summed millions of terms, or an O(m^2) ladder, before exiting 0
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "", err
+        assert err.startswith(("OrderError", "ParamError"))
+
+    @pytest.mark.parametrize("sig", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--poisson-gamma", "1", "2", "3", "--f", "1.5", "--n", "100", "--u", "1",
+         "--format", "text"],
+        ["oracle", "--poisson-gamma", "1", "1", "3", "--f", "1.5", "--n", "400", "--u", "1",
+         "--format", "text"],
+        ["edgeworth", "--gamma-poisson", "1", "1", "1", "--f", "1.5", "--n", "1000", "--u", "2",
+         "--points", "3", "--format", "text"],
+        ["overdispersion", "--K", "1000", "--u-bar", "150", "--mu-bar", "10", "--format", "text"],
+    ], ids=["approx", "oracle", "edgeworth", "overdispersion"])
+    def test_sig_below_one_exits_2(self, capsys, argv, sig):
+        code, out, err = run(capsys, argv + ["--sig", sig])
+        assert code == 2 and out == "", err
+        assert err.startswith("ParamError: sig must be >= 1")
+
+    def test_tables_sig_below_one_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["tables", "--sig", "0", "--out-dir", str(tmp_path)])
+        assert code == 2 and out == "", err
+        assert err.startswith("ParamError: sig must be >= 1")
+
+    @pytest.mark.parametrize("method", ["is", "mc"])
+    def test_negative_seed_exits_2(self, capsys, method):
+        argv = ["oracle", "--poisson-gamma", "1", "1", "3", "--f", "1.5", "--n", "400", "--u", "1",
+                "--method", method, "--samples", "100", "--seed", "-1"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "", err
+        assert err.startswith("ParamError: seed must be >= 0")
 
 
 class TestNonFiniteInput:

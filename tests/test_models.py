@@ -22,6 +22,7 @@ from twoscale import (
     slow_expansion,
     slow_series_coeffs,
 )
+from twoscale.models import K_MAX
 from conftest import RARE_GRID, gp_pair, pg_pair
 
 
@@ -52,6 +53,15 @@ class TestRecognition:
         # the pair is recognised before the order is checked
         with pytest.raises(SeriesUnavailable):
             coeffs(_custom_pair(), 1.0, k_max=0)
+
+    @pytest.mark.parametrize("coeffs", [fast_series_coeffs, slow_series_coeffs])
+    @pytest.mark.parametrize("pair", [pg_pair(1.0, 1.0, 2.0), gp_pair(1.0, 2.0, 1.0)])
+    def test_ladders_are_bounded(self, coeffs, pair):
+        # the gamma_poisson ladder costs O(k_max^2); K_MAX is the one bound
+        assert len(coeffs(pair, 1.0, k_max=K_MAX)[2]) == K_MAX - (coeffs is fast_series_coeffs)
+        for k_max in (0, K_MAX + 1):
+            with pytest.raises(ParamError, match="k_max must lie in"):
+                coeffs(pair, 1.0, k_max=k_max)
 
 
 class TestFastCoefficients:

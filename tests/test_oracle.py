@@ -234,6 +234,11 @@ class TestNonFiniteInput:
         with pytest.raises(ParamError):
             estimator(pg113, PowerScaling(1.5), n, u, samples=100, seed=1)
 
+    @pytest.mark.parametrize("estimator", [plain_mc_tail, is_tail])
+    def test_negative_seed(self, pg113, estimator):
+        with pytest.raises(ParamError, match="seed must be >= 0"):
+            estimator(pg113, PowerScaling(1.5), 400.0, 1.0, samples=100, seed=-1)
+
 
 class TestImportanceSampling:
     def test_agrees_with_negbin_exact(self, pg113):

@@ -24,6 +24,7 @@ from twoscale import (
     pi_slow,
     reproduce_tables,
 )
+from twoscale.models import K_MAX
 from twoscale.overdispersion import TABLE1_PARAMS, TABLE2_PARAMS, format_sig
 from conftest import assert_displayed
 
@@ -143,6 +144,12 @@ class TestTruncationBehaviour:
             pi_fast(q, M=0)
         with pytest.raises(ParamError):
             pi_slow(q, M=-1)
+        # an order past K_MAX is refused at once rather than summed term by term
+        assert math.isfinite(pi_fast(q, M=K_MAX)) and math.isfinite(pi_slow(q, M=K_MAX))
+        with pytest.raises(ParamError, match="1..50"):
+            pi_fast(q, M=K_MAX + 1)
+        with pytest.raises(ParamError, match="0..50"):
+            pi_slow(q, M=10_000_000)
 
     def test_all_outputs_in_unit_interval(self):
         # every column of each table, plus the adaptive variants
@@ -235,3 +242,13 @@ class TestFormatting:
         assert format_sig(1.9082e-6, 3) == "1.91e-06"
         assert format_sig(0.0) == "0"
         assert format_sig(123.456, 4) == "1.235e+02"
+
+    @pytest.mark.parametrize("sig", [0, -1])
+    def test_sig_below_one_is_a_param_error(self, sig):
+        with pytest.raises(ParamError, match="sig must be >= 1"):
+            format_sig(1.5, sig)
+        with pytest.raises(ParamError):
+            format_sig(0.0, sig)
+        t1, _ = reproduce_tables()
+        with pytest.raises(ParamError):
+            t1.to_csv(sig=sig)
