@@ -203,6 +203,10 @@ def _log_uniform(lo: float, hi: float):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
 
+def _model_argv(gp: bool, params, f: float) -> list[str]:
+    return ["--gamma-poisson" if gp else "--poisson-gamma", *map(repr, params), "--f", repr(f)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     gp=st.booleans(),
@@ -233,8 +237,7 @@ def test_approx_is_finite_or_a_twoscale_error(gp, params, f, n, u, lattice, mode
         except TwoscaleError:
             continue
         assert math.isfinite(est.log_value), est
-    argv = ["approx", "--gamma-poisson" if gp else "--poisson-gamma", *map(repr, params),
-            "--f", repr(f), "--n", repr(n), "--u", repr(u), "--mode", mode,
+    argv = ["approx", *_model_argv(gp, params, f), "--n", repr(n), "--u", repr(u), "--mode", mode,
             "--lattice", "on" if lattice else "off"]
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -242,10 +245,6 @@ def test_approx_is_finite_or_a_twoscale_error(gp, params, f, n, u, lattice, mode
     assert code in (0, 2), (argv, err.getvalue())
     if code == 0:
         assert math.isfinite(json.loads(out.getvalue())["log_value"]), argv
-
-
-def _model_argv(gp: bool, params, f: float) -> list[str]:
-    return ["--gamma-poisson" if gp else "--poisson-gamma", *map(repr, params), "--f", repr(f)]
 
 
 def _count_mean(gp: bool, params, f: float, n: float) -> float:
@@ -257,7 +256,7 @@ def _count_mean(gp: bool, params, f: float, n: float) -> float:
 
 
 def _tilted_count_mean(gp: bool, params, f: float, n: float, u: float) -> float:
-    """Bound ``u n mu / (r psi_n)`` on that mean under the tilt, 0 for poisson_gamma.
+    """Bound ``u n mu / (r psi_n)`` on the jump count's mean under the tilt, 0 for poisson_gamma.
 
     The tilted sum has mean ``u n`` and its jumps ``r psi_n / (mu - theta_n)``, theta_n > 0.
     The Edgeworth diagnostic's exact CDF sums O(sqrt(mean)) terms per point.
@@ -331,7 +330,6 @@ def test_overdispersion_exits_0_or_2(fmt, sig, K, u_bar, mu_bar, M_fast, M_slow)
 def test_tables_exits_0_or_2(tmp_path_factory, sig):
     out_dir = tmp_path_factory.mktemp("tables")
     assert _exit_code(["tables", "--sig", str(sig), "--out-dir", str(out_dir)]) == (0 if sig >= 1 else 2)
-
 
 
 class TestOracle:
