@@ -90,11 +90,13 @@ def _stirlerr(n: np.ndarray) -> np.ndarray:
         out[small] = special.gammaln(ns + 1.0) - (ns * np.log(ns) - ns + 0.5 * np.log(2.0 * np.pi * ns))
     big = ~small
     if big.any():
-        inv2 = 1.0 / np.square(n[big])
+        nb = n[big]
+        with np.errstate(over="ignore"):  # past n ~ 1.3e154, 1 / inf = 0 is the limit wanted
+            inv2 = 1.0 / np.square(nb)
         out[big] = (
             1.0 / 12.0
             - (1.0 / 360.0 - (1.0 / 1260.0 - (1.0 / 1680.0 - inv2 / 1188.0) * inv2) * inv2) * inv2
-        ) / n[big]
+        ) / nb
     return out
 
 

@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from scipy import special
 
-from .errors import NotRareError, ParamError, require_finite
+from .errors import NotRareError, ParamError, _in_float_range, require_finite
 from .formatting import format_sig
 from .models import K_MAX
 from .oracle import OracleResult, _ceil_threshold, negbin_tail
@@ -102,6 +103,8 @@ class ArrivalQuery:
     def _require_rare(self) -> float:
         if not self.rho < 1:
             raise NotRareError(f"rho = K/(mu_bar*u_bar) = {self.rho} must be < 1")
+        if self.rho < sys.float_info.min:  # log(rho) and 1/rho would leave the float range
+            raise ParamError(f"rho = K/(mu_bar*u_bar) = {self.rho} underflows")
         return self.rho
 
 
@@ -155,6 +158,8 @@ def _sum_terms(q, term, first: int, M: int | None, linear: float) -> float:
 
 
 def _bounded_exp(log_value: float) -> float:
+    if math.isnan(log_value):  # exponent terms of both signs past the float range
+        raise ParamError("the exponent terms lie past the float range and sum to NaN")
     if log_value > 709.0:
         return math.inf
     if log_value < -745.0:
@@ -162,10 +167,12 @@ def _bounded_exp(log_value: float) -> float:
     return math.exp(log_value)
 
 
+@_in_float_range
 def pi_fast(q: ArrivalQuery, M: int | None = None) -> float:
     """Fast-regime refinement; the exponent sum runs k = 2..M (M = 1: empty).
 
-    M = None selects adaptive truncation (cap K_MAX, stop below 1e-12).
+    M = None selects adaptive truncation (cap K_MAX, stop below 1e-12).  Raises
+    ParamError where a term overflows or the exponent sums to NaN.
     """
     rho = q._require_rare()
     if M is not None and not 1 <= M <= K_MAX:
@@ -175,8 +182,9 @@ def pi_fast(q: ArrivalQuery, M: int | None = None) -> float:
     return _bounded_exp(s - math.log((1.0 - rho) * math.sqrt(2.0 * math.pi * q.u_bar)))
 
 
+@_in_float_range
 def pi_slow(q: ArrivalQuery, M: int | None = None) -> float:
-    """Slow-regime refinement; the exponent sum runs k = 1..M (M = 0: empty)."""
+    """Slow-regime refinement; the exponent sum runs k = 1..M (M = 0: empty), else as :func:`pi_fast`."""
     rho = q._require_rare()
     if M is not None and not 0 <= M <= K_MAX:
         raise ParamError(f"M must lie in 0..{K_MAX} for pi_slow, got {M}")

@@ -84,17 +84,27 @@ class SlowExpansion:
 def _solve_increasing(
     jet: Callable[[float], tuple[float, float, float]],
     u: float,
-    lo: float,
     hi: float,
-) -> tuple[float, float, int, float]:
-    """Root of the increasing ``g(x) = F'(x) - u`` with g(lo) < 0 < g(hi).
+    what: str,
+    tol: float,
+) -> tuple[float, float, int, tuple[float, float], float]:
+    """Root of the increasing ``g(x) = F'(x) - u`` below ``hi``, where g(hi) >= 0.
 
-    ``jet(x)`` returns ``(F(x), F'(x), F''(x))``.  Newton steps are clamped
-    to the live bracket; any step that leaves it is replaced by bisection.
-    Iterates to (near) machine precision; returns (root, |g(root)|,
-    iterations, F(root)), where a stop on bracket collapse reports the
-    iterations actually made and the best iterate seen.
+    ``jet(x)`` returns ``(F(x), F'(x), F''(x))``.  The lower end is found by
+    halving down from ``hi / 2``, each probe above the root becoming ``hi``.
+    Newton steps are clamped to the live bracket; any step that leaves it is
+    replaced by bisection.  Returns (root, |g(root)| / u, iterations,
+    bracket, F(root)); a stop on bracket collapse reports the iterations
+    made and the best iterate seen.  Raises NoSolutionError where no lower
+    end exists or the relative residual exceeds ``tol``.
     """
+    lo = 0.5 * hi
+    while jet(lo)[1] > u:
+        hi = lo
+        lo *= 0.5
+        if lo < 5e-324:
+            raise NoSolutionError(f"failed to bracket {what} from below")
+    bracket = (lo, hi)
     x = 0.5 * (lo + hi)
     fx, gx, dg = jet(x)
     gx -= u
@@ -112,13 +122,15 @@ def _solve_increasing(
         x = cand
         fx, gx, dg = jet(x)
         gx -= u
-        if abs(gx) < best_g:
+        converged = abs(gx) <= 1e-14 * u and step <= 1e-15 * max(abs(x), 1.0)
+        if converged or abs(gx) < best_g:  # a converged iterate is returned as is
             best_x, best_g, best_f = x, abs(gx), fx
-        if abs(gx) <= 1e-14 * u and step <= 1e-15 * max(abs(x), 1.0):
-            return x, abs(gx), it, fx
-        if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
+        if converged or hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
             break
-    return best_x, best_g, it, best_f
+    residual = best_g / u
+    if residual > tol:
+        raise NoSolutionError(f"{what} stalled at relative residual {residual:.3e} (> {tol})")
+    return best_x, residual, it, bracket, best_f
 
 
 def _solved(model: ModelPair, u: float, solve: Callable[..., object], *args):
@@ -276,14 +288,7 @@ def _twist_at_psi(model: ModelPair, u: float, psi: float = 1.0) -> tuple:
         ghi = jet(hi)[1] - u
 
     # g(0+) = a*b - u < 0, so the lower bracket exists for admissible u.
-    lo, hi = _bracket_below(jet, u, hi, "the twist")
-    root, gabs, iters, value = _solve_increasing(jet, u, lo, hi)
-    residual = gabs / u
-    if residual > RESIDUAL_TOL:
-        raise NoSolutionError(
-            f"twist solver stalled at relative residual {residual:.3e} (> {RESIDUAL_TOL})"
-        )
-    return root, residual, iters, (lo, hi), value
+    return _solve_increasing(jet, u, hi, "the twist", RESIDUAL_TOL)
 
 
 def solve_twist(model: ModelPair, scaling: PowerScaling, n: float, u: float) -> TwistSolution:
@@ -313,20 +318,6 @@ def _require_rare(model: ModelPair, u: float) -> None:
         raise NotRareError(f"u = {u} must exceed a*b = {ab} for a rare upper tail")
 
 
-def _bracket_below(jet: Callable, u: float, hi: float, what: str) -> tuple[float, float]:
-    """``(lo, hi)`` with ``jet(lo)[1] <= u``, halving down from ``lo = hi / 2``.
-
-    Every probe above the root becomes the new ``hi``, tightening the bracket.
-    """
-    lo = 0.5 * hi
-    while jet(lo)[1] > u:
-        hi = lo
-        lo *= 0.5
-        if lo < 5e-324:
-            raise NoSolutionError(f"failed to bracket {what} from below")
-    return lo, hi
-
-
 def _solve_star(E: CharExponent, c: float, k: float, u: float, what: str) -> float:
     """Root of the increasing ``g(x) = c E'(k x) - u`` on ``(0, E.domain_sup / k)``.
 
@@ -352,11 +343,7 @@ def _solve_star(E: CharExponent, c: float, k: float, u: float, what: str) -> flo
             hi *= 2.0
             if hi > 1e100:
                 raise NoSolutionError(f"no {what}: its equation appears bounded below u = {u}")
-    lo, hi = _bracket_below(jet, u, hi, what)
-    root, gabs, _, _ = _solve_increasing(jet, u, lo, hi)
-    if gabs / u > 1e-12:
-        raise NoSolutionError(f"{what} solve stalled at residual {gabs / u:.3e}")
-    return root
+    return _solve_increasing(jet, u, hi, what, 1e-12)[0]
 
 
 def _solve_theta_star(model: ModelPair, u: float) -> float:

@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twoscale import (
@@ -316,6 +316,12 @@ def test_edgeworth_exits_0_or_2(gp, params, f, u, fmt, sig, n, points):
     M_fast=st.none() | st.integers(-2, 60),
     M_slow=st.none() | st.integers(-2, 60),
 )
+# Each exited 1: (u_bar/K)**45 overflows, so does mu_bar**41, and so does the
+# adaptive pi_fast; mu_bar * u_bar overflows, so rho reads 0.0.
+@example(fmt="json", sig=6, K=1, u_bar=1e7, mu_bar=1.0, M_fast=45, M_slow=None)
+@example(fmt="json", sig=6, K=1_000_000, u_bar=1.0, mu_bar=1e10, M_fast=None, M_slow=40)
+@example(fmt="json", sig=6, K=1, u_bar=1e160, mu_bar=1.0, M_fast=None, M_slow=None)
+@example(fmt="json", sig=6, K=1, u_bar=1e294, mu_bar=1e15, M_fast=None, M_slow=None)
 def test_overdispersion_exits_0_or_2(fmt, sig, K, u_bar, mu_bar, M_fast, M_slow):
     argv = ["overdispersion", "--K", str(K), "--u-bar", repr(u_bar), "--mu-bar", repr(mu_bar),
             "--format", fmt, "--sig", str(sig)]

@@ -61,6 +61,13 @@ class TestNegbinTail:
         assert res.probability == 0.0
         assert -2000 < res.log_probability < -1700
 
+    def test_threshold_past_1e154_is_silent(self):
+        # n**2 overflows in the Stirling correction past n ~ 1.3e154; its
+        # reciprocal reads 0, the limit wanted, with no RuntimeWarning.
+        res = negbin_tail(1, 0.5, 1e160)
+        assert res.probability == 0.0
+        assert res.log_probability == pytest.approx(-1e160 * math.log(2.0), rel=1e-12)
+
     def test_lower_sum_spans_many_blocks(self):
         # Threshold 1000 below the mean 1e7 (sd ~4472): the complement sums
         # down from the peak through dozens of 4096-count blocks before its

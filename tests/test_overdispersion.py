@@ -2,8 +2,11 @@
 
 import json
 import math
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twoscale import (
     ArrivalQuery,
@@ -12,6 +15,7 @@ from twoscale import (
     NotRareError,
     ParamError,
     PowerScaling,
+    TwoscaleError,
     approx_fast,
     approx_slow,
     pi_exact,
@@ -163,6 +167,69 @@ class TestTruncationBehaviour:
             vals = [pi_exact(q).probability, pi_gamma(q), pi_hat_slow(q),
                     pi_slow(q, M=0), pi_slow(q, M=1), pi_slow(q)]
             assert all(0.0 < v < 1.0 for v in vals)
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+# Each of these exited 1 from the CLI or returned NaN in-process: (u_bar/K)**45
+# overflows; mu_bar**41 in pi_slow overflows; the adaptive pi_fast overflows,
+# and pi_exact warned from the Stirling correction; mu_bar * u_bar overflows,
+# so rho reads 0.0; terms of both signs overflow and sum to NaN (twice).
+_FLOAT_RANGE_CASES = (
+    (1, 1e7, 1.0),
+    (1_000_000, 1.0, 1e10),
+    (1, 1e160, 1.0),
+    (1, 1e294, 1e15),
+    (16, 2.786173984806647e266, 900106541.0249811),
+    (354656, 1.0986525118686742e56, 1.9224899846005004e181),
+)
+
+
+class TestFloatRange:
+    def test_underflowing_rho_is_refused(self):
+        q = ArrivalQuery(1, 1e294, 1e15)
+        assert q.rho == 0.0
+        for fn in (pi_hat_fast, pi_hat_slow, pi_fast, pi_slow):
+            with pytest.raises(ParamError, match="underflows"):
+                fn(q)
+
+    @pytest.mark.parametrize("fn, case, M", [
+        (pi_fast, 0, 45), (pi_slow, 1, 40), (pi_fast, 2, None), (pi_slow, 4, 30), (pi_fast, 5, 6),
+    ])
+    def test_sum_past_the_float_range_is_refused(self, fn, case, M):
+        with pytest.raises(ParamError, match="float range"):
+            fn(ArrivalQuery(*_FLOAT_RANGE_CASES[case]), M=M)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        K=_log_uniform(1.0, 1e6).map(int),
+        u_bar=_log_uniform(1e-3, 1e300),
+        mu_bar=_log_uniform(1e-3, 1e300),
+    )
+    @example(*_FLOAT_RANGE_CASES[0])
+    @example(*_FLOAT_RANGE_CASES[1])
+    @example(*_FLOAT_RANGE_CASES[2])
+    @example(*_FLOAT_RANGE_CASES[3])
+    @example(*_FLOAT_RANGE_CASES[4])
+    @example(*_FLOAT_RANGE_CASES[5])
+    def test_each_pi_is_a_number_or_a_twoscale_error(self, K, u_bar, mu_bar):
+        q = ArrivalQuery(K, u_bar, mu_bar)
+        calls = [pi_pois, pi_gamma, pi_hat_fast, pi_hat_slow, pi_fast, pi_slow]
+        calls += [lambda q, M=M: pi_fast(q, M=M) for M in range(1, K_MAX + 1)]
+        calls += [lambda q, M=M: pi_slow(q, M=M) for M in range(0, K_MAX + 1)]
+        # Below the mean the exact sum's work grows with u_bar.
+        if u_bar > K / mu_bar:
+            calls.append(lambda q: pi_exact(q).log_probability)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                try:
+                    value = call(q)
+                except TwoscaleError:
+                    continue
+                assert isinstance(value, float) and not math.isnan(value), (call, q, value)
 
 
 class TestScaleInvariance:
