@@ -96,7 +96,10 @@ def _emit(args, payload: dict, csv_text: str | None = None) -> None:
             lines.append(f"{key}: {val}")
         text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise ParamError(f"cannot write the output file {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -162,16 +165,19 @@ def _cmd_oracle(args) -> int:
 def _cmd_tables(args) -> int:
     from . import overdispersion
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t1, t2 = overdispersion.reproduce_tables()
+    out_dir = Path(args.out_dir)
     written = []
-    for table, stem in ((t1, "table1"), (t2, "table2")):
-        csv_path = out_dir / f"{stem}.csv"
-        json_path = out_dir / f"{stem}.json"
-        table.write_csv(csv_path, sig=args.sig)
-        table.write_json(json_path)
-        written += [str(csv_path), str(json_path)]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for table, stem in ((t1, "table1"), (t2, "table2")):
+            csv_path = out_dir / f"{stem}.csv"
+            json_path = out_dir / f"{stem}.json"
+            table.write_csv(csv_path, sig=args.sig)
+            table.write_json(json_path)
+            written += [str(csv_path), str(json_path)]
+    except OSError as exc:  # a regular file, a path through one, no permission
+        raise ParamError(f"cannot write the tables to {out_dir}: {exc}") from None
     sys.stdout.write("\n".join(written) + "\n")
     return 0
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
@@ -360,13 +362,13 @@ def mean_variance(model: ModelPair, scaling: PowerScaling, n: float) -> tuple[fl
 
 
 def _number(spec: Mapping, key: str, where: str) -> float:
-    """``spec[key]`` as a float; ParamError when it is missing or not a number."""
+    """``spec[key]`` as a float; ParamError unless it is a finite number (not a string or a bool)."""
     if key not in spec:
         raise ParamError(f"missing field {key!r} in {where}")
-    try:
-        return float(spec[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ParamError(f"field {key!r} in {where} must be a number, got {spec[key]!r}") from None
+    value = spec[key]
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ParamError(f"field {key!r} in {where} must be a finite number, got {value!r}")
 
 
 def _exponent_from_spec(spec: Mapping, which: str) -> CharExponent:

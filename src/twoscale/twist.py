@@ -85,19 +85,42 @@ def _solve_increasing(
     jet: Callable[[float], tuple[float, float, float]],
     u: float,
     hi: float,
+    edge: Callable[[], float],
     what: str,
     tol: float,
 ) -> tuple[float, float, int, tuple[float, float], float]:
-    """Root of the increasing ``g(x) = F'(x) - u`` below ``hi``, where g(hi) >= 0.
+    """Root of the increasing ``g(x) = F'(x) - u`` on ``(0, edge())``, bracketed from ``hi``.
 
-    ``jet(x)`` returns ``(F(x), F'(x), F''(x))``.  The lower end is found by
-    halving down from ``hi / 2``, each probe above the root becoming ``hi``.
-    Newton steps are clamped to the live bracket; any step that leaves it is
-    replaced by bisection.  Returns (root, |g(root)| / u, iterations,
-    bracket, F(root)); a stop on bracket collapse reports the iterations
-    made and the best iterate seen.  Raises NoSolutionError where no lower
-    end exists or the relative residual exceeds ``tol``.
+    ``jet(x)`` returns ``(F(x), F'(x), F''(x))``.  While ``g(hi) < 0`` the
+    upper end grows: halfway to a finite ``edge()``, else by doubling, until
+    1e100 or, after 60 doublings, until ``g`` stops growing.  ``edge()`` is
+    asked once, and only when the bracket has to grow.  The lower end is
+    found by halving down from ``hi / 2``, each probe above the root
+    becoming ``hi``.  Newton steps are clamped to the live bracket; any step
+    that leaves it is replaced by bisection.  Returns (root, |g(root)| / u,
+    iterations, bracket, F(root)); a stop on bracket collapse reports the
+    iterations made and the best iterate seen.  Raises NoSolutionError where
+    either end cannot be found or the relative residual exceeds ``tol``.
     """
+    g, top, grown = jet(hi)[1] - u, None, 0
+    while g < 0:
+        grown += 1
+        if grown > _MAX_EXPAND:
+            raise NoSolutionError(f"{what}: the equation never reaches u = {u} on the admissible bracket")
+        if top is None:
+            top = edge()
+        if math.isfinite(top):
+            hi = top - 0.5 * (top - hi)
+            if top - hi <= math.ulp(top) * 4:
+                raise NoSolutionError(
+                    f"{what}: the equation stays below u = {u} up to the domain edge {top}")
+            g = jet(hi)[1] - u
+        else:
+            hi, g_below = hi * 2.0, g
+            if hi <= 1e100:
+                g = jet(hi)[1] - u
+            if hi > 1e100 or (grown > 60 and g <= g_below + 1e-300):
+                raise NoSolutionError(f"{what}: the equation is bounded below u = {u}")
     lo = 0.5 * hi
     while jet(lo)[1] > u:
         hi = lo
@@ -197,7 +220,7 @@ def _theta_max(model: ModelPair, psi: float, start: float | None = None) -> floa
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if jA(mid if mid < sup_a else sup_a * (1 - 1e-15), 0)[0] < target:
+        if jA(mid, 0)[0] < target:
             lo = mid
         else:
             hi = mid
@@ -258,37 +281,11 @@ def _twist_at_psi(model: ModelPair, u: float, psi: float = 1.0) -> tuple:
     theta_max = _theta_max(model, psi, start)
     if start is None:
         start = 0.5 * theta_max if math.isfinite(theta_max) else 1.0
-    hi = start
     if theta_max is not None and math.isfinite(theta_max):
-        hi = max(min(start, 0.99 * theta_max), 1e-12 * theta_max)
-
-    ghi = jet(hi)[1] - u
-    if ghi < 0 and theta_max is None:
-        theta_max = _theta_max(model, psi)
-    expansions = 0
-    while ghi < 0:
-        expansions += 1
-        if expansions > _MAX_EXPAND:
-            raise NoSolutionError(
-                f"the tilted mean never reaches u = {u} on the admissible bracket"
-            )
-        if math.isfinite(theta_max):
-            new_hi = theta_max - 0.5 * (theta_max - hi)
-            if theta_max - new_hi <= math.ulp(theta_max) * 4:
-                raise NoSolutionError(
-                    f"the tilted mean stays below u = {u} up to the domain edge {theta_max}"
-                )
-        else:
-            new_hi = hi * 2.0
-            if new_hi > 1e100 or (expansions > 60 and jet(new_hi)[1] - u <= ghi + 1e-300):
-                raise NoSolutionError(
-                    f"the tilted mean is bounded below u = {u}; no twist exists"
-                )
-        hi = new_hi
-        ghi = jet(hi)[1] - u
-
+        start = max(min(start, 0.99 * theta_max), 1e-12 * theta_max)
     # g(0+) = a*b - u < 0, so the lower bracket exists for admissible u.
-    return _solve_increasing(jet, u, hi, "the twist", RESIDUAL_TOL)
+    edge = (lambda: theta_max) if theta_max is not None else (lambda: _theta_max(model, psi))
+    return _solve_increasing(jet, u, start, edge, "the twist", RESIDUAL_TOL)
 
 
 def solve_twist(model: ModelPair, scaling: PowerScaling, n: float, u: float) -> TwistSolution:
@@ -324,26 +321,18 @@ def _solve_star(E: CharExponent, c: float, k: float, u: float, what: str) -> flo
     ``g(0) = a*b - u``.  Where ``E'`` lies past the float range its jet
     reads +inf, and so does ``g``; where only ``E''`` does, the slope.
 
-    The upper bracket is the domain edge ``sup (1 - 1e-12)`` when ``sup`` is
-    finite, else the first of 1, 2, 4, ... up to 1e100 where ``g > 0``.  The
-    root must reach a relative residual of 1e-12.
+    Where ``sup`` is finite, the one probe ``sup (1 - 1e-12)`` is both the
+    start and the edge, so that point alone is tried (one closer to ``sup``
+    could round ``k x`` onto E's domain edge); else the bracket doubles up
+    from 1.  The root must reach a relative residual of 1e-12.
     """
     def jet(x: float) -> tuple[float, float, float]:
         e0, e1, e2 = E.jet(k * x, 2)
         return e0, c * e1, c * k * e2
 
-    sup = E.domain_sup / k
-    if math.isfinite(sup):
-        hi = sup * (1.0 - 1e-12)
-        if jet(hi)[1] < u:
-            raise NoSolutionError(f"no {what}: its equation stays below u = {u} on the domain")
-    else:
-        hi = 1.0
-        while not jet(hi)[1] > u:
-            hi *= 2.0
-            if hi > 1e100:
-                raise NoSolutionError(f"no {what}: its equation appears bounded below u = {u}")
-    return _solve_increasing(jet, u, hi, what, 1e-12)[0]
+    edge = E.domain_sup / k * (1.0 - 1e-12)
+    hi = edge if math.isfinite(edge) else 1.0
+    return _solve_increasing(jet, u, hi, lambda: edge, what, 1e-12)[0]
 
 
 def _solve_theta_star(model: ModelPair, u: float) -> float:

@@ -101,6 +101,10 @@ MALFORMED_MODELS = {
     "lambda-null": (_SPEC % ("null", "1.5")).encode(),
     "f-x": (_SPEC % ("1", '"x"')).encode(),
     "lambda-list": (_SPEC % ("[1.0]", "1.5")).encode(),
+    # float() reads a numeric string and a bool, and json reads Infinity.
+    "f-string-number": (_SPEC % ("1", '"1.5"')).encode(),
+    "d-true": (_SPEC % ('1, "d": true', "1.5")).encode(),
+    "lambda-infinity": (_SPEC % ("Infinity", "1.5")).encode(),
     "mu-past-float": (_SPEC % ("1", "1.5")).replace('"mu": 2', '"mu": 1' + "0" * 400).encode(),
     "not-an-object": b"5",
 }

@@ -583,6 +583,25 @@ class TestErrorSurface:
         code, _, err = run(capsys, ["approx", "--model", "/nonexistent.json", "--n", "10", "--u", "1"])
         assert code == 2 and "ParamError" in err
 
+    @pytest.mark.parametrize("argv,path", [
+        (["approx", "--poisson-gamma", "1", "1", "3", "--f", "1.5", "--n", "400", "--u", "1",
+          "--out", "no/such/dir/x.json"], "no/such/dir/x.json"),
+        (["approx", "--poisson-gamma", "1", "1", "3", "--f", "1.5", "--n", "400", "--u", "1",
+          "--out", "."], "."),
+        (["tables", "--out-dir", "F"], "F"),
+        (["tables", "--out-dir", "F/sub"], "F/sub"),
+    ], ids=["out-in-a-missing-directory", "out-is-a-directory", "out-dir-is-a-file",
+            "out-dir-through-a-file"])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, monkeypatch, argv, path):
+        # these raised FileNotFoundError, IsADirectoryError, FileExistsError
+        # and NotADirectoryError through the CLI, exit 1
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "F").write_text("a regular file\n")
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "", err
+        assert err.startswith("ParamError: cannot write") and f" {path}: " in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
+
     @pytest.mark.parametrize("case", MALFORMED_MODELS)
     def test_malformed_model_source(self, capsys, tmp_path, case):
         argv = ["approx", "--model", malformed_model(tmp_path, case), "--n", "100", "--u", "1"]

@@ -519,6 +519,12 @@ class TestLoadModel:
         with pytest.raises(ParamError):
             load_model(malformed_model(tmp_path, case))
 
+    def test_non_finite_field_is_named(self):
+        spec = {"A": {"kind": "poisson", "lambda": math.inf},
+                "B": {"kind": "gamma", "r": 1, "mu": 2}, "f": 1.5}
+        with pytest.raises(ParamError, match="field 'lambda' in model entry 'A' must be a finite number"):
+            load_model(spec)
+
     def test_json_text_is_not_a_source(self):
         # a source string is a path, never spec text
         with pytest.raises(ParamError, match="cannot read the model file"):

@@ -224,15 +224,38 @@ class TestDomainEdge:
 
     @pytest.fixture
     def theta_max_calls(self, monkeypatch):
-        calls = []
-        theta_max = twist._theta_max
+        """The values ``_theta_max`` returned, in order; ``.solves`` holds one
+        ``[what, g(start), edge() asks]`` per ``_solve_increasing`` call."""
+        class Calls(list):
+            solves: list
+
+        calls = Calls()
+        calls.solves = []
+        theta_max, solve = twist._theta_max, twist._solve_increasing
 
         def recording(*args):
             calls.append(theta_max(*args))
             return calls[-1]
 
+        def solving(jet, u, hi, edge, what, tol):
+            record = [what, jet(hi)[1] - u, 0]
+            calls.solves.append(record)
+
+            def asking():
+                record[2] += 1
+                return edge()
+
+            return solve(jet, u, hi, asking, what, tol)
+
         monkeypatch.setattr(twist, "_theta_max", recording)
+        monkeypatch.setattr(twist, "_solve_increasing", solving)
         return calls
+
+    @staticmethod
+    def _edge_asks(calls):
+        """The twist's edge() asks; every solve asks once where g(start) < 0, else never."""
+        assert all(asks == (g < 0) for _, g, asks in calls.solves)
+        return [asks for what, _, asks in calls.solves if what == "the twist"]
 
     def _check(self, model, f, n, u, ref):
         sol = solve_twist(model, PowerScaling(f), n, u)
@@ -248,6 +271,7 @@ class TestDomainEdge:
         sol = self._check(model, 1.5, 400.0, 1.0, ref)
         assert theta_max_calls == [2.0]
         assert sol.bracket[1] == 0.99 * 2.0
+        assert self._edge_asks(theta_max_calls) == [0]
 
     def test_start_clear_of_a_finite_outer_supremum(self, theta_max_calls):
         # Gamma(1, 10) on Gamma(1.5, 3), f = 1.5, n = 400, u = 0.1: the start
@@ -256,6 +280,7 @@ class TestDomainEdge:
         ref = _mp_twist(*_gamma_alpha(1, 10), lambda x: 1.5 / (3 - x), 0.05, 0.1, 10)
         self._check(model, 1.5, 400.0, 0.1, ref)
         assert theta_max_calls == [None]
+        assert self._edge_asks(theta_max_calls) == [0]
 
     def test_bracket_grows_towards_a_finite_edge(self, theta_max_calls):
         # Poisson(1) on Gamma(1, 3), f = 0.5, n = 100, u = 50: psi = 10, so
@@ -269,6 +294,7 @@ class TestDomainEdge:
         sol = self._check(model, 0.5, 100.0, 50.0, ref)
         assert theta_max_calls == [pytest.approx(math.log1p(0.3), rel=1e-14)]
         assert sol.bracket[1] > 0.99 * theta_max_calls[0]
+        assert self._edge_asks(theta_max_calls) == [1]
 
 
 def _bisected_edge(jA, sup_a, sup_b, psi):
@@ -481,11 +507,14 @@ class TestStarSolverLimits:
         with pytest.raises(NoSolutionError):
             fast_expansion(model, 2.5, order=0)
 
-    def test_slope_below_u_up_to_the_domain_edge(self):
+    def test_slope_below_u_up_to_the_domain_edge(self, monkeypatch):
         drift = CharExponent.custom(lambda t, o: (t, 1.0, 0.0, 0.0)[o], domain_sup=1.0)
         model = ModelPair(drift, CharExponent.gamma(1.0, 1.0))
-        with pytest.raises(NoSolutionError):
+        calls = count_derivs(monkeypatch, model)
+        with pytest.raises(NoSolutionError, match="up to the domain edge"):
             fast_expansion(model, 2.0, order=0)
+        # sup (1 - 1e-12) is both the start and the edge: one probe, then the raise
+        assert calls[0] == 1
 
     @pytest.mark.parametrize("u", [1e230, 1e300])
     def test_overflowing_probe_brackets_the_root(self, u):
