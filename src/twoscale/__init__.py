@@ -24,7 +24,7 @@ _LAZY = {
     for module, names in (
         ("edgeworth", (
             "EdgeworthDiagnostic", "EdgeworthExpansion", "build_expansion", "diagnostic",
-            "hermite", "standardization", "tilted_cdf_approx", "tilted_negbin_cdf",
+            "hermite", "standardization", "tilted_cdf_approx",
         )),
         ("oracle", (
             "CompoundPoissonGammaLaw", "NegBinLaw", "OracleResult", "RigorousBound",

@@ -24,12 +24,13 @@ behaviour.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import models as worked
-from .errors import LatticeError, OrderError, ParamError, RegimeError, SeriesUnavailable, require_finite
+from .errors import (
+    _LOG_HUGE, LatticeError, OrderError, ParamError, RegimeError, SeriesUnavailable, require_finite,
+)
 from .levy import ModelPair, PowerScaling
 from .twist import _leading, _require_query, solve_twist
 
@@ -49,7 +50,6 @@ __all__ = [
 _BOUNDARY_EPS = 1e-9
 
 _LOG_TINY = math.log(5e-324)
-_LOG_HUGE = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,11 @@ leading printed coefficients are implemented:
 Coefficients of the higher location terms exist but have no printed form and
 are deliberately not guessed; the branch classification is still exact.
 
-The module also exposes the exact tilted negative-binomial CDF, the natural
-oracle for this approximation (the Esscher transform of a negative binomial
-is again negative binomial).  Comparisons at its jump points should use a
-half-integer continuity correction; no lattice correction is applied to the
-expansion itself.
+:func:`diagnostic` compares the expansion with the exact CDF of the tilted
+count, ``exact_law(...).tilt(theta_n).cdf``, the natural oracle (the Esscher
+transform of a negative binomial is again negative binomial).  Comparisons
+at its jump points should use a half-integer continuity correction; no
+lattice correction is applied to the expansion itself.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "hermite",
     "build_expansion",
     "tilted_cdf_approx",
-    "tilted_negbin_cdf",
     "standardization",
     "diagnostic",
 ]
@@ -135,18 +134,6 @@ def tilted_cdf_approx(model: ModelPair, scaling: PowerScaling, n: float, u: floa
         corr = corr + hermite(1, xc) * (expansion.c1 * psi if fast else expansion.c1 / psi)
     out = special.ndtr(xs) - dens * corr
     return float(out) if np.ndim(x) == 0 else out
-
-
-def tilted_negbin_cdf(model: ModelPair, scaling: PowerScaling, n: float, u: float, counts):
-    """Exact CDF of the theta_n-tilted count at integer values (poisson_gamma only).
-
-    Tilting a negative binomial by theta shifts its success probability to
-    ``1 - (1 - p) exp(theta)``; the twist domain guarantees this stays in (0, 1).
-    """
-    law = exact_law(model, scaling, n)
-    if not isinstance(law, NegBinLaw):
-        raise ParamError("the exact tilted CDF oracle needs the poisson_gamma model")
-    return law.tilt(solve_twist(model, scaling, n, u).theta_n).cdf(counts)
 
 
 def standardization(model: ModelPair, scaling: PowerScaling, n: float, u: float) -> tuple[float, float]:

@@ -6,6 +6,7 @@ callers (and the CLI) can distinguish bad input from internal bugs.
 
 import functools
 import math
+import sys
 
 __all__ = [
     "TwoscaleError",
@@ -19,6 +20,9 @@ __all__ = [
     "LatticeError",
     "SeriesUnavailable",
 ]
+
+#: The log of the largest finite float: ``math.exp`` is finite up to here.
+_LOG_HUGE = math.log(sys.float_info.max)
 
 
 class TwoscaleError(Exception):

@@ -78,7 +78,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_NIL = -750.0
 
 
-def _stirlerr(n: np.ndarray) -> np.ndarray:
+def _stirlerr(n: float | np.ndarray) -> np.ndarray:
     """log(n!) - (n log n - n + log(2 pi n)/2), for real n >= 1."""
     from scipy import special
 
@@ -100,7 +100,7 @@ def _stirlerr(n: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _bd0(x: float | np.ndarray, m: np.ndarray) -> np.ndarray:
     """Binomial deviance x log(x/m) + m - x, evaluated without cancellation."""
     x, m = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(m, dtype=float))
     out = np.empty(x.shape)
@@ -173,9 +173,9 @@ def _negbin_logpmf(x: np.ndarray, k: float, p: float) -> np.ndarray:
         n = xs + k
         out[~zero] = (
             _stirlerr(n)
-            - _stirlerr(np.full_like(xs, k))
+            - _stirlerr(k)
             - _stirlerr(xs)
-            - _bd0(np.full_like(xs, k), n * p)
+            - _bd0(k, n * p)
             - _bd0(xs, n * q)
             + 0.5 * (np.log(n / (2.0 * math.pi * k * xs)))
             + np.log(k / n)

@@ -36,7 +36,7 @@ from pathlib import Path
 
 from scipy import special
 
-from .errors import NotRareError, ParamError, _in_float_range, require_finite
+from .errors import _LOG_HUGE, NotRareError, ParamError, _in_float_range, require_finite
 from .formatting import format_sig
 from .models import K_MAX
 from .oracle import OracleResult, _ceil_threshold, negbin_tail
@@ -160,7 +160,7 @@ def _sum_terms(q, term, first: int, M: int | None, linear: float) -> float:
 def _bounded_exp(log_value: float) -> float:
     if math.isnan(log_value):  # exponent terms of both signs past the float range
         raise ParamError("the exponent terms lie past the float range and sum to NaN")
-    if log_value > 709.0:
+    if log_value > _LOG_HUGE:
         return math.inf
     if log_value < -745.0:
         return 0.0

@@ -183,11 +183,12 @@ def _theta_max(model: ModelPair, psi: float, start: float | None = None) -> floa
     ``start`` into ``[1e-12, 0.99] * theta_max`` leaves it alone, that is
     theta_max lies in ``[start / 0.99, 1e12 * start]``, sparing the search
     for the edge.  alpha increases on [0, inf), so ``alpha(low) < sup_b / psi``
-    puts theta_max at or above ``low`` (less the bisection's 1e-15
-    tolerance), and ``alpha(high) >= sup_b / psi`` below ``high``; the
-    margins in ``low`` and ``high`` cover the tolerance.  The edge is the
-    bisection's; :func:`_grid_edge` reads it off the grid where A's domain
-    is unbounded, still 0.0 for an edge below ``2**-50``.
+    puts theta_max at or above ``low`` (less one step of :func:`_grid_edge`'s
+    grid), and ``alpha(high) >= sup_b / psi`` below ``high``; the margins in
+    ``low`` and ``high`` cover that step.  Else the edge is read off the grid
+    under ``top``: ``sup_a (1 - 1e-12)`` where A's domain is finite, else the
+    first power of two >= 1 whose alpha reaches ``sup_b / psi``, which makes
+    it bit for bit the edge a bisection of ``[0, top]`` returns.
     """
     jA = model.A.jet
     sup_a = model.A.domain_sup
@@ -202,42 +203,33 @@ def _theta_max(model: ModelPair, psi: float, start: float | None = None) -> floa
         ):
             return None
     # alpha is convex with alpha'(0) = a > 0, hence increasing on [0, inf).
-    hi = 1.0
     if math.isfinite(sup_a):
-        hi = sup_a
-        if jA(hi * (1.0 - 1e-12), 0)[0] * psi <= sup_b:
+        top = sup_a * (1.0 - 1e-12)
+        if jA(top, 0)[0] * psi <= sup_b:
             return sup_a
     else:
+        top = 1.0
         for _ in range(_MAX_EXPAND):
-            if jA(hi, 0)[0] >= target:
+            if jA(top, 0)[0] >= target:
                 break
-            hi *= 2.0
+            top *= 2.0
         else:
             return math.inf
-        edge = _grid_edge(jA, model.a, target, hi)
-        if edge is not None:
-            return edge
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if jA(mid, 0)[0] < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(hi, 1.0):
-            break
-    return lo
+    return _grid_edge(jA, model.a, target, top)
 
 
-def _grid_edge(jA: Callable, a: float, target: float, top: float) -> float | None:
-    """:func:`_theta_max`'s bisection of ``[0, top]``, read off its grid; None where that fails.
+def _grid_edge(jA: Callable, a: float, target: float, top: float) -> float:
+    """The largest ``j g`` with ``alpha(j g) < target``, ``g = top 2**-50``, or a half step above.
 
-    ``top`` is a power of two >= 1 with ``alpha(top) >= target``, and ``alpha(top / 2) <
-    target`` when ``top >= 2``.  So after k steps the bisection's ends are exact multiples
-    of ``g = top 2**-k``; it stops at k = 50, or at 51 where its test fails at 50, and
-    returns the largest ``j g`` with alpha below ``target`` (``j = 0`` unevaluated).
-    Newton from ``min(top, target / a)``, right of the root as alpha is convex with
-    ``alpha(x) >= a x``, finds ``j``; probes at ``j g`` and ``(j + 1) g`` confirm it.
+    ``j = 0`` and ``j = 2**50`` count as below and not below ``target``
+    unevaluated; the midpoint of ``j g`` and ``(j + 1) g`` is returned where
+    ``g > 1e-15 max((j + 1) g, 1)`` and alpha is below ``target`` there.  For a
+    power of two ``top >= 1`` with ``alpha(top / 2) < target`` (if ``top >= 2``)
+    that is bit for bit the edge a bisection of ``[0, top]`` to ``hi - lo <=
+    1e-15 max(hi, 1)`` returns.  Newton from ``min(top, target / a)``, right of
+    the root as alpha is convex with ``alpha(x) >= a x``, guesses ``j``; a
+    galloping search brackets it from the guess, or from ``2**49`` where Newton
+    leaves ``[0, top]``, and bisects on ``j``.
     """
     x = min(top, target / a)
     for _ in range(_MAX_NEWTON):
@@ -246,20 +238,18 @@ def _grid_edge(jA: Callable, a: float, target: float, top: float) -> float | Non
         x -= step
         if not (0.0 <= x <= top and abs(step) > top * 2.0 ** -52):
             break
-    if not (0.0 <= x <= top and abs(step) <= top * 2.0 ** -52):
-        return None
-    g = top * 2.0 ** -50
-    j = int(x / g)
-    for _ in range(4):
-        if j > 0 and not jA(j * g, 0)[0] < target:
-            j -= 1
-        elif jA((j + 1) * g, 0)[0] < target:
-            j += 1
+    g, size = top * 2.0 ** -50, 2 ** 50
+    lo, hi = 0, size
+    j, stride = (min(max(int(x / g), 1), size - 1), 1) if 0.0 <= x <= top else (size // 2, size)
+    while hi - lo > 1:
+        if jA(j * g, 0)[0] < target:
+            lo, j = j, j + stride
         else:
-            break
-    else:
-        return None
-    lo, hi = j * g, (j + 1) * g
+            hi, j = j, j - stride
+        stride *= 2
+        if not lo < j < hi:  # bracketed: bisect
+            j, stride = (lo + hi) // 2, hi - lo
+    lo, hi = lo * g, hi * g
     mid = 0.5 * (lo + hi)  # the 51st step
     return mid if hi - lo > 1e-15 * max(hi, 1.0) and jA(mid, 0)[0] < target else lo
 

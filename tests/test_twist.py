@@ -273,6 +273,18 @@ class TestDomainEdge:
         assert sol.bracket[1] == 0.99 * 2.0
         assert self._edge_asks(theta_max_calls) == [0]
 
+    @pytest.mark.parametrize("n", [400.0, 1e4, 1e6])
+    def test_edge_inside_a_finite_outer_domain(self, theta_max_calls, n):
+        # Gamma(1, 2) on Gamma(1.5, 3), f = 0.5, u = 1: psi = sqrt(n), and
+        # alpha(t) psi reaches B's supremum 3 at t = 2 (1 - e^(-3/psi)), inside
+        # A's domain t < 2, so the edge is read off the grid under 2 (1 - 1e-12).
+        model = ModelPair(CharExponent.gamma(1.0, 2.0), CharExponent.gamma(1.5, 3.0))
+        psi = PowerScaling(0.5).psi(n)
+        edge = 2 * -mpmath.expm1(-3 / mpmath.mpf(psi))
+        ref = _mp_twist(*_gamma_alpha(1, 2), lambda x: 1.5 / (3 - x), psi, 1.0, edge)
+        self._check(model, 0.5, n, 1.0, ref)
+        assert theta_max_calls == [pytest.approx(float(edge), rel=1e-12, abs=0)]
+
     def test_start_clear_of_a_finite_outer_supremum(self, theta_max_calls):
         # Gamma(1, 10) on Gamma(1.5, 3), f = 1.5, n = 400, u = 0.1: the start
         # theta* + 1 = 6 stands, since A's supremum 10 is below 5e11 * 6.
@@ -336,7 +348,7 @@ def _drift_diffusion(t, order):
 
 class TestGridEdge:
     """``_theta_max`` on an unbounded outer domain equals its bisection bit
-    for bit; over psi 1e-8..1e30 ``_grid_edge`` finds it without falling back."""
+    for bit, and so does ``_grid_edge`` from its Newton guess over psi 1e-8..1e30."""
 
     PSIS = [10.0 ** (k / 40.0) for k in range(-320, 1201)]
 
@@ -377,8 +389,8 @@ class TestGridEdge:
         # psi = 1e-300: alpha(1024) = e^1024 - 1 reads +inf, so Newton from
         # top = 1024 has no step.
         model = pg_pair(1.0, 1.0, 3.0)
-        assert twist._grid_edge(model.A.jet, model.a, 3e300, _top(model, 3e300)) is None
         want = _bisected_edge(model.A.jet, math.inf, 3.0, 1e-300)
+        assert twist._grid_edge(model.A.jet, model.a, 3e300, _top(model, 3e300)) == want
         assert twist._theta_max(model, 1e-300) == want == pytest.approx(math.log(3e300))
 
     def test_an_edge_below_the_grid_still_reads_zero(self, capsys):
