@@ -147,9 +147,9 @@ class CharExponent:
         Span ``d > 0`` if the marginals live on ``x0 + d*Z``, else ``0.0``.
     params:
         The parameters that define a built-in exponent (``lam``; ``r`` and
-        ``mu``; all positive), from which its jet is built; ``{}`` for a
-        custom one.  They take part in equality but not in the hash (a dict
-        is unhashable); equal exponents still hash equal.
+        ``mu``; all positive and finite), from which its jet is built; ``{}``
+        for a custom one.  They take part in equality but not in the hash (a
+        dict is unhashable); equal exponents still hash equal.
     jet:
         ``jet(t, k)``, k in 0..3: ``(value, first, ..., k-th derivative)`` at
         ``t`` from one evaluation, bit for bit the values :meth:`deriv` gives
@@ -173,20 +173,26 @@ class CharExponent:
                 jet = _custom_jet(self._derivs, sup)
             elif kind == "poisson":
                 lam = params["lam"]
-                if not lam > 0:
-                    raise ParamError(f"poisson rate must be positive, got {lam}")
+                if not 0 < lam < math.inf:
+                    raise ParamError(f"poisson rate must be positive and finite, got {lam}")
                 jet, sup = _poisson_jet(lam), math.inf
             elif kind == "gamma":
                 r, mu = params["r"], params["mu"]
-                if not (r > 0 and mu > 0):
-                    raise ParamError(f"gamma parameters must be positive, got shape={r}, rate={mu}")
+                if not (0 < r < math.inf and 0 < mu < math.inf):
+                    raise ParamError(
+                        f"gamma parameters must be positive and finite, got shape={r}, rate={mu}"
+                    )
                 jet, sup = _gamma_jet(r, mu), mu
             else:
                 raise ParamError(f"unknown exponent kind {kind!r}")
         except KeyError as exc:
             raise ParamError(f"a {kind} exponent needs the parameter {exc}") from None
-        if self.lattice_span < 0:
-            raise ParamError(f"lattice span must be >= 0, got {self.lattice_span}")
+        if not 0 <= self.lattice_span < math.inf:
+            raise ParamError(f"lattice span must be finite and >= 0, got {self.lattice_span}")
+        if kind == "custom":  # the user evaluator itself: a domain_sup <= 0 fails in ModelPair
+            probe = self._derivs(0.0, 0)
+            if probe != 0.0:
+                raise ParamError(f"custom exponent must vanish at 0, got {probe}")
         object.__setattr__(self, "domain_sup", sup)
         object.__setattr__(self, "jet", jet)
 
@@ -215,11 +221,7 @@ class CharExponent:
         refused by design.  The jet calls ``derivs(t, 0)``, ..., ``derivs(t, k)``;
         an order whose call raises ``OverflowError`` reads +inf.
         """
-        exponent = cls("custom", domain_sup, lattice_span, {}, derivs)
-        probe = derivs(0.0, 0)
-        if probe != 0.0:
-            raise ParamError(f"custom exponent must vanish at 0, got {probe}")
-        return exponent
+        return cls("custom", domain_sup, lattice_span, {}, derivs)
 
     def deriv(self, t: float, order: int = 0) -> float:
         """Order-th derivative at ``t`` (order 0 is the value); +inf past the float range."""
@@ -254,10 +256,8 @@ class ModelPair:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        a0, a = self.A.jet(0.0, 1)
-        b0, b = self.B.jet(0.0, 1)
-        if a0 != 0.0 or b0 != 0.0:
-            raise ParamError("characteristic exponents must vanish at the origin")
+        a = self.A.jet(0.0, 1)[1]
+        b = self.B.jet(0.0, 1)[1]
         object.__setattr__(self, "b", b)
         if b <= 0:
             raise ParamError(f"B must be an increasing subordinator: beta'(0) = {b} <= 0")

@@ -272,21 +272,14 @@ def _poisson_logpmf(j, lam: float):
 
 
 def _first_live_block(lam: float) -> int:
-    """``1 + k*_BLOCK``: the compound sum skips its first k blocks.
+    """``1 + k*_BLOCK``: the compound sum skips its first k blocks, whose weights are all 0.0.
 
-    k is the largest with ``1 + k*_BLOCK <= lam`` (so the sum's stop test
-    would not have fired) whose top count ``k*_BLOCK`` has a log weight below
-    ``_LOG_NIL``, found by bisection on the weight the sum uses.  The pmf
-    rises up to the mode, so every skipped weight is exactly 0.0.
+    For 1 <= j <= lam, log pmf(j) <= -bd0(j, lam) = -lam h(j/lam) <= -(lam - j)**2 / (2 lam),
+    as stirlerr and log(2 pi j) are positive and h(x) = x log x - x + 1 >=
+    (1 - x)**2 / 2 on (0, 1].  So every count up to ``lam - sqrt(-2 _LOG_NIL lam)``
+    has a log weight below ``_LOG_NIL``; k is the most whole blocks below it.
     """
-    lo, hi = 0, int((lam - 1.0) // _BLOCK)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _poisson_logpmf(float(mid * _BLOCK), lam) < _LOG_NIL:
-            lo = mid
-        else:
-            hi = mid - 1
-    return 1 + lo * _BLOCK
+    return 1 + _BLOCK * max(0, int((lam - math.sqrt(-2.0 * _LOG_NIL * lam)) // _BLOCK))
 
 
 def compound_poisson_gamma_tail(
@@ -296,9 +289,10 @@ def compound_poisson_gamma_tail(
 
     Conditioning on j >= 1 jumps leaves a Gamma(j*jump_shape, jump_rate) tail,
     evaluated as a regularized upper incomplete gamma; zero jumps contribute
-    nothing for a positive threshold.  The Poisson sum starts at the first
-    block whose weights do not all underflow to 0.0, and is truncated once its
-    remaining mass (every term's weight) drops below 1e-14.
+    nothing for a positive threshold.  The Poisson sum starts below the count
+    where the bound ``log pmf(j) <= -(lam - j)**2 / (2 lam)`` puts every weight
+    under e**-750, and is truncated once its remaining mass (every term's
+    weight) drops below 1e-14.
     """
     from scipy import special
 
@@ -444,14 +438,13 @@ def _mc_tail(
     if seed < 0:
         raise ParamError(f"seed must be >= 0, got {seed}")
     base, rem = divmod(samples, workers)
-    parts = []
+    s = ss = 0.0
     for i, stream in enumerate(np.random.SeedSequence(seed).spawn(workers)):
         budget = base + (i < rem)
         if budget:
             vals = sampler(np.random.default_rng(stream), budget)
-            parts.append((float(vals.sum()), float(np.square(vals).sum())))
-    s = sum(p[0] for p in parts)
-    ss = sum(p[1] for p in parts)
+            s += float(vals.sum())
+            ss += float(np.square(vals).sum())
     mean = s / samples
     var = max(ss - samples * mean * mean, 0.0) / (samples - 1)
     se = math.sqrt(var / samples)

@@ -673,6 +673,21 @@ class TestBoundedInput:
 
 
 class TestNonFiniteInput:
+    @pytest.mark.parametrize("flag, position, named", [
+        ("--poisson-gamma", 0, "poisson rate must be positive and finite, got inf"),
+        ("--poisson-gamma", 1, "got shape=inf, rate=3.0"),
+        ("--poisson-gamma", 2, "got shape=1.0, rate=inf"),
+        ("--gamma-poisson", 0, "got shape=inf, rate=1.0"),
+        ("--gamma-poisson", 1, "got shape=1.0, rate=inf"),
+        ("--gamma-poisson", 2, "poisson rate must be positive and finite, got inf"),
+    ])
+    def test_infinite_exponent_parameter_is_named(self, capsys, flag, position, named):
+        params = ["1", "1", "3"]
+        params[position] = "inf"
+        code, out, err = run(capsys, ["approx", flag, *params, "--f", "1.5", "--n", "100", "--u", "1"])
+        assert code == 2 and out == ""
+        assert err.startswith("ParamError: ") and named in err
+
     @pytest.mark.parametrize("argv", [
         ["oracle", "--poisson-gamma", "1", "1", "3", "--f", "1.5", "--n", "nan", "--u", "1"],
         ["oracle", "--gamma-poisson", "1", "3", "1", "--f", "1.5", "--n", "100", "--u", "nan"],

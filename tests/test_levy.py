@@ -67,6 +67,35 @@ class TestCharExponent:
         with pytest.raises(ParamError):
             CharExponent.gamma(1.0, -2.0)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: CharExponent.poisson(math.inf), "poisson rate must be positive and finite"),
+        (lambda: CharExponent.gamma(math.inf, 2.0), "must be positive and finite, got shape=inf"),
+        (lambda: CharExponent.gamma(1.0, math.inf), "must be positive and finite, got shape=1.0, rate=inf"),
+        (lambda: CharExponent.poisson(1.0, lattice_span=math.nan), "lattice span must be finite"),
+        (lambda: CharExponent.poisson(1.0, lattice_span=math.inf), "lattice span must be finite"),
+    ], ids=["poisson-rate", "gamma-shape", "gamma-rate", "span-nan", "span-inf"])
+    def test_infinite_params_are_refused_by_name(self, build, message):
+        # They used to construct, and ModelPair then blamed the origin.
+        with pytest.raises(ParamError, match=message):
+            build()
+
+    def test_custom_probe_runs_where_the_exponent_is_built(self):
+        calls = []
+
+        def derivs(t, o):
+            calls.append((t, o))
+            return t if o == 0 else (1.0 if o == 1 else 0.0)
+
+        exponent = CharExponent("custom", math.inf, 0.0, {}, derivs)
+        assert calls == [(0.0, 0)]
+        with pytest.raises(ParamError, match="vanish at 0"):
+            dataclasses.replace(exponent, _derivs=lambda t, o: t + 1.0)
+
+    def test_custom_domain_at_the_origin_still_fails_in_the_pair(self):
+        drift = CharExponent.custom(lambda t, o: t if o == 0 else (1.0 if o == 1 else 0.0), domain_sup=0.0)
+        with pytest.raises(DomainError):
+            ModelPair(drift, CharExponent.gamma(1.0, 2.0))
+
     def test_lattice_spans(self):
         assert CharExponent.poisson(1.0).lattice_span == 1.0
         assert CharExponent.poisson(1.0, lattice_span=0.5).lattice_span == 0.5

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,23 @@ class TestCeilThreshold:
         assert negbin_tail(1.0, 0.5, m).log_probability == pytest.approx(want, rel=1e-12)
 
 
+def _bisected_first_live_block(lam):
+    """The bisection that ``_first_live_block``'s closed form replaced, kept
+    verbatim as its reference: the largest whole-block start below lam whose
+    top count has a computed log weight below ``_LOG_NIL``."""
+    lo, hi = 0, int((lam - 1.0) // oracle._BLOCK)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if oracle._poisson_logpmf(float(mid * oracle._BLOCK), lam) < oracle._LOG_NIL:
+            lo = mid
+        else:
+            hi = mid - 1
+    return 1 + lo * oracle._BLOCK
+
+
+RATE_GRID = [10.0 ** (k / 10) for k in range(121)]
+
+
 class TestCompoundPoissonGammaTail:
     def test_threshold_zero_is_one(self):
         assert compound_poisson_gamma_tail(2.0, 1.0, 1.0, 0.0).probability == 1.0
@@ -185,15 +203,22 @@ class TestCompoundPoissonGammaTail:
         proc = run_python("-c", code, timeout=60.0)
         assert proc.returncode == 0, proc.stderr
 
-    @pytest.mark.parametrize("args", [
-        (4097.0, 2.0, 1.0, 9000.0), (2e4, 1.0, 1.0, 2.1e4), (1e5, 0.5, 2.0, 2.4e4),
-        (3e5, 1.0, 1.0, 2.9e5), (1e6, 1.0, 1.0, 1.2e6), (1e6, 3.0, 0.7, 4.0e6),
-    ])
-    def test_skipped_blocks_leave_the_sum_bit_identical(self, monkeypatch, args):
+    @pytest.mark.parametrize("args, start", [
+        *((args, lambda lam: 1) for args in [
+            (4097.0, 2.0, 1.0, 9000.0), (2e4, 1.0, 1.0, 2.1e4), (1e5, 0.5, 2.0, 2.4e4),
+            (3e5, 1.0, 1.0, 2.9e5), (1e6, 1.0, 1.0, 1.2e6), (1e6, 3.0, 0.7, 4.0e6),
+        ]),
+        ((1e7, 1.0, 1.0, 1.001e7), _bisected_first_live_block),
+        ((1e8, 1.0, 1.0, 1.0003e8), _bisected_first_live_block),
+        ((1e8, 3.0, 0.7, 4.287e8), _bisected_first_live_block),
+    ], ids=[f"args{i}" for i in range(9)])
+    def test_skipped_blocks_leave_the_sum_bit_identical(self, monkeypatch, args, start):
         # Leading blocks whose weights all underflow to 0.0 are skipped; the
-        # sum from j = 1 gives the same bits.
+        # sum from j = 1 gives the same bits.  Past a rate of 1e6 that sum
+        # would take thousands of zero blocks, so there the bisection's start
+        # stands in for it.
         skipped = repr(compound_poisson_gamma_tail(*args))
-        monkeypatch.setattr(oracle, "_first_live_block", lambda lam: 1)
+        monkeypatch.setattr(oracle, "_first_live_block", start)
         assert repr(compound_poisson_gamma_tail(*args)) == skipped
 
     @pytest.mark.parametrize("lam", [1.0, 4096.0, 8193.0, 1e5, 1e6])
@@ -203,6 +228,30 @@ class TestCompoundPoissonGammaTail:
         if lam >= 1e5:
             assert j0 > 1
             assert np.exp(oracle._poisson_logpmf(np.arange(1.0, j0), lam)).max() == 0.0
+
+    def test_closed_form_start_against_the_bisection(self):
+        # Whole blocks, never later than the bisection's start, and at most
+        # two blocks (8,192 zero weights) earlier up to a rate of 1e9.
+        for lam in RATE_GRID:
+            j0, ref = oracle._first_live_block(lam), _bisected_first_live_block(lam)
+            assert j0 % 4096 == 1 and j0 <= ref, lam
+            if lam <= 1e9:
+                assert ref - j0 <= 2 * 4096, lam
+
+    def test_last_skipped_weight_is_below_log_nil_at_50_digits(self):
+        # The exact log pmf, -lam + j log(lam) - log(j!), with no use of
+        # _stirlerr or _bd0.
+        skipped = 0
+        for lam in RATE_GRID:
+            j = oracle._first_live_block(lam) - 1
+            if j == 0:
+                continue
+            skipped += 1
+            with mpmath.workdps(50):
+                lam_mp = mpmath.mpf(lam)
+                log_pmf = -lam_mp + j * mpmath.log(lam_mp) - mpmath.loggamma(j + 1)
+                assert log_pmf <= -750, (lam, j, log_pmf)
+        assert skipped >= 80
 
     def test_large_rate_starts_near_the_mode(self):
         # Summing 4096-count blocks from j = 1 up to a rate of 1e8 took
