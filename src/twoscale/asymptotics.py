@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from . import models as worked
 from .errors import (
-    _LOG_HUGE, LatticeError, OrderError, ParamError, RegimeError, SeriesUnavailable, require_finite,
+    LatticeError, OrderError, ParamError, RegimeError, SeriesUnavailable, _exp_of_log, require_finite,
 )
 from .levy import ModelPair, PowerScaling
 from .twist import _leading, _require_query, solve_twist
@@ -48,8 +48,6 @@ __all__ = [
 #: Tolerance for boundary exponents (liminf equal to a positive constant
 #: counts as "staying away from zero", so boundary indices are included).
 _BOUNDARY_EPS = 1e-9
-
-_LOG_TINY = math.log(5e-324)
 
 
 @dataclass(frozen=True)
@@ -72,9 +70,9 @@ class RegimeInfo:
 class AsymptoticEstimate:
     """A fully evaluated tail approximation.
 
-    ``log_value`` is authoritative; ``value`` is its exponential and reads 0.0
-    when the probability underflows the float range, and ``inf`` when the log
-    exceeds it (an approximation far outside its regime of validity).
+    ``log_value`` is authoritative; ``value`` is ``_exp_of_log`` of it, which
+    reads 0.0 when the probability underflows the float range, and ``inf`` when
+    the log exceeds it (an approximation far outside its regime of validity).
     ``exponent_terms`` holds (label, value) pairs, the linear term first.
     """
 
@@ -129,19 +127,11 @@ def _assemble(front, spread, terms, mode, order, lattice) -> AsymptoticEstimate:
     if not 0.0 < prefactor < math.inf:  # 0.0 where sigma reads +inf, +inf where it reads 0.0
         raise ParamError(f"the prefactor {prefactor} lies past the float range")
     log_value = math.log(prefactor) + sum(v for _, v in terms)
-    if math.isnan(log_value):  # exponent terms of both signs past the float range
-        raise ParamError("the exponent terms lie past the float range and sum to NaN")
-    if log_value > _LOG_HUGE:
-        value = math.inf
-    elif log_value > _LOG_TINY:
-        value = math.exp(log_value)
-    else:
-        value = 0.0
     return AsymptoticEstimate(
         prefactor=prefactor,
         exponent_terms=tuple(terms),
         log_value=log_value,
-        value=value,
+        value=_exp_of_log(log_value),
         mode=mode,
         series_order=order,
         lattice_adjusted=lattice,

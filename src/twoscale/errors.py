@@ -25,6 +25,14 @@ __all__ = [
 _LOG_HUGE = math.log(sys.float_info.max)
 
 
+def _exp_of_log(log_value: float) -> float:
+    """The one rule from a log to a probability: ``inf`` above :data:`_LOG_HUGE`, ParamError
+    for NaN, else ``math.exp``, which reads 0.0 below about -745.13."""
+    if math.isnan(log_value):  # exponent terms of both signs past the float range
+        raise ParamError("the exponent terms lie past the float range and sum to NaN")
+    return math.inf if log_value > _LOG_HUGE else math.exp(log_value)
+
+
 class TwoscaleError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ParamError, require_finite
+from .errors import DomainError, ParamError, _exp_of_log, require_finite
 from .levy import ModelPair, PowerScaling
 from .models import _builtin
 from .twist import solve_twist
@@ -240,7 +240,7 @@ def negbin_tail(successes: float, p: float, threshold: float) -> OracleResult:
     arrivals; :func:`_ceil_threshold` makes the threshold a count (ties included).
     Below the mean the complementary sum is used; either way the truncation
     bound is rigorous and the log probability stays accurate deep under the
-    float range.
+    float range; above the mean the probability is ``_exp_of_log`` of that log.
     """
     require_finite(successes=successes, p=p, threshold=threshold)
     if not 0.0 < p < 1.0:
@@ -255,7 +255,7 @@ def negbin_tail(successes: float, p: float, threshold: float) -> OracleResult:
     mean = successes * (1.0 - p) / p
     if m0 > mean:
         log_prob, log_bound = _negbin_upper_logsum(successes, p, m0)
-        prob = math.exp(log_prob) if log_prob > -745.0 else 0.0
+        prob = _exp_of_log(log_prob)
         return OracleResult(prob, log_prob, RigorousBound(math.exp(log_bound)), "negbin_exact")
     log_lower, log_bound = _negbin_lower_logsum(successes, p, m0)
     prob = -math.expm1(log_lower)

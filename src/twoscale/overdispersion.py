@@ -36,7 +36,7 @@ from pathlib import Path
 
 from scipy import special
 
-from .errors import _LOG_HUGE, NotRareError, ParamError, _in_float_range, require_finite
+from .errors import NotRareError, ParamError, _exp_of_log, _in_float_range, require_finite
 from .formatting import format_sig
 from .models import K_MAX
 from .oracle import OracleResult, _ceil_threshold, negbin_tail
@@ -157,29 +157,19 @@ def _sum_terms(q, term, first: int, M: int | None, linear: float) -> float:
     return total
 
 
-def _bounded_exp(log_value: float) -> float:
-    if math.isnan(log_value):  # exponent terms of both signs past the float range
-        raise ParamError("the exponent terms lie past the float range and sum to NaN")
-    if log_value > _LOG_HUGE:
-        return math.inf
-    if log_value < -745.0:
-        return 0.0
-    return math.exp(log_value)
-
-
 @_in_float_range
 def pi_fast(q: ArrivalQuery, M: int | None = None) -> float:
     """Fast-regime refinement; the exponent sum runs k = 2..M (M = 1: empty).
 
-    M = None selects adaptive truncation (cap K_MAX, stop below 1e-12).  Raises
-    ParamError where a term overflows or the exponent sums to NaN.
+    M = None selects adaptive truncation (cap K_MAX, stop below 1e-12).  The value is
+    ``_exp_of_log`` of the log.  Raises ParamError where a term overflows or the exponent sums to NaN.
     """
     rho = q._require_rare()
     if M is not None and not 1 <= M <= K_MAX:
         raise ParamError(f"M must lie in 1..{K_MAX} for pi_fast, got {M}")
     linear = (1.0 - rho + math.log(rho)) * q.u_bar
     s = linear + _sum_terms(q, _fast_term, 2, M, linear)
-    return _bounded_exp(s - math.log((1.0 - rho) * math.sqrt(2.0 * math.pi * q.u_bar)))
+    return _exp_of_log(s - math.log((1.0 - rho) * math.sqrt(2.0 * math.pi * q.u_bar)))
 
 
 @_in_float_range
@@ -190,7 +180,7 @@ def pi_slow(q: ArrivalQuery, M: int | None = None) -> float:
         raise ParamError(f"M must lie in 0..{K_MAX} for pi_slow, got {M}")
     linear = (1.0 - 1.0 / rho + math.log(1.0 / rho)) * q.K
     s = linear + _sum_terms(q, _slow_term, 1, M, linear)
-    return _bounded_exp(s - math.log((1.0 / rho - 1.0) * math.sqrt(2.0 * math.pi * q.K)))
+    return _exp_of_log(s - math.log((1.0 / rho - 1.0) * math.sqrt(2.0 * math.pi * q.K)))
 
 
 def pi_hat_fast(q: ArrivalQuery) -> float:

@@ -44,6 +44,8 @@ RESIDUAL_TOL = 1e-10
 
 _MAX_NEWTON = 200
 _MAX_EXPAND = 400
+#: The least ``top`` whose grid step ``top 2**-50`` is a normal float.
+_MIN_TOP = 2.0 ** -972
 
 
 @dataclass(frozen=True)
@@ -229,7 +231,11 @@ def _grid_edge(jA: Callable, a: float, target: float, top: float) -> float:
     1e-15 max(hi, 1)`` returns.  Newton from ``min(top, target / a)``, right of
     the root as alpha is convex with ``alpha(x) >= a x``, guesses ``j``; a
     galloping search brackets it from the guess, or from ``2**49`` where Newton
-    leaves ``[0, top]``, and bisects on ``j``.
+    leaves ``[0, top]``, and bisects on ``j``.  An end at ``j = 0`` puts the edge
+    under ``g``; ``g`` halves until it brackets the edge in ``[g / 2, g)``, and
+    the search runs again under it, on a step within ``2**-49`` of the edge.
+    The halving stops at :data:`_MIN_TOP`: an edge under that top's grid reads
+    0.0, and so does a target of 0.0, which no ``g`` brackets.
     """
     x = min(top, target / a)
     for _ in range(_MAX_NEWTON):
@@ -249,6 +255,10 @@ def _grid_edge(jA: Callable, a: float, target: float, top: float) -> float:
         stride *= 2
         if not lo < j < hi:  # bracketed: bisect
             j, stride = (lo + hi) // 2, hi - lo
+    if lo == 0 and g > _MIN_TOP:  # the edge lies under the first grid point: search again under it
+        while 0.5 * g > _MIN_TOP and jA(0.5 * g, 0)[0] >= target:
+            g *= 0.5
+        return _grid_edge(jA, a, target, g)
     lo, hi = lo * g, hi * g
     mid = 0.5 * (lo + hi)  # the 51st step
     return mid if hi - lo > 1e-15 * max(hi, 1.0) and jA(mid, 0)[0] < target else lo

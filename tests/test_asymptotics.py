@@ -196,6 +196,10 @@ class TestApproxFast:
         with pytest.raises(LatticeError):
             approx_fast(gp_pair(1.0, 2.0, 1.0), PowerScaling(1.5), 100.0, 1.0, lattice=True)
 
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(OrderError, match="mode must be 'direct' or 'series', got 'bogus'"):
+            approx_fast(pg_pair(1.0, 1.0, 2.0), PowerScaling(1.5), 100.0, 1.0, mode="bogus")
+
     def test_series_unavailable_for_custom(self):
         drift = CharExponent.custom(lambda t, o: 0.9 * t if o == 0 else (0.9 if o == 1 else 0.0))
         m = ModelPair(CharExponent.poisson(1.0), drift)

@@ -358,6 +358,14 @@ class TestOracle:
         assert code == 2
         assert "ParamError" in err
 
+    def test_is_requires_samples(self, capsys, pg_json):
+        code, _, err = run(
+            capsys,
+            ["oracle", "--model", pg_json, "--n", "400", "--u", "0.7", "--method", "is", "--seed", "7"],
+        )
+        assert code == 2
+        assert "ParamError: --samples is required for method 'is'" in err
+
     def test_is_reports_statistics(self, capsys, pg_json):
         code, out, _ = run(
             capsys,

@@ -50,6 +50,10 @@ class TestHermite:
         assert np.allclose(hermite(1, xs), xs)
         assert np.allclose(hermite(2, xs), xs**2 - 1)
 
+    def test_order_past_three_is_refused(self):
+        with pytest.raises(ParamError, match="k <= 3, got 4"):
+            hermite(4, 0.5)
+
 
 class TestBranchSelection:
     def test_fast_branches(self, pg112):
@@ -190,6 +194,10 @@ class TestNonFiniteInput:
     def test_standardization_needs_n_at_least_1(self, f, n):
         with pytest.raises(ParamError, match="n must be >= 1"):
             standardization(pg_pair(1.0, 1.0, 3.0), PowerScaling(f), n, 1.0)
+
+    def test_standardization_needs_f_other_than_1(self):
+        with pytest.raises(RegimeError, match="f != 1"):
+            standardization(pg_pair(1.0, 1.0, 3.0), PowerScaling(1.0), 100.0, 1.0)
 
     def test_expansion_and_cdf(self, pg112):
         s = PowerScaling(1.5)

@@ -403,6 +403,10 @@ class TestLmgf:
         expected = s.phi(n) * lam * ((mu / (mu - theta)) ** (r * psi) - 1.0)
         assert lmgf(m, s, n, theta) == pytest.approx(expected, rel=1e-13)
 
+    def test_order_past_two_is_refused(self):
+        with pytest.raises(OrderError, match="must be 0, 1 or 2, got 3"):
+            lmgf(pg_pair(1.0, 1.0, 2.0), PowerScaling(1.5), 100.0, 0.1, order=3)
+
     def test_domain_error_signals_overshoot(self):
         m, s = pg_pair(1.0, 1.0, 2.0), PowerScaling(0.5)
         # alpha(theta)*psi >= mu at n = 100, psi = 10: lam(e^t - 1) >= 0.2
@@ -553,6 +557,20 @@ class TestLoadModel:
                 "B": {"kind": "gamma", "r": 1, "mu": 2}, "f": 1.5}
         with pytest.raises(ParamError, match="field 'lambda' in model entry 'A' must be a finite number"):
             load_model(spec)
+
+    @pytest.mark.parametrize("A, match", [
+        ({"kind": "poisson"}, "missing field 'lambda' in model entry 'A'"),
+        ([1.0], "model entry 'A' must be an object with a 'kind' field"),
+        ({"kind": "poisson", "lambda": 1.0, "r": 1.0}, r"unknown fields \['r'\] for poisson entry 'A'"),
+        ({"kind": "gamma", "r": 1.0, "mu": 2.0, "d": 1.0}, r"unknown fields \['d'\] for gamma entry 'A'"),
+    ], ids=["missing-parameter", "not-an-object", "unknown-poisson-field", "unknown-gamma-field"])
+    def test_bad_entry_is_named(self, A, match):
+        with pytest.raises(ParamError, match=match):
+            load_model({"A": A, "B": {"kind": "gamma", "r": 1, "mu": 2}, "f": 1.5})
+
+    def test_source_neither_path_nor_mapping(self):
+        with pytest.raises(ParamError, match="unsupported model source type list"):
+            load_model([("A", {"kind": "poisson", "lambda": 1.0})])
 
     def test_json_text_is_not_a_source(self):
         # a source string is a path, never spec text

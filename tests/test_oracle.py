@@ -335,6 +335,10 @@ class TestImportanceSampling:
         assert a.probability == b.probability
         assert a.error.std_error == b.error.std_error
 
+    def test_zero_workers_are_refused(self, pg113):
+        with pytest.raises(ParamError, match="workers must be >= 1, got 0"):
+            is_tail(pg113, PowerScaling(1.5), 400.0, 0.48, samples=100, seed=1, workers=0)
+
     def test_worker_split_reproducible(self, pg113):
         s = PowerScaling(1.5)
         a = is_tail(pg113, s, 400.0, 0.48, samples=9_001, seed=13, workers=3)

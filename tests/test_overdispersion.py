@@ -205,7 +205,9 @@ class TestFloatRange:
     def test_a_log_below_the_float_maximum_reads_finite(self):
         # Two terms of pi_fast at K = 1, u_bar = 41.67 put its log at ~709.5:
         # past 709 but below log(sys.float_info.max) ~ 709.78, so exp is finite.
+        # At u_bar = 41.7 the log passes that maximum, and the value reads inf.
         assert 1e308 < pi_fast(ArrivalQuery(1, 41.67, 1.0), M=2) < math.inf
+        assert pi_fast(ArrivalQuery(1, 41.7, 1.0), M=2) == math.inf
 
     @settings(max_examples=200, deadline=None)
     @given(

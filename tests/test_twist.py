@@ -1,5 +1,6 @@
 """Tilting-equation solver and the twisting-factor expansions."""
 
+import json
 import math
 import random
 from dataclasses import replace
@@ -346,9 +347,26 @@ def _drift_diffusion(t, order):
     return (t + 0.5 * t * t, 1.0 + t, 1.0, 0.0)[order]
 
 
+def _mp_edge(model, psi):
+    """The domain edge ``alpha^-1(sup_b / psi)`` at 50 digits, for a Poisson
+    outer process or :func:`_drift_diffusion`."""
+    with mpmath.workdps(50):
+        target = mpmath.mpf(model.B.domain_sup) / mpmath.mpf(psi)
+        if model.A.kind == "poisson":
+            return mpmath.log1p(target / mpmath.mpf(model.A.params["lam"]))
+        return 2 * target / (1 + mpmath.sqrt(1 + 2 * target))  # t + t^2 / 2 = target
+
+
+def _below_the_grid(model, psi):
+    """Where the bisection reads 0.0 the edge lies under its first grid point;
+    the search runs again there and meets the 50-digit edge."""
+    return pytest.approx(float(_mp_edge(model, psi)), rel=1e-12, abs=0.0)
+
+
 class TestGridEdge:
     """``_theta_max`` on an unbounded outer domain equals its bisection bit
-    for bit, and so does ``_grid_edge`` from its Newton guess over psi 1e-8..1e30."""
+    for bit, and so does ``_grid_edge`` from its Newton guess over psi 1e-8..1e30,
+    wherever the bisection does not read 0.0 (an edge under its grid ``top 2**-50``)."""
 
     PSIS = [10.0 ** (k / 40.0) for k in range(-320, 1201)]
 
@@ -358,7 +376,7 @@ class TestGridEdge:
         ModelPair(CharExponent.custom(_drift_diffusion), CharExponent.gamma(1.0, 2.0)),
     ], ids=["pg113", "pg", "drift-diffusion-gamma"])
     def test_equals_the_bisection(self, model):
-        cases = set()  # (top >= 2, K), or "zero" for the 0.0 edge
+        cases = set()  # (top >= 2, K), or "below" for an edge under the grid
         for psi in self.PSIS:
             calls = [0]
 
@@ -368,12 +386,16 @@ class TestGridEdge:
 
             target = model.B.domain_sup / psi
             want = _bisected_edge(counted, model.A.domain_sup, model.B.domain_sup, psi)
-            assert twist._theta_max(model, psi) == want, psi
             top = _top(model, target)
+            if want == 0.0:
+                cases.add("below")
+                want = _below_the_grid(model, psi)
+            else:
+                # The doubling loop makes log2(top) + 1 evaluations, the bisection K.
+                cases.add((top >= 2.0, calls[0] - math.log2(top) - 1))
+            assert twist._theta_max(model, psi) == want, psi
             assert twist._grid_edge(model.A.jet, model.a, target, top) == want, psi
-            # The doubling loop makes log2(top) + 1 evaluations, the bisection K.
-            cases.add("zero" if want == 0.0 else (top >= 2.0, calls[0] - math.log2(top) - 1))
-        assert cases == {"zero", (False, 50), (True, 50), (True, 51)}
+        assert cases == {"below", (False, 50), (True, 50), (True, 51)}
 
     def test_random_pairs(self):
         rng = random.Random(1)
@@ -381,7 +403,7 @@ class TestGridEdge:
             lam, r, mu = (math.exp(rng.uniform(-3.0, 3.0)) for _ in range(3))
             model = pg_pair(lam, r, mu)
             psi = 10.0 ** rng.uniform(-8.0, 30.0)
-            want = _bisected_edge(model.A.jet, math.inf, mu, psi)
+            want = _bisected_edge(model.A.jet, math.inf, mu, psi) or _below_the_grid(model, psi)
             assert twist._theta_max(model, psi) == want, (lam, r, mu, psi)
             assert twist._grid_edge(model.A.jet, model.a, mu / psi, _top(model, mu / psi)) == want
 
@@ -393,14 +415,48 @@ class TestGridEdge:
         assert twist._grid_edge(model.A.jet, model.a, 3e300, _top(model, 3e300)) == want
         assert twist._theta_max(model, 1e-300) == want == pytest.approx(math.log(3e300))
 
-    def test_an_edge_below_the_grid_still_reads_zero(self, capsys):
-        # theta_max ~ 3 / psi = 3e-16 at n = 1e32 lies below 2**-50.
+    def test_an_edge_below_the_grid_is_searched_again(self, capsys):
+        # theta_max ~ 3 / psi = 3e-16 at n = 1e32 lies below 2**-50, where the
+        # first search ends at j = 0; it used to read 0.0 and the twist exit 2.
         from twoscale.cli import main
 
-        assert twist._theta_max(pg_pair(1.0, 1.0, 3.0), 1e16) == 0.0
+        model = pg_pair(1.0, 1.0, 3.0)
+        for psi in (1e16, 1e20, 1e25, 1e30):
+            assert twist._theta_max(model, psi) == _below_the_grid(model, psi), psi
         argv = ["approx", "--poisson-gamma", "1", "1", "3", "--f", "0.5", "--n", "1e32", "--u", "1"]
+        assert main(argv) == 0
+        assert math.isfinite(json.loads(capsys.readouterr().out)["log_value"])
+
+    @pytest.mark.parametrize("target", [0.0, 5e-324, 1e-317, math.nan])
+    def test_a_target_no_normal_grid_brackets_reads_zero(self, target):
+        # No g brackets a target of 0.0 (alpha(0) = 0 is not below it), and a
+        # subnormal edge lies under every normal grid: the halving stops.
+        model = pg_pair(1.0, 1.0, 3.0)
+        assert twist._grid_edge(model.A.jet, model.a, target, 1.0) == 0.0
+
+    @pytest.mark.parametrize("n", ["1e300", "1e290"])
+    def test_an_underflowing_target_exits_2(self, n, capsys):
+        # sup_b / psi = 1e-30 / n**0.99 is 0.0 at n = 1e300 and subnormal at
+        # n = 1e290; the edge reads 0.0 and the query ends with exit 2.
+        from twoscale.cli import main
+
+        with pytest.raises(NoSolutionError, match="domain edge 0.0"):
+            twist.solve_twist(pg_pair(1.0, 1.0, 1e-30), PowerScaling(0.01), float(n), 2e30)
+        argv = ["approx", "--poisson-gamma", "1", "1", "1e-30", "--f", "0.01", "--n", n, "--u", "2e30"]
         assert main(argv) == 2
         assert "domain edge 0.0" in capsys.readouterr().err
+
+    def test_a_finite_domain_edge_below_the_grid_is_searched_again(self):
+        # Gamma(1, 20) on Gamma(1, 40) at psi = 1e17: the edge lies below
+        # sup_a 2**-50 ~ 1.8e-14, where the first search ends at j = 0.  The
+        # Gamma value r log(mu / (mu - t)) rounds in steps this close to 0, so
+        # the edge is checked against the float alpha: below the target there,
+        # and not below it 2**-48 relative above.
+        model = ModelPair(CharExponent.gamma(1.0, 20.0), CharExponent.gamma(1.0, 40.0))
+        target = 40.0 / 1e17
+        edge = twist._theta_max(model, 1e17)
+        assert 0.0 < edge < 20.0 * 2.0 ** -50
+        assert model.A.jet(edge, 0)[0] < target <= model.A.jet(edge * (1.0 + 2.0 ** -48), 0)[0]
 
 
 class TestFastExpansion:
