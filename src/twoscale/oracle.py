@@ -8,12 +8,12 @@ compound Poisson-Gamma).  Each law owns its ``lmgf``, its Esscher ``tilt``
 
 Exact oracles
 -------------
-``negbin_tail`` sums the negative-binomial pmf in log space (block-wise
-logsumexp), outward from the in-range mode, with a rigorous geometric bound
-on the discarded tail.  It therefore returns accurate *log* probabilities far
-below the float underflow threshold.  ``compound_poisson_gamma_tail`` mixes
-regularized upper incomplete gamma tails over a Poisson count, truncated when
-the remaining Poisson mass provably cannot matter.
+``negbin_tail`` sums the negative-binomial pmf in log space (a numpy
+log-sum-exp per block), outward from the in-range mode, with a rigorous
+geometric bound on the discarded tail, so its *log* probabilities stay accurate
+far below the float underflow; a pmf past the float range raises ParamError.
+``compound_poisson_gamma_tail`` mixes regularized upper incomplete gamma tails
+over a Poisson count, truncated when the remaining Poisson mass provably cannot matter.
 
 Monte Carlo
 -----------
@@ -28,8 +28,9 @@ bit-identical results; numpy's generators use exact (transformed-rejection)
 Poisson sampling, no normal approximation.  A Poisson rate past numpy's limit
 (about 9.2e18) raises ParamError.
 
-Only the exact sums and the laws' ``cdf`` call scipy, and they import it where
-they call it, so the Monte Carlo estimators load numpy alone.
+scipy is imported where it is called: ``gammaln`` (Stirling errors below 16
+counts, the compound ``cdf``), ``gammaincc``/``gammainc`` and ``betainc``.
+Block reductions are numpy, so the Monte Carlo estimators load numpy alone.
 """
 
 from __future__ import annotations
@@ -101,13 +102,11 @@ def _stirlerr(n: float | np.ndarray) -> np.ndarray:
 
 
 def _bd0(x: float | np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Binomial deviance x log(x/m) + m - x, evaluated without cancellation."""
+    """Binomial deviance x log(x/m) + m - x for x > 0, evaluated without cancellation."""
     x, m = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(m, dtype=float))
     out = np.empty(x.shape)
-    zero = x == 0.0
-    out[zero] = m[zero]
-    near = (~zero) & (np.abs(x - m) < 0.1 * (x + m))
-    far = ~zero & ~near
+    near = np.abs(x - m) < 0.1 * (x + m)
+    far = ~near
     out[far] = x[far] * np.log(x[far] / m[far]) + m[far] - x[far]
     if near.any():
         xn, mn = x[near], m[near]
@@ -183,15 +182,26 @@ def _negbin_logpmf(x: np.ndarray, k: float, p: float) -> np.ndarray:
     return out
 
 
+def _negbin_block(total: float, lo: int, hi: int, k: float, p: float) -> tuple[float, np.ndarray]:
+    """(logaddexp(total, log sum of pmf(x) for lo <= x < hi), those log pmfs)."""
+    with np.errstate(all="ignore"):  # a log pmf that is not finite raises below
+        lp = _negbin_logpmf(np.arange(lo, hi, dtype=float), k, p)
+    if not np.isfinite(lp).all():
+        raise ParamError(f"the negative binomial log pmf at count {lo:.6g} lies past the float range")
+    # scipy's logsumexp step for step: the m maxima apart, then log1p(rest / m) + log(m) + top.
+    top = lp.max()
+    at_top = lp == top
+    m = np.count_nonzero(at_top)
+    rest = np.exp(np.where(at_top, -np.inf, lp) - top).sum()
+    return np.logaddexp(total, np.log1p(rest / m) + np.log(m) + top), lp
+
+
 def _negbin_upper_logsum(k: float, p: float, m0: int) -> tuple[float, float]:
     """(log sum_{x >= m0} pmf(x), log absolute truncation bound)."""
-    from scipy import special
-
     total = -math.inf
     x0 = m0
     while True:
-        xs = np.arange(x0, x0 + _BLOCK, dtype=float)
-        total = np.logaddexp(total, special.logsumexp(_negbin_logpmf(xs, k, p)))
+        total, _ = _negbin_block(total, x0, x0 + _BLOCK, k, p)
         x0 += _BLOCK
         ratio = (1.0 - p) * (x0 + k) / (x0 + 1.0)
         if ratio < 1.0:
@@ -203,33 +213,23 @@ def _negbin_upper_logsum(k: float, p: float, m0: int) -> tuple[float, float]:
 
 def _negbin_lower_logsum(k: float, p: float, m0: int) -> tuple[float, float]:
     """(log sum_{x < m0} pmf(x), log bound).  Descends from the in-range mode."""
-    from scipy import special
-
     mode = int((k - 1.0) * (1.0 - p) / p) if k > 1 else 0
     peak = min(max(mode, 0), m0 - 1)
     total = -math.inf
     # Upward from the peak: everything to m0 - 1 (pmf is decreasing there).
-    x0 = peak
-    while x0 <= m0 - 1:
-        hi = min(x0 + _BLOCK, m0)
-        xs = np.arange(x0, hi, dtype=float)
-        total = np.logaddexp(total, special.logsumexp(_negbin_logpmf(xs, k, p)))
-        x0 = hi
+    for lo in range(peak, m0, _BLOCK):
+        total, _ = _negbin_block(total, lo, min(lo + _BLOCK, m0), k, p)
     # Downward from the peak with early stop: at most x+1 remaining terms,
     # each below pmf(x), since the pmf increases toward the mode.
     log_bound = -math.inf
-    x0 = peak - 1
-    while x0 >= 0:
-        lo = max(x0 - _BLOCK + 1, 0)
-        xs = np.arange(lo, x0 + 1, dtype=float)
-        lp = _negbin_logpmf(xs, k, p)
-        total = np.logaddexp(total, special.logsumexp(lp))
+    for hi in range(peak, 0, -_BLOCK):
+        lo = max(hi - _BLOCK, 0)
+        total, lp = _negbin_block(total, lo, hi, k, p)
         if lo == 0:
             break
         log_bound = float(lp[0]) + math.log(lo)
         if log_bound <= total + math.log(_NEGBIN_REL_BOUND):
             break
-        x0 = lo - 1
     return float(total), log_bound
 
 
@@ -260,8 +260,7 @@ def negbin_tail(successes: float, p: float, threshold: float) -> OracleResult:
     log_lower, log_bound = _negbin_lower_logsum(successes, p, m0)
     prob = -math.expm1(log_lower)
     log_prob = math.log1p(-math.exp(log_lower)) if log_lower < -1e-300 else math.log(prob)
-    bound = math.exp(log_bound) if math.isfinite(log_bound) else 0.0
-    return OracleResult(prob, log_prob, RigorousBound(bound + 1e-15), "negbin_exact")
+    return OracleResult(prob, log_prob, RigorousBound(math.exp(log_bound) + 1e-15), "negbin_exact")
 
 
 def _poisson_logpmf(j, lam: float):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from twoscale import (
+    ArrivalQuery,
     ParamError,
     PowerScaling,
     RigorousBound,
@@ -17,9 +18,11 @@ from twoscale import (
     compound_poisson_gamma_tail,
     is_tail,
     negbin_tail,
+    pi_exact,
     plain_mc_tail,
 )
 from twoscale import oracle
+from twoscale.overdispersion import TABLE1_PARAMS, TABLE2_PARAMS
 from conftest import assert_displayed, gp_pair, pg_pair, run_python
 
 
@@ -68,6 +71,22 @@ class TestNegbinTail:
         res = negbin_tail(1, 0.5, 1e160)
         assert res.probability == 0.0
         assert res.log_probability == pytest.approx(-1e160 * math.log(2.0), rel=1e-12)
+
+    def test_pmf_past_the_float_range_raises(self):
+        # 2 pi k x overflows in the log pmf, so every term of the block reads
+        # log 0: that is no exact zero tail with a zero bound, but a ParamError.
+        law = oracle.exact_law(pg_pair(1.0, 1.0, 3.0), PowerScaling(1.0001), 1e155)
+        with pytest.raises(ParamError, match="float range"):
+            law.tail(2e155)
+        with pytest.raises(ParamError, match="float range"):
+            pi_exact(ArrivalQuery(10**9, 1e300, 1.0))
+
+    def test_pmf_past_the_float_range_exits_2(self):
+        proc = run_python("-m", "twoscale.cli", "oracle", "--poisson-gamma", "1", "1", "3",
+                          "--f", "1.0001", "--n", "1e155", "--u", "2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("ParamError:") and "float range" in proc.stderr
 
     def test_lower_sum_spans_many_blocks(self):
         # Threshold 1000 below the mean 1e7 (sd ~4472): the complement sums
@@ -481,3 +500,146 @@ class TestGolden:
         monkeypatch.setattr(np.random, "default_rng", recording)
         is_tail(pg_pair(1.0, 1.0, 3.0), PowerScaling(1.5), 400.0, 0.48, 400, 1, workers=4)
         assert seen == [threading.get_ident()] * 4
+
+
+#: ``negbin_tail`` bit for bit: label, (k, p, threshold), (probability,
+#: log_probability, bound), recorded while the blocks were still summed by
+#: scipy's logsumexp.  The labels name the walk a case takes; the "seeded"
+#: ones were drawn once (k in 0.05..2e5 and p in 1e-4..0.999 log-uniform, the
+#: threshold in 0..3 means, every fourth floored) and written down.
+NEGBIN_GOLDEN = [
+    ("upper-blocks", (5.0, 0.001, 7500.0),
+     (0.13164291631148095, -2.027662201464443, 5.013041469134339e-18)),
+    ("upper-k-below-1", (0.3, 0.0001, 20000.0),
+     (0.022024170648720767, -3.815614762864513, 2.169047488384746e-17)),
+    ("upper-flagship", (100000.0, 0.999000999000999, 150.0),
+     (1.9082638950956033e-06, -13.169316684703563, 0.0)),
+    ("upper-deep", (1000000.0, 0.9950248756218907, 10000.0),
+     (0.0, -1923.8857294039694, 0.0)),
+    ("upper-k-2e5", (200000.0, 0.999, 500.0),
+     (1.0435478248954041e-70, -161.1383302318617, 0.0)),
+    ("upper-scipy", (100.5, 0.2, 500.0),
+     (0.019368417101674168, -3.9441115239693163, 8.169639327067466e-308)),
+    ("upper-past-1e154", (1.0, 0.5, 1e+160),
+     (0.0, -6.931471805599454e+159, 0.0)),
+    ("lower-one-block", (50.0, 0.3, 100.0),
+     (0.8054481662277538, -0.21635642824600732, 1e-15)),
+    ("lower-k-below-1-up-blocks", (0.5, 1e-05, 40000.0),
+     (0.3710936684999898, -0.9913007725001258, 1e-15)),
+    ("lower-up-and-down-to-0", (2.0, 1e-05, 180000.0),
+     (0.462832721479434, -0.7703895828788417, 0.0002826403890237876)),
+    ("lower-down-early-stop", (1000000.0, 0.3, 2300000.0),
+     (1.0, -1.7581943763883015e-33, 1e-15)),
+    ("lower-down-stop-1e5", (100000.0, 0.5, 99000.0),
+     (0.9875092477099333, -0.012569417481156525, 1.000000000000993e-15)),
+    ("lower-down-stop-1e7", (10000000.0, 0.5, 9999000.0),
+     (0.5884705401244066, -0.5302284127966534, 1.0620721912223058e-15)),
+    ("lower-k-2e5", (200000.0, 0.999, 150.0),
+     (0.9999076412737322, -9.236299159753353e-05, 1e-15)),
+    ("upper-just-past-mean", (1000.0, 0.9, 120.0),
+     (0.22272347957793623, -1.5018242788531637, 0.0)),
+    ("lower-x0-only", (3.0, 0.5, 2.0),
+     (0.6874999999999998, -0.37469344944141103, 1e-15)),
+    ("lower-x0-block", (5.0, 0.5, 3.0),
+     (0.7734375, -0.2569104137850272, 1e-15)),
+    ("lower-k-below-1-x0", (0.3, 0.2, 1.0),
+     (0.3829661372799903, -0.9598087081228336, 1e-15)),
+    ("lower-k-0.05", (0.05, 0.01, 3.0),
+     (0.14591633870696824, -1.9247218440689817, 1e-15)),
+    ("upper-mean-below-1", (3.2, 0.9, 2.0),
+     (0.057785113867279275, -2.851024082023157, 0.0)),
+    ("integral-lower", (7.5, 0.6, 3.0),
+     (0.8026778811872863, -0.21980178974029152, 1e-15)),
+    ("integral-upper", (5.0, 0.5, 8.0),
+     (0.19384765624999997, -1.6406827054722082, 0.0)),
+    ("fraction", (5.0, 0.5, 8.2),
+     (0.13342285156250036, -2.0142318591027477, 0.0)),
+    ("noise-absorbed", (5.0, 0.5, 8.0000000001),
+     (0.19384765624999997, -1.6406827054722082, 0.0)),
+    ("zero", (5.0, 0.4, 0.0),
+     (1.0, 0.0, 0.0)),
+    ("zero-k-1", (1.0, 0.5, 0.0),
+     (1.0, 0.0, 0.0)),
+    ("seeded-0", (155.251, 0.0220157, 17448.2),
+     (2.7309881474866976e-42, -95.70391040325799, 7.067916829530643e-68)),
+    ("seeded-1", (42842.6, 0.337569, 91982.7),
+     (3.4002613592825285e-54, -123.11574272263351, 4.465175080151958e-119)),
+    ("seeded-2", (91890.7, 0.00496723, 16908200.0),
+     (1.0, -7.767607460693317e-142, 1e-15)),
+    ("seeded-3", (0.210418, 0.0111299, 8.68338),
+     (0.34323442143759825, -1.0693416208334963, 1e-15)),
+    ("seeded-4", (3.23184, 0.0276743, 264.472),
+     (0.027366600511163984, -3.5984319685700363, 1.2328143658857183e-49)),
+    ("seeded-5", (4656.77, 0.000221603, 3859410.0),
+     (1.0, -0.0, 1e-15)),
+    ("seeded-6", (2.42062, 0.0161288, 371.0),
+     (0.030334615090088994, -3.495465806308925, 9.903707396574792e-30)),
+    ("seeded-7", (9631.39, 0.542743, 14333.0),
+     (0.0, -959.7184025516838, 0.0)),
+    ("seeded-8", (798.791, 0.0014713, 510433.0),
+     (0.9527399238591208, -0.048413315133873557, 1.0359350198230549e-15)),
+    ("seeded-9", (1.14556, 0.0138319, 148.792),
+     (0.15718037084062006, -1.850361274209698, 4.0150533711806777e-26)),
+    ("seeded-10", (304.243, 0.00369621, 104289.0),
+     (5.979069827899763e-06, -12.027245549274403, 5.774295648042337e-23)),
+    ("seeded-11", (2.18385, 0.182137, 17.0937),
+     (0.1384180095794071, -1.9774771172455166, 0.0)),
+    ("seeded-12", (4384.38, 0.176269, 17262.2),
+     (1.0, -1.2174443806877195e-23, 1e-15)),
+    ("seeded-13", (0.296215, 0.00135347, 594.839),
+     (0.11120726560876136, -2.196359561091817, 4.2144456606541763e-17)),
+    ("seeded-14", (8423.79, 0.00418495, 4669830.0),
+     (0.0, -4069.2454644624386, 0.0)),
+    ("seeded-15", (9.05033, 0.289224, 6.02288),
+     (0.9886106808030123, -0.01145467419939027, 1e-15)),
+]
+
+#: ``pi_exact`` at the ten rows of ``reproduce_tables`` (Table 1, then Table 2),
+#: (probability, log_probability, bound), recorded as above.
+TABLE_PI_EXACT_GOLDEN = [
+    (1.9082638950956033e-06, -13.169316684703563, 0.0),
+    (1.9325684687213844e-06, -13.156660626984971, 0.0),
+    (2.136286025267696e-06, -13.05644173887053, 0.0),
+    (2.415301908559957e-06, -12.933686264776862, 0.0),
+    (5.891139947870456e-06, -12.042061039490559, 0.0),
+    (5.977870019114554e-06, -12.027446237544911, 5.717028335574392e-21),
+    (6.195071962185294e-06, -11.991756426778675, 6.313124842507043e-23),
+    (6.475466078363626e-06, -11.947489971754736, 7.606513922486646e-23),
+    (9.105655387116434e-06, -11.606614866362973, 2.817090330058098e-56),
+    (1.3523267539228267e-05, -11.211098834654239, 5.904854481999547e-120),
+]
+
+
+class TestNegbinBits:
+    """The block step keeps ``negbin_tail``'s bits, and scipy's logsumexp stays its reference."""
+
+    @pytest.mark.parametrize("args,want", [case[1:] for case in NEGBIN_GOLDEN],
+                             ids=[case[0] for case in NEGBIN_GOLDEN])
+    def test_negbin_tail(self, args, want):
+        res = negbin_tail(*args)
+        assert isinstance(res.error, RigorousBound) and res.method == "negbin_exact"
+        assert repr((res.probability, res.log_probability, res.error.bound)) == repr(want)
+
+    def test_table_rows(self):
+        got = []
+        for K, mu_bar, u_bar in TABLE1_PARAMS + TABLE2_PARAMS:
+            res = pi_exact(ArrivalQuery(K, u_bar, mu_bar))
+            got.append((res.probability, res.log_probability, res.error.bound))
+        assert repr(got) == repr(TABLE_PI_EXACT_GOLDEN)
+
+    @pytest.mark.parametrize("ties", [1, 2, 5])
+    @pytest.mark.parametrize("spread", [1e-3, 1.0, 1e2, 1e4])
+    @pytest.mark.parametrize("size", [1, 2, 4095, 4096])
+    def test_block_sum_is_scipys_logsumexp(self, monkeypatch, size, spread, ties):
+        # Synthetic finite blocks stand in for the log pmf: the step's sum and
+        # its logaddexp onto a running total match scipy's to the last bit.
+        rng = np.random.default_rng([size, round(math.log10(spread)) + 3, ties])
+        for _ in range(10):
+            lp = rng.uniform(-800.0, 50.0) - spread * rng.random(size)
+            lp[rng.choice(size, min(ties, size), replace=False)] = lp.max()
+            total = -math.inf if rng.random() < 0.5 else rng.uniform(-900.0, 60.0)
+            monkeypatch.setattr(oracle, "_negbin_logpmf", lambda x, k, p: lp)
+            got, block = oracle._negbin_block(total, 0, size, 1.0, 0.5)
+            assert block is lp
+            want = np.logaddexp(total, special.logsumexp(lp))
+            assert float(got).hex() == float(want).hex()
