@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ParamError, _exp_of_log, require_finite
+from .errors import ParamError, _exp_of_log, require_finite
 from .levy import ModelPair, PowerScaling
 from .models import _builtin
 from .twist import solve_twist
@@ -213,21 +213,19 @@ def _negbin_upper_logsum(k: float, p: float, m0: int) -> tuple[float, float]:
 
 def _negbin_lower_logsum(k: float, p: float, m0: int) -> tuple[float, float]:
     """(log sum_{x < m0} pmf(x), log bound).  Descends from the in-range mode."""
-    mode = int((k - 1.0) * (1.0 - p) / p) if k > 1 else 0
-    peak = min(max(mode, 0), m0 - 1)
+    mode = (k - 1.0) * (1.0 - p) / p if k > 1 else 0.0
+    peak = int(min(mode, m0 - 1))
     total = -math.inf
     # Upward from the peak: everything to m0 - 1 (pmf is decreasing there).
     for lo in range(peak, m0, _BLOCK):
         total, _ = _negbin_block(total, lo, min(lo + _BLOCK, m0), k, p)
     # Downward from the peak with early stop: at most x+1 remaining terms,
-    # each below pmf(x), since the pmf increases toward the mode.
+    # each below pmf(x), since the pmf increases toward the mode (none below 0).
     log_bound = -math.inf
     for hi in range(peak, 0, -_BLOCK):
         lo = max(hi - _BLOCK, 0)
         total, lp = _negbin_block(total, lo, hi, k, p)
-        if lo == 0:
-            break
-        log_bound = float(lp[0]) + math.log(lo)
+        log_bound = float(lp[0]) + math.log(lo) if lo else -math.inf
         if log_bound <= total + math.log(_NEGBIN_REL_BOUND):
             break
     return float(total), log_bound
@@ -238,9 +236,11 @@ def negbin_tail(successes: float, p: float, threshold: float) -> OracleResult:
 
     Convention: pmf(x) = C(x + k - 1, x) p^k (1-p)^x, x = 0, 1, ... counts the
     arrivals; :func:`_ceil_threshold` makes the threshold a count (ties included).
-    Below the mean the complementary sum is used; either way the truncation
-    bound is rigorous and the log probability stays accurate deep under the
-    float range; above the mean the probability is ``_exp_of_log`` of that log.
+    Below the mean the complementary sum is used, whose bound is the 1e-15
+    rounding allowance once its downward walk reaches count 0; either way the
+    truncation bound is rigorous and the log probability stays accurate deep
+    under the float range; above the mean the probability is ``_exp_of_log``
+    of that log.
     """
     require_finite(successes=successes, p=p, threshold=threshold)
     if not 0.0 < p < 1.0:
@@ -259,7 +259,8 @@ def negbin_tail(successes: float, p: float, threshold: float) -> OracleResult:
         return OracleResult(prob, log_prob, RigorousBound(math.exp(log_bound)), "negbin_exact")
     log_lower, log_bound = _negbin_lower_logsum(successes, p, m0)
     prob = -math.expm1(log_lower)
-    log_prob = math.log1p(-math.exp(log_lower)) if log_lower < -1e-300 else math.log(prob)
+    lower = math.exp(log_lower)
+    log_prob = math.log1p(-lower) if lower < 1.0 else math.log(prob)
     return OracleResult(prob, log_prob, RigorousBound(math.exp(log_bound) + 1e-15), "negbin_exact")
 
 
@@ -476,8 +477,10 @@ def _sampler(
 
     ``numbers`` are the pair's, as :func:`_worked` reads them; ``log_norm`` is
     gamma_n(theta); ``theta = log_norm = 0`` is plain Monte Carlo, with every
-    weight exactly 1.  A threshold ``u n`` past the float range, or a Poisson
-    rate past numpy's limit, raises ParamError.
+    weight exactly 1; any other theta is :func:`solve_twist`'s root, which its
+    jets kept inside both exponents' domains, so the tilted rates are positive.
+    A threshold ``u n`` past the float range, or a Poisson rate past numpy's
+    limit, raises ParamError.
     """
     thresh = u * n
     if not math.isfinite(thresh):
@@ -486,8 +489,6 @@ def _sampler(
     variant, lam, r, mu = numbers
     if variant == "poisson_gamma":
         rate_tilt = mu - lam * math.expm1(theta) * psi
-        if rate_tilt <= 0:
-            raise DomainError(f"tilt pushed the clock's rate to {rate_tilt} <= 0")
         jump = lam * math.exp(theta) * psi
         m0 = _ceil_threshold(thresh)
 
@@ -498,8 +499,6 @@ def _sampler(
             return np.exp(log_norm - theta * counts) * (counts >= m0)
 
         return sampler
-    if theta >= mu:
-        raise DomainError(f"tilt {theta} reaches the jump rate {mu}")
     count_rate = phi * lam * (mu / (mu - theta)) ** (r * psi)
     _require_poisson_rate(count_rate)
 

@@ -8,6 +8,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from twoscale import CharExponent, ModelPair
 
@@ -31,6 +32,12 @@ def rare_grid():
 
 
 RARE_GRID = rare_grid()
+
+
+def log_uniform(lo: float, hi: float):
+    """Hypothesis floats between ``lo`` and ``hi``, uniform in their log10."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

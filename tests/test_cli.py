@@ -19,7 +19,7 @@ from twoscale import (
     classify,
 )
 from twoscale.cli import main
-from conftest import MALFORMED_MODELS, gp_pair, malformed_model, pg_pair, run_python
+from conftest import MALFORMED_MODELS, gp_pair, log_uniform, malformed_model, pg_pair, run_python
 
 
 @pytest.fixture(autouse=True)
@@ -199,10 +199,6 @@ class TestApprox:
         assert payload["lattice_adjusted"] is False
 
 
-def _log_uniform(lo: float, hi: float):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
-
-
 def _model_argv(gp: bool, params, f: float) -> list[str]:
     return ["--gamma-poisson" if gp else "--poisson-gamma", *map(repr, params), "--f", repr(f)]
 
@@ -210,11 +206,11 @@ def _model_argv(gp: bool, params, f: float) -> list[str]:
 @settings(max_examples=150, deadline=None)
 @given(
     gp=st.booleans(),
-    params=st.tuples(*[_log_uniform(1e-3, 1e3)] * 3),
+    params=st.tuples(*[log_uniform(1e-3, 1e3)] * 3),
     # Near f = 1 series mode's default order passes K_MAX, which it refuses.
     f=st.one_of(st.just(1.0), st.floats(0.05, 4.0)),
-    n=_log_uniform(1.0, 1e12),
-    u=_log_uniform(1e-4, 1e4),
+    n=log_uniform(1.0, 1e12),
+    u=log_uniform(1e-4, 1e4),
     lattice=st.booleans(),
     mode=st.sampled_from(["direct", "series"]),
 )
@@ -274,8 +270,8 @@ def _exit_code(argv) -> int:
 
 _MODEL = dict(
     gp=st.booleans(),
-    params=st.tuples(*[_log_uniform(1e-3, 1e3)] * 3),
-    u=_log_uniform(1e-4, 1e4),
+    params=st.tuples(*[log_uniform(1e-3, 1e3)] * 3),
+    u=log_uniform(1e-4, 1e4),
 )
 # --sig below 1 and a negative --seed are bad input: exit 2.
 _OUTPUT = dict(fmt=st.sampled_from(["json", "text", "csv"]), sig=st.integers(-2, 12))
@@ -285,7 +281,7 @@ _OUTPUT = dict(fmt=st.sampled_from(["json", "text", "csv"]), sig=st.integers(-2,
 @given(
     **_MODEL, **_OUTPUT,
     f=st.one_of(st.just(1.0), st.floats(0.05, 4.0)),
-    n=_log_uniform(1.0, 1e5),
+    n=log_uniform(1.0, 1e5),
     method=st.sampled_from(["exact", "is", "mc"]),
     samples=st.integers(0, 2_000),
     seed=st.integers(-5, 2**32),
@@ -300,7 +296,7 @@ def test_oracle_exits_0_or_2(gp, params, f, u, fmt, sig, n, method, samples, see
 
 # f = 1 is a RegimeError here, so it is not drawn on purpose.
 @settings(max_examples=40, deadline=None)
-@given(**_MODEL, **_OUTPUT, f=st.floats(0.05, 4.0), n=_log_uniform(1.0, 1e5), points=st.integers(-1, 100))
+@given(**_MODEL, **_OUTPUT, f=st.floats(0.05, 4.0), n=log_uniform(1.0, 1e5), points=st.integers(-1, 100))
 def test_edgeworth_exits_0_or_2(gp, params, f, u, fmt, sig, n, points):
     assume(_tilted_count_mean(gp, params, f, n, u) <= 1e6)
     _exit_code(["edgeworth", *_model_argv(gp, params, f), "--n", repr(n), "--u", repr(u),
@@ -310,9 +306,9 @@ def test_edgeworth_exits_0_or_2(gp, params, f, u, fmt, sig, n, points):
 @settings(max_examples=60, deadline=None)
 @given(
     **_OUTPUT,
-    K=_log_uniform(1.0, 1e6).map(int),
-    u_bar=_log_uniform(1e-2, 1e7),
-    mu_bar=_log_uniform(1e-3, 1e4),
+    K=log_uniform(1.0, 1e6).map(int),
+    u_bar=log_uniform(1e-2, 1e7),
+    mu_bar=log_uniform(1e-3, 1e4),
     M_fast=st.none() | st.integers(-2, 60),
     M_slow=st.none() | st.integers(-2, 60),
 )

@@ -1,11 +1,12 @@
 """Exact oracles and the Monte Carlo estimators."""
 
+import json
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
@@ -15,15 +16,17 @@ from twoscale import (
     PowerScaling,
     RigorousBound,
     StatisticalBound,
+    TwoscaleError,
     compound_poisson_gamma_tail,
     is_tail,
     negbin_tail,
     pi_exact,
     plain_mc_tail,
+    solve_twist,
 )
 from twoscale import oracle
 from twoscale.overdispersion import TABLE1_PARAMS, TABLE2_PARAMS
-from conftest import assert_displayed, gp_pair, pg_pair, run_python
+from conftest import assert_displayed, gp_pair, log_uniform, pg_pair, run_python
 
 
 class TestNegbinTail:
@@ -315,6 +318,112 @@ class TestNonFiniteInput:
             estimator(pg113, PowerScaling(1.5), 400.0, 1.0, samples=100, seed=-1)
 
 
+#: Valid queries whose lower sum once raised: an infinite mode (OverflowError
+#: from ``int``), and a lower log in (-5.6e-17, -1e-300), whose ``exp`` rounds
+#: to 1.0 under ``log1p(-1.0)`` (ValueError).  (label, call, want log).
+_ONCE_RAISED = [
+    ("mode-inf", lambda: negbin_tail(1e300, 1e-10, 5.0), 0.0),
+    ("mode-inf-pg", lambda: oracle.exact_law(pg_pair(1e160, 1.0, 1.0), PowerScaling(2.0), 1e150)
+     .tail(1e-149 * 1e150), 0.0),
+    ("mode-inf-pi", lambda: pi_exact(ArrivalQuery(10**10, 5.0, 1e-300)), 0.0),
+    ("exp-rounds-to-1", lambda: negbin_tail(1e-19, 1e-20, 1.0), -39.919352048084924),
+    ("exp-rounds-to-1-pg", lambda: oracle.exact_law(pg_pair(1e20, 1e-19, 1.0), PowerScaling(1.5), 1.0)
+     .tail(1.0), -39.919352048084924),
+]
+
+
+class TestLowerSumAnswers:
+    """Every valid ``negbin_tail`` query returns an honest log, or a TwoscaleError."""
+
+    @pytest.mark.parametrize("call,want", [case[1:] for case in _ONCE_RAISED],
+                             ids=[case[0] for case in _ONCE_RAISED])
+    def test_once_raised(self, call, want):
+        res = call()
+        assert res.log_probability == want and res.error.bound == 1e-15
+
+    def test_rounded_exp_reads_the_exact_log(self):
+        # log(1 - p**k) at 50 digits: the complement is ~4.6e-18, so exp(log
+        # lower) rounds to 1.0 and the log is taken of -expm1(log lower).
+        with mpmath.workdps(50):
+            want = float(mpmath.log(1 - mpmath.mpf(1e-20) ** mpmath.mpf(1e-19)))
+        assert negbin_tail(1e-19, 1e-20, 1.0).log_probability == want
+
+    @pytest.mark.parametrize("argv,key", [
+        (["oracle", "--poisson-gamma", "1e160", "1", "1", "--f", "2", "--n", "1e150",
+          "--u", "1e-149"], "log_probability"),
+        (["overdispersion", "--K", "10000000000", "--u-bar", "5", "--mu-bar", "1e-300"], "pi_exact"),
+        (["oracle", "--poisson-gamma", "1e20", "1e-19", "1", "--f", "1.5", "--n", "1", "--u", "1"],
+         "log_probability"),
+    ], ids=["mode-inf-pg", "mode-inf-pi", "exp-rounds-to-1-pg"])
+    def test_once_raised_exits_0(self, argv, key):
+        proc = run_python("-m", "twoscale.cli", *argv, timeout=20.0)
+        assert proc.returncode == 0, proc.stderr
+        assert math.isfinite(json.loads(proc.stdout)[key])
+
+    @staticmethod
+    def _check(call):
+        try:
+            res = call()
+        except TwoscaleError:
+            return
+        assert 0.0 <= res.probability <= 1.0
+        assert not math.isnan(res.log_probability) and res.log_probability <= 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=log_uniform(1e-20, 1e3), p=log_uniform(1e-300, 1e-3), data=st.data())
+    def test_skewed_lower_branch(self, k, p, data):
+        mean = k * (1.0 - p) / p
+        threshold = data.draw(st.integers(0, int(min(mean, 50.0))))
+        self._check(lambda: negbin_tail(k, p, threshold))
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=log_uniform(1e-3, 1e6), p=st.floats(1e-3, 0.98), means=st.floats(0.0, 5.0))
+    def test_moderate_p(self, k, p, means):
+        threshold = min(means * k * (1.0 - p) / p, 1e6)
+        self._check(lambda: negbin_tail(k, p, threshold))
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=log_uniform(1e100, 1e308), p=log_uniform(1e-300, 0.98), threshold=st.floats(0.0, 1e6))
+    def test_huge_k(self, k, p, threshold):
+        self._check(lambda: negbin_tail(k, p, threshold))
+
+    @settings(max_examples=150, deadline=None)
+    @example(K=10**10, mu_bar=1e-300, u_bar=5.0)
+    @given(K=st.integers(1, 10**10), mu_bar=log_uniform(1e-300, 1e3), u_bar=log_uniform(1e-3, 1e6))
+    def test_pi_exact(self, K, mu_bar, u_bar):
+        self._check(lambda: pi_exact(ArrivalQuery(K, u_bar, mu_bar)))
+
+
+class TestTwistInSamplerDomain:
+    def test_root_keeps_the_tilted_rates_positive(self):
+        # The sampler takes solve_twist's root unchecked: its jets evaluated
+        # B at alpha(theta) psi < mu (pg) and A at theta < mu (gp), the float
+        # tests behind the sampler's own rate expressions.  u runs up to 1e6
+        # a*b, so some roots lie within 1e-5 of the edge, and psi up to 1e12.
+        rng = np.random.default_rng(20261020)
+        psis, gaps = [], []
+        for _ in range(300):
+            lam, r, mu = (10.0 ** rng.uniform(-3.0, 3.0, size=3)).tolist()
+            f = float(rng.uniform(0.1, 0.95) if rng.random() < 0.7 else rng.uniform(1.05, 1.9))
+            log10_psi = float(rng.uniform(0.0, 12.0) if f < 1 else rng.uniform(-6.0, 0.0))
+            n = 10.0 ** (log10_psi / (1.0 - f))
+            scaling = PowerScaling(f)
+            psi = scaling.psi(n)
+            for pair in (pg_pair(lam, r, mu), gp_pair(r, mu, lam)):
+                u = 10.0 ** float(rng.uniform(0.05, 6.0)) * pair.a * pair.b
+                try:
+                    theta = solve_twist(pair, scaling, n, u).theta_n
+                except TwoscaleError:
+                    continue
+                psis.append(psi)
+                if pair.A.kind == "poisson":
+                    gaps.append((mu - lam * math.expm1(theta) * psi) / mu)
+                else:
+                    gaps.append((mu - theta) / mu)
+        assert len(gaps) >= 400 and min(gaps) > 0
+        assert 1e11 < max(psis) <= 1e12 and min(gaps) < 1e-5
+
+
 class TestImportanceSampling:
     def test_agrees_with_negbin_exact(self, pg113):
         s, n, u = PowerScaling(1.5), 400.0, 0.48
@@ -527,7 +636,7 @@ NEGBIN_GOLDEN = [
     ("lower-k-below-1-up-blocks", (0.5, 1e-05, 40000.0),
      (0.3710936684999898, -0.9913007725001258, 1e-15)),
     ("lower-up-and-down-to-0", (2.0, 1e-05, 180000.0),
-     (0.462832721479434, -0.7703895828788417, 0.0002826403890237876)),
+     (0.462832721479434, -0.7703895828788417, 1e-15)),
     ("lower-down-early-stop", (1000000.0, 0.3, 2300000.0),
      (1.0, -1.7581943763883015e-33, 1e-15)),
     ("lower-down-stop-1e5", (100000.0, 0.5, 99000.0),
