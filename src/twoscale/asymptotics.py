@@ -7,11 +7,11 @@ For ``xi_n(u) = P(C_n >= u n)`` with power-law timescales the approximation is
   exponent ``(b alpha(theta*) - theta* u) n + sum_{k=2}^{m+} vbar_k phi psi^k``;
 * slow (0 < f < 1): prefactor ``1/(tau* sigma_minus sqrt(2 pi phi_n))`` and
   exponent ``(beta(a tau*) - tau* u) phi_n + sum_{k=1}^{m-} wbar_k phi psi^{-k}``;
-* f = 1: the classical single-timescale formula.
+* f = 1: the classical single-timescale formula; its series is the linear term alone (order 0).
 
-When the relevant process is lattice with span d, ``1/theta*`` (fast) or
-``1/tau*``-with-a-rescaling (slow) is replaced by ``d / (1 - exp(-theta d))``
-evaluated at ``theta*`` resp. ``a tau*``.
+When the relevant process is lattice with span d, ``1/theta*`` (fast), ``1/theta0``
+(f = 1; A's span for both) or ``1/tau*``-with-a-rescaling (slow; B's span) is replaced
+by ``d / (1 - exp(-theta d))`` evaluated at ``theta*``, ``theta0`` resp. ``a tau*``.
 
 Two evaluation modes exist.  Direct mode computes the exponent as
 ``gamma_n(theta_n) - theta_n u n`` from the solved twist, which equals the
@@ -31,7 +31,7 @@ from . import models as worked
 from .errors import (
     LatticeError, OrderError, ParamError, RegimeError, SeriesUnavailable, _exp_of_log, require_finite,
 )
-from .levy import ModelPair, PowerScaling
+from .levy import CharExponent, ModelPair, PowerScaling
 from .twist import _leading, _require_query, solve_twist
 
 __all__ = [
@@ -48,6 +48,8 @@ __all__ = [
 #: Tolerance for boundary exponents (liminf equal to a positive constant
 #: counts as "staying away from zero", so boundary indices are included).
 _BOUNDARY_EPS = 1e-9
+
+_UNIT_SCALING = PowerScaling(1.0)  #: the scaling of :func:`approx_single_timescale`, built once
 
 
 @dataclass(frozen=True)
@@ -138,40 +140,44 @@ def _assemble(front, spread, terms, mode, order, lattice) -> AsymptoticEstimate:
     )
 
 
+def _lattice_source(model: ModelPair, regime: str) -> tuple[str, CharExponent, float]:
+    """``(name, process, unit)`` giving the lattice span: (A, 1) fast and single, (B, a) slow."""
+    return ("B", model.B, model.a) if regime == "slow" else ("A", model.A, 1.0)
+
+
 def _approx(regime, model, scaling, n, u, mode, order, lattice) -> AsymptoticEstimate:
-    """The body shared by :func:`approx_fast` and :func:`approx_slow`."""
+    """The one body of :func:`approx_fast`, :func:`approx_slow` and :func:`approx_single_timescale`."""
     fast = regime == "fast"
     _require_query(n, u)
     info = classify(scaling)
     if info.regime != regime:
-        requires = "f > 1" if fast else "0 < f < 1"
-        raise RegimeError(f"approx_{regime} requires {requires}, got f = {scaling.f}")
+        raise RegimeError(f"the {regime} regime does not hold at f = {scaling.f}")
     twist, rate, sigma = _leading(model, regime, u)
-    clock = n if fast else scaling.phi(n)
+    clock = scaling.phi(n) if regime == "slow" else n
     if lattice:
-        process, unit = (model.A, 1.0) if fast else (model.B, model.a)
+        name, process, unit = _lattice_source(model, regime)
         if process.lattice_span <= 0:
-            raise LatticeError(f"lattice adjustment requested but {'A' if fast else 'B'} has lattice span 0")
-        front = lattice_factor(unit * twist, process.lattice_span) * unit
-    else:
-        front = 1.0 / twist
-    spread = sigma * math.sqrt(2.0 * math.pi * clock)
+            raise LatticeError(f"lattice adjustment requested but {name} has lattice span 0")
+        front, spread = lattice_factor(unit * twist, process.lattice_span) * unit, sigma
+    else:  # f = 1 rounds as 1 / (theta0 sigma_0 sqrt(2 pi n)), fast and slow as (1/twist) / (sigma sqrt(...))
+        front, spread = (1.0, twist * sigma) if regime == "single" else (1.0 / twist, sigma)
+    spread = spread * math.sqrt(2.0 * math.pi * clock)
 
     linear = rate * clock
+    terms = [("linear", linear)]
     if mode == "direct":
-        sol = solve_twist(model, scaling, n, u)
-        delta = sol.log_mgf - sol.theta_n * u * n
-        terms = [("linear", linear), ("sublinear_remainder", delta - linear)]
+        if regime != "single":  # at f = 1 theta_n is theta0: the linear term is the whole exponent
+            sol = solve_twist(model, scaling, n, u)
+            terms.append(("sublinear_remainder", sol.log_mgf - sol.theta_n * u * n - linear))
         return _assemble(front, spread, terms, "direct", None, lattice)
     if mode != "series":
         raise OrderError(f"mode must be 'direct' or 'series', got {mode!r}")
     if worked._builtin(model) is None:
         raise SeriesUnavailable("series mode needs a built-in model pair")
-    m = (info.m_plus if fast else info.m_minus) if order is None else order
-    k0 = 2 if fast else 1
-    if not k0 - 1 <= m <= worked.K_MAX:
-        raise OrderError(f"series order must lie in {k0 - 1}..{worked.K_MAX}, got {m}")
-    terms = [("linear", linear)]
+    m = (info.m_plus if fast else info.m_minus or 0) if order is None else order  # m_minus is None at f = 1
+    k0, top = (2 if fast else 1), (0 if regime == "single" else worked.K_MAX)
+    if not k0 - 1 <= m <= top:
+        raise OrderError(f"series order must lie in {k0 - 1}..{top}, got {m}")
     if m >= k0:
         # Looked up at call time, so a wrapper installed on ``models`` sees the call.
         series = worked.fast_series_coeffs if fast else worked.slow_series_coeffs
@@ -221,13 +227,10 @@ def approx_slow(
 def approx_single_timescale(model: ModelPair, n: float, u: float) -> AsymptoticEstimate:
     """Tail approximation for phi_n = n (f = 1), where C_n is an n-fold sum.
 
-    theta* solves ``beta'(alpha(theta)) alpha'(theta) = u`` and
-    ``1/(theta* sigma_0 sqrt(2 pi n))`` is the prefactor.
+    theta0 solves ``beta'(alpha(theta)) alpha'(theta) = u`` and
+    ``1/(theta0 sigma_0 sqrt(2 pi n))`` is the prefactor.
     """
-    _require_query(n, u)
-    theta0, rate, sigma0 = _leading(model, "single", u)
-    spread = theta0 * sigma0 * math.sqrt(2.0 * math.pi * n)
-    return _assemble(1.0, spread, [("linear", rate * n)], "direct", None, False)
+    return _approx("single", model, _UNIT_SCALING, n, u, "direct", None, False)
 
 
 def log_asymptote(

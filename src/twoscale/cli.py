@@ -2,7 +2,8 @@
 
 Commands
 --------
-approx          tail approximation for a model at (n, u), direct or series mode
+approx          tail approximation for a model at (n, u), direct or series mode;
+                ``--lattice auto`` uses A's span (fast) or B's (slow), off at f = 1 for now
 oracle          exact / importance-sampling / plain Monte Carlo tail values
 tables          write the two reference comparison tables (CSV + JSON sidecar)
 edgeworth       tilted-CDF approximation vs the exact tilted law on an x grid
@@ -112,18 +113,9 @@ def _estimate_payload(est, regime: str) -> dict:
 def _cmd_approx(args) -> int:
     model, scaling = _resolve_model(args)
     regime = asymptotics.classify(scaling).regime
-    if regime == "single":
-        est = asymptotics.approx_single_timescale(model, args.n, args.u)
-    else:
-        if args.lattice == "on":
-            lattice = True
-        elif args.lattice == "off":
-            lattice = False
-        else:
-            span = model.A.lattice_span if regime == "fast" else model.B.lattice_span
-            lattice = span > 0
-        fn = asymptotics.approx_fast if regime == "fast" else asymptotics.approx_slow
-        est = fn(model, scaling, args.n, args.u, mode=args.mode, order=args.M, lattice=lattice)
+    auto = regime != "single" and asymptotics._lattice_source(model, regime)[1].lattice_span > 0
+    lattice = args.lattice == "on" or (args.lattice == "auto" and auto)  # auto is off at f = 1 for now
+    est = asymptotics._approx(regime, model, scaling, args.n, args.u, args.mode, args.M, lattice)
     _emit(args, _estimate_payload(est, regime))
     return 0
 
@@ -241,7 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--mode", choices=("direct", "series"), default="direct")
     p.add_argument("--M", type=int, default=None, help="series truncation order")
-    p.add_argument("--lattice", choices=("auto", "on", "off"), default="auto")
+    p.add_argument("--lattice", choices=("auto", "on", "off"), default="auto",
+                   help="lattice prefactor; auto: where the regime's process has a span, off at f = 1")
     common_output(p)
     p.set_defaults(fn=_cmd_approx)
 

@@ -107,7 +107,11 @@ def _bd0(x: float | np.ndarray, m: np.ndarray) -> np.ndarray:
     out = np.empty(x.shape)
     near = np.abs(x - m) < 0.1 * (x + m)
     far = ~near
-    out[far] = x[far] * np.log(x[far] / m[far]) + m[far] - x[far]
+    xf, mf = x[far], m[far]
+    log_ratio = np.log(xf / mf)
+    over = log_ratio == np.inf  # x / m overflowed at a subnormal m; log x - log m does not
+    log_ratio[over] = np.log(xf[over]) - np.log(mf[over])
+    out[far] = xf * log_ratio + mf - xf
     if near.any():
         xn, mn = x[near], m[near]
         v = (xn - mn) / (xn + mn)

@@ -21,6 +21,7 @@ from twoscale import (
     log_asymptote,
     negbin_tail,
 )
+from twoscale.asymptotics import _approx
 from twoscale.levy import CharExponent, ModelPair, lmgf
 from twoscale.models import K_MAX
 from twoscale.oracle import exact_law
@@ -297,6 +298,43 @@ class TestSingleTimescale:
         # the smooth prefactor differs from the lattice one by about theta*d/ ...;
         # only require the right order of magnitude here
         assert abs(exact.log_probability - est.log_value) < 1.0
+
+    def test_lattice_form_tracks_negbin(self, pg113):
+        # C_n is an n-fold lattice sum at f = 1, so A's span gives the
+        # Bahadur-Rao prefactor; without it the log stays ~0.33 nats off.
+        s1 = PowerScaling(1.0)
+        gaps = []
+        for n in (1e2, 1e3, 1e4, 1e5):
+            law = exact_law(pg113, s1, n)
+            exact = negbin_tail(law.successes, law.p, n).log_probability
+            lattice = _approx("single", pg113, s1, n, 1.0, "direct", None, True)
+            plain = approx_single_timescale(pg113, n, 1.0)
+            assert lattice.lattice_adjusted and lattice.exponent_terms == plain.exponent_terms
+            gap = abs(exact - lattice.log_value)
+            assert gap <= 0.02
+            assert gap < abs(exact - plain.log_value)
+            gaps.append(gap)
+        assert gaps == sorted(gaps, reverse=True)
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_series_is_the_linear_term_at_order_0(self, pg113, lattice):
+        s1 = PowerScaling(1.0)
+        direct = _approx("single", pg113, s1, 50.0, 1.0, "direct", None, lattice)
+        for order in (None, 0):
+            est = _approx("single", pg113, s1, 50.0, 1.0, "series", order, lattice)
+            assert est.series_order == 0 and est.mode == "series"
+            assert (est.prefactor, est.exponent_terms, est.log_value) == (
+                direct.prefactor, direct.exponent_terms, direct.log_value)
+        with pytest.raises(OrderError, match=r"0\.\.0, got 1"):
+            _approx("single", pg113, s1, 50.0, 1.0, "series", 1, lattice)
+
+    def test_lattice_needs_a_span_on_a(self):
+        with pytest.raises(LatticeError, match="A has lattice span 0"):
+            _approx("single", gp_pair(1.0, 2.0, 1.0), PowerScaling(1.0), 100.0, 1.0, "direct", None, True)
+
+    def test_regime_error_off_f1(self, pg113):
+        with pytest.raises(RegimeError):
+            _approx("single", pg113, PowerScaling(1.5), 100.0, 1.0, "direct", None, False)
 
 
 class TestLogAsymptote:

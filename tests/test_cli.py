@@ -18,6 +18,7 @@ from twoscale import (
     approx_slow,
     classify,
 )
+from twoscale.asymptotics import _approx
 from twoscale.cli import main
 from conftest import MALFORMED_MODELS, gp_pair, log_uniform, malformed_model, pg_pair, run_python
 
@@ -199,6 +200,45 @@ class TestApprox:
         assert payload["lattice_adjusted"] is False
 
 
+class TestSingleTimescaleFlags:
+    """At f = 1, --lattice on and --mode series act or exit 2; --lattice auto stays off."""
+
+    PG = ["approx", "--poisson-gamma", "1", "1", "3", "--f", "1", "--n", "100", "--u", "1"]
+
+    def test_defaults_unchanged(self, capsys):
+        code, out, err = run(capsys, self.PG)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["lattice_adjusted"] is False and payload["mode"] == "direct"
+        assert payload["series_order"] is None and len(payload["exponent_terms"]) == 1
+
+    def test_series_is_order_0_with_the_direct_terms(self, capsys):
+        _, direct, _ = run(capsys, self.PG)
+        code, out, err = run(capsys, self.PG + ["--mode", "series"])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["mode"] == "series" and payload["series_order"] == 0
+        assert payload["exponent_terms"] == json.loads(direct)["exponent_terms"]
+
+    def test_series_order_1_exits_2(self, capsys):
+        code, out, err = run(capsys, self.PG + ["--mode", "series", "--M", "1"])
+        assert code == 2 and out == ""
+        assert err.startswith("OrderError")
+
+    def test_lattice_on_series(self, capsys):
+        code, out, err = run(capsys, self.PG + ["--lattice", "on", "--mode", "series"])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["lattice_adjusted"] is True and payload["mode"] == "series"
+        assert payload["regime"] == "single"
+
+    def test_lattice_on_gamma_outer_exits_2(self, capsys):
+        code, out, err = run(capsys, ["approx", "--gamma-poisson", "1", "2", "1", "--f", "1", "--n", "100",
+                                      "--u", "1", "--lattice", "on"])
+        assert code == 2 and out == ""
+        assert err.startswith("LatticeError")
+
+
 def _model_argv(gp: bool, params, f: float) -> list[str]:
     return ["--gamma-poisson" if gp else "--poisson-gamma", *map(repr, params), "--f", repr(f)]
 
@@ -222,6 +262,7 @@ def test_approx_is_finite_or_a_twoscale_error(gp, params, f, n, u, lattice, mode
     regime = classify(scaling).regime
     if regime == "single":
         calls = [lambda: approx_single_timescale(model, n, u)]
+        calls += [lambda m=m: _approx("single", model, scaling, n, u, m, None, lattice) for m in ("direct", "series")]
     else:
         fn = approx_fast if regime == "fast" else approx_slow
         calls = [
@@ -559,6 +600,12 @@ class TestOverdispersion:
     def test_bad_query_exits_2(self, capsys):
         code, _, err = run(capsys, ["overdispersion", "--K", "0", "--u-bar", "1", "--mu-bar", "1"])
         assert code == 2 and "ParamError" in err
+
+    def test_subnormal_mu_bar(self, capsys):
+        # n p is subnormal, so the deviance's k / (n p) overflowed and the pmf read log 0.
+        code, out, err = run(capsys, ["overdispersion", "--K", "3", "--u-bar", "5", "--mu-bar", "1e-320"])
+        assert code == 0, err
+        assert json.loads(out)["pi_exact"] == 1.0
 
 
 class TestErrorSurface:

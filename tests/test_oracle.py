@@ -360,6 +360,17 @@ class TestLowerSumAnswers:
         assert proc.returncode == 0, proc.stderr
         assert math.isfinite(json.loads(proc.stdout)[key])
 
+    def test_subnormal_p(self):
+        # The mean is +inf, yet log P(X >= 5) is not 0; k / (n p) overflows in
+        # the deviance.  n p is itself subnormal, which costs ~4e-10 relative.
+        k, p = 1e-11, 1e-320
+        with mpmath.workdps(60):
+            kp, pp = mpmath.mpf(k), mpmath.mpf(p)
+            below = sum(mpmath.rf(kp, x) / mpmath.factorial(x) * (1 - pp) ** x for x in range(5))
+            want = mpmath.log(1 - pp**kp * below)
+        got = negbin_tail(k, p, 5).log_probability
+        assert abs(got - float(want)) <= 1e-8 * abs(float(want))
+
     @staticmethod
     def _check(call):
         try:

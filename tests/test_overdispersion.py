@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+import sys
 import warnings
 
 import pytest
@@ -18,6 +20,7 @@ from twoscale import (
     TwoscaleError,
     approx_fast,
     approx_slow,
+    log_asymptote,
     pi_exact,
     pi_fast,
     pi_gamma,
@@ -266,6 +269,66 @@ class TestScaleInvariance:
         for M in (0, 1, 2):
             est = approx_slow(model, PowerScaling(f), n, u, mode="series", order=M, lattice=False)
             assert est.value == pytest.approx(pi_slow(q, M=M), rel=1e-10)
+
+
+def _embedding_queries(regime: str) -> list[ArrivalQuery]:
+    """The ten table rows, then 20 seeded queries where ``regime``'s series converges."""
+    rows = [ArrivalQuery(K, u_bar, mu_bar) for K, mu_bar, u_bar in TABLE1_PARAMS + TABLE2_PARAMS]
+    rng = random.Random(21)
+    for _ in range(20):
+        rho = rng.uniform(0.3, 0.9)
+        if regime == "fast":  # 1/mu_bar and u_bar/K small, as in table 1
+            K, u_bar = round(10 ** rng.uniform(3, 5)), 10 ** rng.uniform(1.5, 2.7)
+            rows.append(ArrivalQuery(K, u_bar, K / (rho * u_bar)))
+        else:  # mu_bar and K/u_bar small, as in table 2
+            K, mu_bar = round(10 ** rng.uniform(1.3, 2.7)), 10 ** rng.uniform(-3, -1)
+            rows.append(ArrivalQuery(K, K / (rho * mu_bar), mu_bar))
+    return rows
+
+
+class TestEmbedding:
+    """The paper's application is the general code on pg(1, 1, mu_bar psi).
+
+    With phi_n = K, n = K^(1/f) and u = u_bar / n, the Gamma clock scaled by
+    psi_n is Gamma(K, mu_bar), so each formula of this module is an
+    ``asymptotics`` call at any f of its regime.
+    """
+
+    @staticmethod
+    def _embed(q, f):
+        scaling = PowerScaling(f)
+        n = q.K ** (1.0 / f)
+        model = ModelPair(CharExponent.poisson(1.0), CharExponent.gamma(1.0, q.mu_bar * scaling.psi(n)))
+        return model, scaling, n, q.u_bar / n
+
+    @staticmethod
+    def _same_log(value, log_value):
+        # A value past the normal floats (0, subnormal or inf; a series used far
+        # outside its regime) has lost its log's digits: there the general
+        # path's log must lie past the same end of the range.
+        if value < sys.float_info.min:
+            assert log_value < math.log(sys.float_info.min) + 1e-9
+        elif value == math.inf:
+            assert log_value > math.log(sys.float_info.max)
+        else:
+            assert log_value == pytest.approx(math.log(value), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("q", _embedding_queries("fast"), ids=repr)
+    @pytest.mark.parametrize("f", [1.5, 2.0, 3.0])
+    def test_fast(self, q, f):
+        model, scaling, n, u = self._embed(q, f)
+        for M in range(1, 7):
+            est = approx_fast(model, scaling, n, u, mode="series", order=M, lattice=True)
+            self._same_log(pi_fast(q, M), est.log_value)
+        self._same_log(pi_hat_fast(q), log_asymptote(model, scaling, u)[0] * n)
+
+    @pytest.mark.parametrize("q", _embedding_queries("slow"), ids=repr)
+    @pytest.mark.parametrize("f", [0.3, 0.5, 0.7])
+    def test_slow(self, q, f):
+        model, scaling, n, u = self._embed(q, f)
+        for M in range(0, 7):
+            self._same_log(pi_slow(q, M), approx_slow(model, scaling, n, u, mode="series", order=M).log_value)
+        self._same_log(pi_hat_slow(q), log_asymptote(model, scaling, u)[1] * scaling.phi(n))
 
 
 class TestTables:
