@@ -148,6 +148,8 @@ def _lattice_source(model: ModelPair, regime: str) -> tuple[str, CharExponent, f
 def _approx(regime, model, scaling, n, u, mode, order, lattice) -> AsymptoticEstimate:
     """The one body of :func:`approx_fast`, :func:`approx_slow` and :func:`approx_single_timescale`."""
     fast = regime == "fast"
+    if mode == "direct" and order is not None:
+        raise OrderError(f"a series order needs mode 'series', got order {order} in direct mode")
     _require_query(n, u)
     info = classify(scaling)
     if info.regime != regime:
@@ -201,7 +203,7 @@ def approx_fast(
 
     ``lattice=True`` applies the lattice prefactor built from A's span.  In
     series mode the sublinear sum runs k = 2..M with M = ``order`` (default:
-    the regime's own m_plus).
+    the regime's own m_plus); direct mode takes no ``order`` (OrderError).
     """
     return _approx("fast", model, scaling, n, u, mode, order, lattice)
 

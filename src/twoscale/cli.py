@@ -232,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="evaluate the tail approximation")
     _add_model_args(p)
     p.add_argument("--mode", choices=("direct", "series"), default="direct")
-    p.add_argument("--M", type=int, default=None, help="series truncation order")
+    p.add_argument("--M", type=int, default=None, help="series truncation order, with --mode series")
     p.add_argument("--lattice", choices=("auto", "on", "off"), default="auto",
                    help="lattice prefactor; auto: where the regime's process has a span, off at f = 1")
     common_output(p)

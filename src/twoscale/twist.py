@@ -107,8 +107,6 @@ def _solve_increasing(
     g, top, grown = jet(hi)[1] - u, None, 0
     while g < 0:
         grown += 1
-        if grown > _MAX_EXPAND:
-            raise NoSolutionError(f"{what}: the equation never reaches u = {u} on the admissible bracket")
         if top is None:
             top = edge()
         if math.isfinite(top):
@@ -161,9 +159,9 @@ def _solve_increasing(
 def _solved(model: ModelPair, u: float, solve: Callable[..., object], *args):
     """``solve(model, u, *args)``, solved once per ``(model, u, args)``.
 
-    theta*, tau*, the f = 1 twist and each regime's leading constants depend
-    on the pair and ``u`` only, while an n ladder at fixed ``u`` asks for them
-    at every n.  ``model._memo`` keeps them for the last ``u`` asked of the
+    theta*, tau* and each regime's leading ``(twist, rate, sigma)`` depend on
+    the pair and ``u`` only, while an n ladder at fixed ``u`` asks for them at
+    every n.  ``model._memo`` keeps them for the last ``u`` asked of the
     pair: a new ``u`` replaces the slot, so every value in a slot was solved
     for that slot's ``u``.  A solve that raises is not remembered.
     """
@@ -297,8 +295,7 @@ def solve_twist(model: ModelPair, scaling: PowerScaling, n: float, u: float) -> 
     """
     _require_query(n, u)
     _require_rare(model, u)
-    psi = scaling.psi(n)
-    *root, value = _solved(model, u, _twist_at_psi) if psi == 1.0 else _twist_at_psi(model, u, psi)
+    *root, value = _twist_at_psi(model, u, scaling.psi(n))
     return TwistSolution(*root, value * scaling.phi(n))
 
 
@@ -370,7 +367,7 @@ def _solve_leading(model: ModelPair, u: float, regime: str) -> tuple[float, floa
         b0, _, b2 = model.B.jet(a * twist, 2)
         rate, sigma = b0 - twist * u, a * math.sqrt(b2)
     else:
-        twist = _solved(model, u, _twist_at_psi)[0]
+        twist = _twist_at_psi(model, u)[0]
         value, _, slope = _composed_jet(model, 1.0)(twist)
         rate, sigma = value - twist * u, math.sqrt(slope)
     if not math.isfinite(rate):

@@ -1,10 +1,12 @@
-"""Fail if a witness ceiling rose, or a point went or changed its query, since a base commit.
+"""Fail if a ratchet ceiling rose, or an entry went or changed its query, since a base commit.
 
 Usage: ``python tests/check_witness_ceilings.py BASE_REF``, run from the
-repository root, compares ``tests/witness_ceilings.json`` in the working tree
-with the copy at ``BASE_REF`` (for example ``origin/main``).  A base without
-the file passes; a ref that names no commit is an error.  Exit 0 when every
-base point is kept, with its query and a ceiling no higher than before.
+repository root, compares each ratchet file in the working tree with its copy
+at ``BASE_REF`` (for example ``origin/main``): ``tests/witness_ceilings.json``
+(one entry per witness point) and ``tests/relation_ceilings.json`` (one entry
+per stratum of twins).  A base without a file passes for that file; a ref
+that names no commit is an error.  Exit 0 when every base entry is kept, with
+its query and a ceiling no higher than before.
 """
 
 import json
@@ -12,19 +14,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-PATH = "tests/witness_ceilings.json"
+PATHS = ("tests/witness_ceilings.json", "tests/relation_ceilings.json")
 
 
-def main(base_ref: str) -> int:
-    verify = ["git", "rev-parse", "--quiet", "--verify", f"{base_ref}^{{commit}}"]
-    if subprocess.run(verify, stdout=subprocess.DEVNULL).returncode:
-        print(f"{base_ref} names no commit")
-        return 1
-    shown = subprocess.run(["git", "show", f"{base_ref}:{PATH}"], capture_output=True, text=True)
+def _faults(base_ref: str, path: str) -> int:
+    """Print and count what ``path`` lost or raised since ``base_ref``."""
+    shown = subprocess.run(["git", "show", f"{base_ref}:{path}"], capture_output=True, text=True)
     if shown.returncode != 0:
-        print(f"{base_ref} has no {PATH}: nothing to compare")
+        print(f"{base_ref} has no {path}: nothing to compare")
         return 0
-    base, head = json.loads(shown.stdout), json.loads(Path(PATH).read_text())
+    base, head = json.loads(shown.stdout), json.loads(Path(path).read_text())
     faults = []
     for key, point in base.items():
         new = head.get(key)
@@ -35,9 +34,18 @@ def main(base_ref: str) -> int:
         elif new["ceiling"] > point["ceiling"]:
             faults.append(f"{key}: ceiling rose from {point['ceiling']} to {new['ceiling']}")
     lowered = sum(key in head and head[key]["ceiling"] < p["ceiling"] for key, p in base.items())
-    print(f"{len(base)} points at {base_ref}, {lowered} ceilings lowered, {len(faults)} faults")
+    print(f"{path}: {len(base)} entries at {base_ref}, {lowered} ceilings lowered, {len(faults)} faults")
     for fault in faults:
         print(fault)
+    return len(faults)
+
+
+def main(base_ref: str) -> int:
+    verify = ["git", "rev-parse", "--quiet", "--verify", f"{base_ref}^{{commit}}"]
+    if subprocess.run(verify, stdout=subprocess.DEVNULL).returncode:
+        print(f"{base_ref} names no commit")
+        return 1
+    faults = sum(_faults(base_ref, path) for path in PATHS)
     return 1 if faults else 0
 
 

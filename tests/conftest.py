@@ -1,5 +1,6 @@
 """Shared builders and comparison helpers."""
 
+import json
 import math
 import os
 import subprocess
@@ -126,6 +127,34 @@ def malformed_model(tmp_path: Path, case: str) -> str:
     path = tmp_path / "model.json"
     path.write_bytes(MALFORMED_MODELS[case])
     return str(path)
+
+
+#: The least ceiling of a ratchet, so that libm's last bits cannot fail it.
+FLOOR = 1e-14
+
+
+def ceiling(err: float) -> float:
+    """A ratchet's ceiling for ``err``: rounded up to two significant digits, and at least :data:`FLOOR`."""
+    if not err > FLOOR:
+        return FLOOR
+    e = math.floor(math.log10(err)) - 1
+    m = math.ceil(err / 10.0 ** e)
+    while float(f"{m}e{e}") < err:
+        m += 1
+    return float(f"{m}e{e}")
+
+
+def write_ceilings(path: Path, entries: dict, error, old: dict) -> None:
+    """Write a ratchet file: each entry of ``entries`` with the ceiling of
+    ``error(entry)``, or with its ceiling in ``old`` where that is lower."""
+    lines = []
+    for key, entry in entries.items():
+        top = ceiling(error(entry))
+        if key in old:
+            top = min(top, old[key]["ceiling"])
+        lines.append(f"  {json.dumps(key)}: {json.dumps({**entry, 'ceiling': top})}")
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {len(entries)} ceilings to {path}")
 
 
 def matches_displayed(computed: float, displayed: float) -> bool:

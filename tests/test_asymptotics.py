@@ -337,6 +337,24 @@ class TestSingleTimescale:
             _approx("single", pg113, PowerScaling(1.5), 100.0, 1.0, "direct", None, False)
 
 
+class TestDirectModeTakesNoOrder:
+    """An ``order`` in direct mode raises OrderError before any solve, in every regime."""
+
+    @pytest.mark.parametrize("regime,f", [("fast", 1.5), ("slow", 0.5), ("single", 1.0)])
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_order_is_refused(self, monkeypatch, regime, f, order):
+        model = pg_pair(1.0, 1.0, 3.0)
+        calls = count_derivs(monkeypatch, model)
+        with pytest.raises(OrderError, match=f"got order {order} in direct mode"):
+            _approx(regime, model, PowerScaling(f), 400.0, 1.0, "direct", order, False)
+        assert calls[0] == 0 and model._memo == {}
+
+    @pytest.mark.parametrize("approx,f", [(approx_fast, 1.5), (approx_slow, 0.5)])
+    def test_public_approximants(self, approx, f):
+        with pytest.raises(OrderError, match="got order 3 in direct mode"):
+            approx(pg_pair(1.0, 1.0, 3.0), PowerScaling(f), 400.0, 1.0, order=3)
+
+
 class TestLogAsymptote:
     def test_poisson_gamma_fast_rate(self):
         lam, r, mu, u = 1.0, 1.0, 3.0, 1.0

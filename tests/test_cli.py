@@ -18,6 +18,7 @@ from twoscale import (
     approx_slow,
     classify,
 )
+from twoscale import cli
 from twoscale.asymptotics import _approx
 from twoscale.cli import main
 from conftest import MALFORMED_MODELS, gp_pair, log_uniform, malformed_model, pg_pair, run_python
@@ -187,6 +188,15 @@ class TestApprox:
         with pytest.raises(SystemExit) as exc:
             main(["approx", "--model", pg_json, "--n", "100"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("f", ["1.5", "0.5", "1"])
+    @pytest.mark.parametrize("mode", [[], ["--mode", "direct"]], ids=["default", "direct"])
+    def test_order_without_series_mode_exits_2(self, capsys, f, mode):
+        # --M is a series order, which direct mode has no use for
+        argv = ["approx", "--poisson-gamma", "1", "1", "3", "--f", f, "--n", "400", "--u", "1"]
+        code, out, err = run(capsys, [*argv, *mode, "--M", "3"])
+        assert code == 2 and out == ""
+        assert err.startswith("OrderError: a series order needs mode 'series'")
 
     def test_slow_regime_lattice_auto_off(self, capsys):
         # slow regime keys the lattice factor off B; a Gamma clock has none
@@ -402,6 +412,16 @@ class TestOracle:
         )
         assert code == 2
         assert "ParamError: --samples is required for method 'is'" in err
+
+    @pytest.mark.parametrize("method,samples", [("is", "1"), ("mc", "0")])
+    def test_fewer_than_two_samples_exits_2(self, capsys, pg_json, method, samples):
+        code, out, err = run(
+            capsys,
+            ["oracle", "--model", pg_json, "--n", "400", "--u", "0.7",
+             "--method", method, "--samples", samples, "--seed", "1"],
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"ParamError: samples must be >= 2, got {samples}")
 
     def test_is_reports_statistics(self, capsys, pg_json):
         code, out, _ = run(
@@ -677,6 +697,17 @@ class TestErrorSurface:
         argv = ["oracle", *query, "--f", "1.5", "--samples", "10", "--seed", "1"]
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "" and err.startswith("ParamError: the Poisson rate")
+
+    def test_internal_failure_exits_1(self, capsys, monkeypatch):
+        # an exception that is no TwoscaleError is a bug: exit 1, named as such
+        def failing(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_approx", failing)
+        code, out, err = run(capsys, ["approx", "--poisson-gamma", "1", "1", "3", "--f", "1.5",
+                                      "--n", "400", "--u", "1"])
+        assert code == 1 and out == ""
+        assert err.startswith("InternalError: RuntimeError: boom")
 
 
 class TestBoundedInput:

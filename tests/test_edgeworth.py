@@ -47,6 +47,7 @@ class TestHermite:
 
     def test_explicit_forms(self):
         xs = np.linspace(-3, 3, 7)
+        assert np.array_equal(hermite(0, xs.reshape(7, 1)), np.ones((7, 1))) and hermite(0, 0.5) == 1.0
         assert np.allclose(hermite(1, xs), xs)
         assert np.allclose(hermite(2, xs), xs**2 - 1)
 

@@ -317,6 +317,12 @@ class TestNonFiniteInput:
         with pytest.raises(ParamError, match="seed must be >= 0"):
             estimator(pg113, PowerScaling(1.5), 400.0, 1.0, samples=100, seed=-1)
 
+    @pytest.mark.parametrize("estimator,samples", [(is_tail, 1), (plain_mc_tail, 0)])
+    def test_fewer_than_two_samples(self, pg113, estimator, samples):
+        # one sample has no standard error
+        with pytest.raises(ParamError, match=f"samples must be >= 2, got {samples}"):
+            estimator(pg113, PowerScaling(1.5), 400.0, 1.0, samples=samples, seed=1)
+
 
 #: Valid queries whose lower sum once raised: an infinite mode (OverflowError
 #: from ``int``), and a lower log in (-5.6e-17, -1e-300), whose ``exp`` rounds

@@ -21,6 +21,7 @@ from twoscale import (
     TwoscaleError,
     UnsupportedSignError,
     approx_fast,
+    approx_single_timescale,
     fast_expansion,
     lmgf,
     slow_expansion,
@@ -584,6 +585,31 @@ class TestStarSolverLimits:
         # sup (1 - 1e-12) is both the start and the edge: one probe, then the raise
         assert calls[0] == 1
 
+    def test_doubling_gives_up_past_1e100(self):
+        # alpha'(t) = 3 (1 - 1e-10 + 1e-13 log2(1 + t)) creeps up towards
+        # u / b = 3 but reaches it only at t = 2**1000 - 1.  g grows by ~3e-13
+        # per doubling, so the stall test never fires: the bracket doubles up
+        # from 1 until 2**333 passes 1e100, 333 jets of A of orders 0..2.
+        ln2 = math.log(2.0)
+        orders = []
+
+        def creeping(t, order):
+            orders.append(order)
+            return (
+                3.0 * (1.0 - 1e-10) * t + 3e-13 / ln2 * ((1.0 + t) * math.log1p(t) - t),
+                3.0 * (1.0 - 1e-10 + 1e-13 * math.log2(1.0 + t)),
+                3e-13 / (ln2 * (1.0 + t)),
+                -3e-13 / (ln2 * (1.0 + t) ** 2),
+            )[order]
+
+        model = ModelPair(CharExponent.custom(creeping), CharExponent.gamma(1.0, 3.0))
+        orders.clear()
+        with pytest.raises(NoSolutionError) as info:
+            fast_expansion(model, 1.0, order=0)
+        assert str(info.value) == "theta_star: the equation is bounded below u = 1.0"
+        assert orders.count(0) == 333
+        assert len(orders) == 999
+
     @pytest.mark.parametrize("u", [1e230, 1e300])
     def test_overflowing_probe_brackets_the_root(self, u):
         # theta* = log(3u) and tau* = 2 log(2u) put the Poisson exponent past
@@ -639,8 +665,8 @@ class TestTiltRecord:
 
     @pytest.mark.parametrize("kind", sorted(_PAIRS))
     def test_single_timescale_memo_holds_no_n(self, kind):
-        # At f = 1 the root is solved once per (pair, u); gamma_n scales with
-        # n, so each n reads its own.
+        # At f = 1 the root does not depend on n; gamma_n scales with n, so
+        # each n reads its own.
         model, s = _PAIRS[kind](1.0, 2.0, 3.0), PowerScaling(1.0)
         u = 2.0 * model.a * model.b
         first, second = solve_twist(model, s, 50.0, u), solve_twist(model, s, 400.0, u)
@@ -648,6 +674,17 @@ class TestTiltRecord:
         assert first.log_mgf == lmgf(model, s, 50.0, first.theta_n)
         assert second.log_mgf == lmgf(model, s, 400.0, second.theta_n)
         assert second.log_mgf == pytest.approx(8.0 * first.log_mgf, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", sorted(_PAIRS))
+    def test_single_timescale_twist_after_an_approximation(self, kind):
+        # A pair that has run the f = 1 approximation at u gives the record a
+        # fresh pair gives, and its twist is the one the leading triple holds.
+        fresh, used, s = _PAIRS[kind](1.0, 2.0, 3.0), _PAIRS[kind](1.0, 2.0, 3.0), PowerScaling(1.0)
+        u = 2.0 * fresh.a * fresh.b
+        approx_single_timescale(used, 50.0, u)
+        sol = solve_twist(fresh, s, 50.0, u)
+        assert solve_twist(used, s, 50.0, u) == sol
+        assert sol.theta_n == twist._leading(fresh, "single", u)[0]
 
 
 class TestHugeThreshold:

@@ -6,16 +6,16 @@ Gamma-on-Poisson (gp) pair.  Its witness is ``gamma_n(theta_n) - theta_n u n``
 in 50-digit ``mpmath``, at the closed-form twist of each pair.  The relative
 error of the reported ``est.exponent`` must stay within the point's ceiling in
 ``witness_ceilings.json``: the error measured when the point was added,
-rounded up to two significant digits and floored at 1e-14, so that libm's last
-bits cannot fail the test.  A change may lower a ceiling, never raise one;
-``check_witness_ceilings.py`` enforces that against a base commit.
+rounded up to two significant digits and floored at 1e-14
+(``conftest.ceiling``), so that libm's last bits cannot fail the test.  A
+change may lower a ceiling, never raise one; ``check_witness_ceilings.py``
+enforces that against a base commit.
 
 Run this file as a script to write the ceilings file: a new point gets its
 current error, and an existing point keeps the lower of its ceiling and that.
 """
 
 import json
-import math
 import random
 from pathlib import Path
 
@@ -23,10 +23,9 @@ import mpmath
 import pytest
 
 from twoscale import PowerScaling, approx_fast, approx_single_timescale, approx_slow
-from conftest import gp_pair, pg_pair
+from conftest import gp_pair, pg_pair, write_ceilings
 
 CEILINGS = Path(__file__).with_name("witness_ceilings.json")
-FLOOR = 1e-14
 
 
 def _grid() -> dict:
@@ -77,17 +76,6 @@ def _rel_error(q: dict) -> float:
         return float(abs(mpmath.mpf(_estimate(q)) - w) / abs(w))
 
 
-def _ceiling(err: float) -> float:
-    """``err`` rounded up to two significant digits, and at least :data:`FLOOR`."""
-    if not err > FLOOR:
-        return FLOOR
-    e = math.floor(math.log10(err)) - 1
-    m = math.ceil(err / 10.0 ** e)
-    while float(f"{m}e{e}") < err:
-        m += 1
-    return float(f"{m}e{e}")
-
-
 GRID = _grid()
 POINTS = json.loads(CEILINGS.read_text()) if CEILINGS.exists() else {}
 
@@ -102,12 +90,4 @@ def test_error_within_ceiling(key):
 
 
 if __name__ == "__main__":
-    points = {}
-    for key, q in GRID.items():
-        ceiling = _ceiling(_rel_error(q))
-        if key in POINTS and POINTS[key]["ceiling"] < ceiling:
-            ceiling = POINTS[key]["ceiling"]
-        points[key] = {**q, "ceiling": ceiling}
-    lines = [f"  {json.dumps(k)}: {json.dumps(p)}" for k, p in points.items()]
-    CEILINGS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {len(points)} ceilings to {CEILINGS}")
+    write_ceilings(CEILINGS, GRID, _rel_error, POINTS)
