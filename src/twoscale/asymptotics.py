@@ -31,7 +31,7 @@ from . import models as worked
 from .errors import (
     LatticeError, OrderError, ParamError, RegimeError, SeriesUnavailable, _exp_of_log, require_finite,
 )
-from .levy import CharExponent, ModelPair, PowerScaling
+from .levy import ModelPair, PowerScaling
 from .twist import _leading, _require_query, solve_twist
 
 __all__ = [
@@ -140,13 +140,13 @@ def _assemble(front, spread, terms, mode, order, lattice) -> AsymptoticEstimate:
     )
 
 
-def _lattice_source(model: ModelPair, regime: str) -> tuple[str, CharExponent, float]:
-    """``(name, process, unit)`` giving the lattice span: (A, 1) fast and single, (B, a) slow."""
-    return ("B", model.B, model.a) if regime == "slow" else ("A", model.A, 1.0)
-
-
 def _approx(regime, model, scaling, n, u, mode, order, lattice) -> AsymptoticEstimate:
-    """The one body of :func:`approx_fast`, :func:`approx_slow` and :func:`approx_single_timescale`."""
+    """The one body of :func:`approx_fast`, :func:`approx_slow` and :func:`approx_single_timescale`.
+
+    The lattice span is A's (unit 1) when fast and at f = 1, B's (unit a) when
+    slow.  ``lattice=None`` (the CLI's ``--lattice auto``) applies the lattice
+    prefactor where that process has a span, and never at f = 1 for now.
+    """
     fast = regime == "fast"
     if mode == "direct" and order is not None:
         raise OrderError(f"a series order needs mode 'series', got order {order} in direct mode")
@@ -156,8 +156,10 @@ def _approx(regime, model, scaling, n, u, mode, order, lattice) -> AsymptoticEst
         raise RegimeError(f"the {regime} regime does not hold at f = {scaling.f}")
     twist, rate, sigma = _leading(model, regime, u)
     clock = scaling.phi(n) if regime == "slow" else n
+    name, process, unit = ("B", model.B, model.a) if regime == "slow" else ("A", model.A, 1.0)
+    if lattice is None:
+        lattice = regime != "single" and process.lattice_span > 0
     if lattice:
-        name, process, unit = _lattice_source(model, regime)
         if process.lattice_span <= 0:
             raise LatticeError(f"lattice adjustment requested but {name} has lattice span 0")
         front, spread = lattice_factor(unit * twist, process.lattice_span) * unit, sigma

@@ -3,7 +3,7 @@
 Commands
 --------
 approx          tail approximation for a model at (n, u), direct or series mode;
-                ``--lattice auto`` uses A's span (fast) or B's (slow), off at f = 1 for now
+                ``--lattice auto`` leaves the lattice rule to ``asymptotics._approx``
 oracle          exact / importance-sampling / plain Monte Carlo tail values
 tables          write the two reference comparison tables (CSV + JSON sidecar)
 edgeworth       tilted-CDF approximation vs the exact tilted law on an x grid
@@ -11,7 +11,8 @@ overdispersion  all arrival-count approximations for one (K, u_bar, mu_bar)
 
 A model comes from ``--model`` (a JSON spec file) or inline, as a built-in pair:
 ``--poisson-gamma LAM R MU`` or ``--gamma-poisson R MU LAM``.  Only ``oracle``
-takes ``--workers``, the Monte Carlo substream count.
+takes ``--samples``, ``--seed`` and ``--workers`` (the Monte Carlo substream
+count), and only for its methods ``is`` and ``mc``; ``exact`` refuses them.
 
 Every command emits machine-readable output (JSON by default); identical
 configuration and seed produce byte-identical files, whatever the machine's
@@ -113,8 +114,7 @@ def _estimate_payload(est, regime: str) -> dict:
 def _cmd_approx(args) -> int:
     model, scaling = _resolve_model(args)
     regime = asymptotics.classify(scaling).regime
-    auto = regime != "single" and asymptotics._lattice_source(model, regime)[1].lattice_span > 0
-    lattice = args.lattice == "on" or (args.lattice == "auto" and auto)  # auto is off at f = 1 for now
+    lattice = {"on": True, "off": False, "auto": None}[args.lattice]
     est = asymptotics._approx(regime, model, scaling, args.n, args.u, args.mode, args.M, lattice)
     _emit(args, _estimate_payload(est, regime))
     return 0
@@ -126,6 +126,9 @@ def _cmd_oracle(args) -> int:
     from .oracle import StatisticalBound, exact_law, is_tail, plain_mc_tail
 
     if args.method == "exact":
+        for flag in ("samples", "seed", "workers"):
+            if getattr(args, flag) is not None:
+                raise ParamError(f"--{flag} applies to methods 'is' and 'mc', not 'exact'")
         res = exact_law(model, scaling, args.n).tail(args.u * args.n)
     else:
         if args.seed is None:
@@ -133,21 +136,11 @@ def _cmd_oracle(args) -> int:
         if args.samples is None:
             raise ParamError(f"--samples is required for method {args.method!r}")
         fn = is_tail if args.method == "is" else plain_mc_tail
-        res = fn(model, scaling, args.n, args.u, args.samples, args.seed, workers=args.workers)
-    payload = {
-        "probability": res.probability,
-        "log_probability": res.log_probability,
-        "method": res.method,
-    }
+        workers = 1 if args.workers is None else args.workers
+        res = fn(model, scaling, args.n, args.u, args.samples, args.seed, workers=workers)
+    payload = {"probability": res.probability, "log_probability": res.log_probability, "method": res.method}
     if isinstance(res.error, StatisticalBound):
-        payload.update(
-            {
-                "estimate": res.probability,
-                "std_error": res.error.std_error,
-                "samples": res.error.samples,
-                "seed": res.error.seed,
-            }
-        )
+        payload.update(dataclasses.asdict(res.error), estimate=res.probability)
     else:
         payload["rigorous_bound"] = res.error.bound
     _emit(args, payload)
@@ -204,7 +197,7 @@ def _cmd_overdispersion(args) -> int:
         "pi_pois": overdispersion.pi_pois(q),
         "pi_gamma": overdispersion.pi_gamma(q),
     }
-    if q.rho < 1:
+    if q.rho < 1 or (args.M_fast, args.M_slow) != (None, None):  # an --M-* flag with rho >= 1: NotRareError
         payload.update(
             {
                 "pi_hat_fast": overdispersion.pi_hat_fast(q),
@@ -234,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("direct", "series"), default="direct")
     p.add_argument("--M", type=int, default=None, help="series truncation order, with --mode series")
     p.add_argument("--lattice", choices=("auto", "on", "off"), default="auto",
-                   help="lattice prefactor; auto: where the regime's process has a span, off at f = 1")
+                   help="lattice prefactor; auto: by the rule of twoscale.asymptotics")
     common_output(p)
     p.set_defaults(fn=_cmd_approx)
 
@@ -243,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("exact", "is", "mc"), default="exact")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1, help="Monte Carlo substream count")
+    p.add_argument("--workers", type=int, default=None, help="Monte Carlo substream count (default 1)")
     common_output(p)
     p.set_defaults(fn=_cmd_oracle)
 

@@ -24,6 +24,19 @@ def gp_pair(r: float, mu: float, lam: float) -> ModelPair:
     return ModelPair(CharExponent.gamma(r, mu), CharExponent.poisson(lam))
 
 
+def vg_pair(drift: float, var: float, r: float, mu: float) -> ModelPair:
+    """Brownian motion with drift on a Gamma(r, mu) clock, both as user code (custom exponents)."""
+    def bm(t, order):
+        return (drift * t + 0.5 * var * t * t, drift + var * t, var, 0.0)[order]
+
+    def gamma(t, order):
+        if order == 0:
+            return r * math.log(mu / (mu - t))
+        return r * math.factorial(order - 1) / (mu - t) ** order
+
+    return ModelPair(CharExponent.custom(bm), CharExponent.custom(gamma, domain_sup=mu))
+
+
 def rare_grid():
     """24 parameter sets (lam, r, mu, u) with u/(a*b) spanning [1.1, 5]."""
     sets = []

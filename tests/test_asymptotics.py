@@ -26,7 +26,7 @@ from twoscale.levy import CharExponent, ModelPair, lmgf
 from twoscale.models import K_MAX
 from twoscale.oracle import exact_law
 from twoscale.twist import solve_twist
-from conftest import count_derivs, gp_pair, pg_pair
+from conftest import count_derivs, gp_pair, pg_pair, vg_pair
 
 
 class TestClassify:
@@ -392,27 +392,10 @@ class TestLogAsymptote:
         assert abs(terms["sublinear_remainder"]) <= 1e-2
 
 
-def _drift_derivs(drift: float, var: float):
-    """Brownian motion with drift."""
-    return lambda t, o: (drift * t + 0.5 * var * t * t, drift + var * t, var, 0.0)[o]
-
-
-def _gamma_derivs(shape: float, rate: float):
-    def derivs(t, o):
-        if o == 0:
-            return shape * math.log(rate / (rate - t))
-        return shape * math.factorial(o - 1) / (rate - t) ** o
-
-    return derivs
-
-
 PAIRS = {
     "pg": lambda: pg_pair(1.0, 1.0, 3.0),
     "gp": lambda: gp_pair(1.0, 2.0, 1.0),
-    "custom": lambda: ModelPair(
-        CharExponent.custom(_drift_derivs(1.0, 1.0)),
-        CharExponent.custom(_gamma_derivs(1.0, 2.0), domain_sup=2.0),
-    ),
+    "custom": lambda: vg_pair(1.0, 1.0, 1.0, 2.0),
 }
 
 

@@ -210,6 +210,34 @@ class TestApprox:
         assert payload["lattice_adjusted"] is False
 
 
+class TestLatticeAuto:
+    """``--lattice auto`` is ``_approx``'s rule: A's span when fast, B's when slow, off at f = 1."""
+
+    RULE = {("pg", "fast"): True, ("pg", "slow"): False, ("pg", "single"): False,
+            ("gp", "fast"): False, ("gp", "slow"): True, ("gp", "single"): False}
+    F = {"fast": 1.5, "slow": 0.6, "single": 1.0}
+
+    @pytest.mark.parametrize("kind,regime", sorted(RULE))
+    def test_cli_prints_the_rule(self, capsys, kind, regime):
+        gp = kind == "gp"
+        params = (1.0, 2.0, 1.0) if gp else (1.0, 1.0, 3.0)
+        model = (gp_pair if gp else pg_pair)(*params)
+        scaling = PowerScaling(self.F[regime])
+        want = _approx(regime, model, scaling, 400.0, 1.0, "direct", None, self.RULE[kind, regime])
+        code, out, err = run(capsys, ["approx", *_model_argv(gp, params, self.F[regime]),
+                                      "--n", "400", "--u", "1", "--lattice", "auto"])
+        assert code == 0, err
+        assert out == json.dumps(cli._estimate_payload(want, regime), indent=2, sort_keys=True) + "\n"
+        assert json.loads(out)["lattice_adjusted"] is self.RULE[kind, regime]
+
+    @pytest.mark.parametrize("kind,regime", sorted(RULE))
+    @pytest.mark.parametrize("mode", ["direct", "series"])
+    def test_none_resolves_to_a_bool(self, kind, regime, mode):
+        model = gp_pair(1.0, 2.0, 1.0) if kind == "gp" else pg_pair(1.0, 1.0, 3.0)
+        est = _approx(regime, model, PowerScaling(self.F[regime]), 400.0, 1.0, mode, None, None)
+        assert est.lattice_adjusted is self.RULE[kind, regime]
+
+
 class TestSingleTimescaleFlags:
     """At f = 1, --lattice on and --mode series act or exit 2; --lattice auto stays off."""
 
@@ -340,9 +368,11 @@ _OUTPUT = dict(fmt=st.sampled_from(["json", "text", "csv"]), sig=st.integers(-2,
 )
 def test_oracle_exits_0_or_2(gp, params, f, u, fmt, sig, n, method, samples, seed, workers):
     assume(method != "exact" or _count_mean(gp, params, f, n) <= 1e9)
+    # The Monte Carlo flags go to is and mc only: exact refuses them.
+    sampling = [] if method == "exact" else ["--samples", str(samples), "--seed", str(seed),
+                                             "--workers", str(workers)]
     _exit_code(["oracle", *_model_argv(gp, params, f), "--n", repr(n), "--u", repr(u),
-                "--method", method, "--samples", str(samples), "--seed", str(seed),
-                "--workers", str(workers), "--format", fmt, "--sig", str(sig)])
+                "--method", method, *sampling, "--format", fmt, "--sig", str(sig)])
 
 
 # f = 1 is a RegimeError here, so it is not drawn on purpose.
@@ -476,6 +506,34 @@ class TestOracle:
         want = negbin_tail(law.successes, law.p, u * n).log_probability
         assert code == 0 and json.loads(out)["log_probability"] == want
         assert want == negbin_tail(law.successes, law.p, 500000).log_probability
+
+    # stdout of `oracle --method is` and `--method mc`, recorded before the
+    # payload took the bound's fields from the record itself and --workers
+    # defaulted to None (the is case passes no --workers: it reads 1)
+    MONTE_CARLO_STDOUT = {
+        "is": '{\n  "estimate": 1.9880706170981774e-75,\n  "log_probability": -172.00671734527077,\n'
+              '  "method": "importance_sampling",\n  "probability": 1.9880706170981774e-75,\n'
+              '  "samples": 2000,\n  "seed": 7,\n  "std_error": 2.189814664269276e-76\n}\n',
+        "mc": '{\n  "estimate": 0.001,\n  "log_probability": -6.907755278982137,\n  "method": "plain_mc",\n'
+              '  "probability": 0.001,\n  "samples": 2000,\n  "seed": 7,\n'
+              '  "std_error": 0.0007069298939339521\n}\n',
+    }
+
+    @pytest.mark.parametrize("method", ["is", "mc"])
+    def test_monte_carlo_stdout_bit_identical(self, capsys, method):
+        query = (["--poisson-gamma", "1", "1", "3", "--f", "1.5", "--n", "400", "--u", "1"] if method == "is"
+                 else ["--gamma-poisson", "1", "2", "1", "--f", "0.6", "--n", "300", "--u", "0.8", "--workers", "2"])
+        code, out, err = run(capsys, ["oracle", *query, "--method", method, "--samples", "2000", "--seed", "7"])
+        assert code == 0, err
+        assert out == self.MONTE_CARLO_STDOUT[method]
+
+    @pytest.mark.parametrize("flag,value", [("samples", "5"), ("seed", "1"), ("workers", "3")])
+    def test_exact_refuses_monte_carlo_flags(self, capsys, flag, value):
+        # each flag was dropped, and the exact tail printed with exit 0
+        code, out, err = run(capsys, ["oracle", "--poisson-gamma", "1", "1", "3", "--f", "1.5", "--n", "400",
+                                      "--u", "1", f"--{flag}", value])
+        assert code == 2 and out == ""
+        assert err == f"ParamError: --{flag} applies to methods 'is' and 'mc', not 'exact'\n"
 
     def test_threads_env_is_not_read(self, capsys, pg_json, monkeypatch):
         argv = ["oracle", "--model", pg_json, "--n", "400", "--u", "0.7",
@@ -620,6 +678,13 @@ class TestOverdispersion:
     def test_bad_query_exits_2(self, capsys):
         code, _, err = run(capsys, ["overdispersion", "--K", "0", "--u-bar", "1", "--mu-bar", "1"])
         assert code == 2 and "ParamError" in err
+
+    @pytest.mark.parametrize("flag", ["--M-fast", "--M-slow"])
+    def test_refinement_order_when_not_rare_exits_2(self, capsys, flag):
+        # rho = 2: the refinements do not apply, and the order was dropped with exit 0
+        code, out, err = run(capsys, ["overdispersion", "--K", "100", "--u-bar", "50", "--mu-bar", "1", flag, "3"])
+        assert code == 2 and out == ""
+        assert err.startswith("NotRareError: rho = K/(mu_bar*u_bar) = 2.0 must be < 1")
 
     def test_subnormal_mu_bar(self, capsys):
         # n p is subnormal, so the deviance's k / (n p) overflowed and the pmf read log 0.

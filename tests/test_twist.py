@@ -28,7 +28,7 @@ from twoscale import (
     solve_twist,
 )
 from twoscale import twist
-from conftest import RARE_GRID, count_derivs, gp_pair, pg_pair
+from conftest import RARE_GRID, count_derivs, gp_pair, pg_pair, vg_pair
 
 
 def pg_theta_n(lam, r, mu, u, psi):
@@ -633,23 +633,10 @@ class TestStarSolverLimits:
         assert theta_star == pytest.approx(math.log(3e300), rel=1e-15)
 
 
-def _vg_pair(drift, var, r, mu):
-    """Brownian motion with drift on a Gamma(r, mu) clock, as user code."""
-    def bm(t, order):
-        return (drift * t + 0.5 * var * t * t, drift + var * t, var, 0.0)[order]
-
-    def gamma(t, order):
-        if order == 0:
-            return r * math.log(mu / (mu - t))
-        return r * math.factorial(order - 1) / (mu - t) ** order
-
-    return ModelPair(CharExponent.custom(bm), CharExponent.custom(gamma, domain_sup=mu))
-
-
 _PAIRS = {
     "pg": lambda p, q, w: pg_pair(p, q, w),
     "gp": lambda p, q, w: gp_pair(p, q, w),
-    "vg": lambda p, q, w: _vg_pair(p, 1.0, q, w),
+    "vg": lambda p, q, w: vg_pair(p, 1.0, q, w),
 }
 
 
