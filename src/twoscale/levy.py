@@ -243,9 +243,9 @@ class ModelPair:
     ``b = beta'(0)`` are computed once, from the exponents, when the pair is
     built.
 
-    A pair remembers ``theta*``, ``tau*`` and each regime's leading
-    ``(twist, rate, sigma)`` for the last ``u`` asked of it (they depend on
-    the pair and ``u`` only), so its exponents must be pure functions.  The
+    A pair remembers each regime's leading ``(twist, rate, sigma)``, theta*
+    and tau* among them, for the last ``u`` asked of it (they depend on the
+    pair and ``u`` only), so its exponents must be pure functions.  The
     means and the memo take no part in equality, hashing or ``repr``.
     """
 

@@ -14,6 +14,7 @@ geometric bound on the discarded tail, so its *log* probabilities stay accurate
 far below the float underflow; a pmf past the float range raises ParamError.
 ``compound_poisson_gamma_tail`` mixes regularized upper incomplete gamma tails
 over a Poisson count, truncated when the remaining Poisson mass provably cannot matter.
+Each raises ParamError once it has summed more than ``_MAX_TERMS`` terms.
 
 Monte Carlo
 -----------
@@ -60,6 +61,8 @@ __all__ = [
 ]
 
 _BLOCK = 4096
+#: The most terms one exact sum may take; past it the oracle raises ParamError.
+_MAX_TERMS = 2_000_000
 _NEGBIN_REL_BOUND = 1e-15
 _COMPOUND_ABS_BOUND = 1e-14
 #: numpy's largest Poisson rate, ``int64 max - 10 sqrt(int64 max)``; it raises
@@ -200,11 +203,18 @@ def _negbin_block(total: float, lo: int, hi: int, k: float, p: float) -> tuple[f
     return np.logaddexp(total, np.log1p(rest / m) + np.log(m) + top), lp
 
 
+def _require_terms(count: int) -> None:
+    """ParamError once an exact sum has taken more than :data:`_MAX_TERMS` terms."""
+    if count > _MAX_TERMS:
+        raise ParamError(f"the exact sum reached {count} terms, past the cap of {_MAX_TERMS}")
+
+
 def _negbin_upper_logsum(k: float, p: float, m0: int) -> tuple[float, float]:
     """(log sum_{x >= m0} pmf(x), log absolute truncation bound)."""
     total = -math.inf
     x0 = m0
     while True:
+        _require_terms(x0 - m0)
         total, _ = _negbin_block(total, x0, x0 + _BLOCK, k, p)
         x0 += _BLOCK
         ratio = (1.0 - p) * (x0 + k) / (x0 + 1.0)
@@ -222,11 +232,13 @@ def _negbin_lower_logsum(k: float, p: float, m0: int) -> tuple[float, float]:
     total = -math.inf
     # Upward from the peak: everything to m0 - 1 (pmf is decreasing there).
     for lo in range(peak, m0, _BLOCK):
+        _require_terms(lo - peak)
         total, _ = _negbin_block(total, lo, min(lo + _BLOCK, m0), k, p)
     # Downward from the peak with early stop: at most x+1 remaining terms,
     # each below pmf(x), since the pmf increases toward the mode (none below 0).
     log_bound = -math.inf
     for hi in range(peak, 0, -_BLOCK):
+        _require_terms(m0 - hi)  # m0 - peak summed upward, peak - hi downward
         lo = max(hi - _BLOCK, 0)
         total, lp = _negbin_block(total, lo, hi, k, p)
         log_bound = float(lp[0]) + math.log(lo) if lo else -math.inf
@@ -314,8 +326,9 @@ def compound_poisson_gamma_tail(
         return OracleResult(1.0, 0.0, RigorousBound(0.0), "compound_series")
     lam = poisson_rate
     total = 0.0
-    j0 = _first_live_block(lam)
+    j0 = start = _first_live_block(lam)
     while True:
+        _require_terms(j0 - start)
         js = np.arange(j0, j0 + _BLOCK, dtype=float)
         tails = special.gammaincc(js * jump_shape, jump_rate * threshold)
         total += float(np.sum(np.exp(_poisson_logpmf(js, lam)) * tails))
@@ -400,7 +413,7 @@ class CompoundPoissonGammaLaw:
         rate = self.rate
         j_lo = max(1, int(rate - 12.0 * math.sqrt(rate) - 60.0))
         j_hi = int(rate + 12.0 * math.sqrt(rate) + 60.0)
-        if j_hi - j_lo > 2_000_000:
+        if j_hi - j_lo > _MAX_TERMS:
             raise ParamError(
                 "the exact tilted compound mixture has too many relevant terms at "
                 f"this scale (Poisson rate {rate:.3g}); use a smaller n"

@@ -90,7 +90,7 @@ def _solve_increasing(
     edge: Callable[[], float],
     what: str,
     tol: float,
-) -> tuple[float, float, int, tuple[float, float], float]:
+) -> tuple[float, float, int, tuple[float, float], float, float]:
     """Root of the increasing ``g(x) = F'(x) - u`` on ``(0, edge())``, bracketed from ``hi``.
 
     ``jet(x)`` returns ``(F(x), F'(x), F''(x))``.  While ``g(hi) < 0`` the
@@ -100,9 +100,10 @@ def _solve_increasing(
     found by halving down from ``hi / 2``, each probe above the root
     becoming ``hi``.  Newton steps are clamped to the live bracket; any step
     that leaves it is replaced by bisection.  Returns (root, |g(root)| / u,
-    iterations, bracket, F(root)); a stop on bracket collapse reports the
-    iterations made and the best iterate seen.  Raises NoSolutionError where
-    either end cannot be found or the relative residual exceeds ``tol``.
+    iterations, bracket, F(root), F''(root)); a stop on bracket collapse
+    reports the iterations made and the best iterate seen.  Raises
+    NoSolutionError where either end cannot be found or the relative
+    residual exceeds ``tol``.
     """
     g, top, grown = jet(hi)[1] - u, None, 0
     while g < 0:
@@ -131,7 +132,7 @@ def _solve_increasing(
     x = 0.5 * (lo + hi)
     fx, gx, dg = jet(x)
     gx -= u
-    best_x, best_g, best_f = x, abs(gx), fx
+    best_x, best_g, best_f, best_d = x, abs(gx), fx, dg
     for it in range(1, _MAX_NEWTON + 1):
         if gx > 0:
             hi = x
@@ -147,33 +148,46 @@ def _solve_increasing(
         gx -= u
         converged = abs(gx) <= 1e-14 * u and step <= 1e-15 * max(abs(x), 1.0)
         if converged or abs(gx) < best_g:  # a converged iterate is returned as is
-            best_x, best_g, best_f = x, abs(gx), fx
+            best_x, best_g, best_f, best_d = x, abs(gx), fx, dg
         if converged or hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
             break
     residual = best_g / u
     if residual > tol:
         raise NoSolutionError(f"{what} stalled at relative residual {residual:.3e} (> {tol})")
-    return best_x, residual, it, bracket, best_f
+    return best_x, residual, it, bracket, best_f, best_d
 
 
-def _solved(model: ModelPair, u: float, solve: Callable[..., object], *args):
-    """``solve(model, u, *args)``, solved once per ``(model, u, args)``.
+def _solved(model: ModelPair, u: float, regime: str) -> tuple[float, float, float]:
+    """A regime's leading ``(twist, rate, sigma)`` at a rare ``u``, read off its own root solve.
 
-    theta*, tau* and each regime's leading ``(twist, rate, sigma)`` depend on
-    the pair and ``u`` only, while an n ladder at fixed ``u`` asks for them at
-    every n.  ``model._memo`` keeps them for the last ``u`` asked of the
-    pair: a new ``u`` replaces the slot, so every value in a slot was solved
-    for that slot's ``u``.  A solve that raises is not remembered.
+    fast: ``theta*``, ``b alpha(theta*) - theta* u``, sigma_plus; slow: ``tau*``,
+    ``beta(a tau*) - tau* u``, sigma_minus (one jet of B); single: the f = 1
+    twist ``t0``, ``beta(alpha(t0)) - t0 u`` and sigma_0, with
+    ``sigma_0^2 = beta''(alpha(t0)) alpha'(t0)^2 + beta'(alpha(t0)) alpha''(t0)``.
+    The rate, per unit of the regime's clock (n, phi_n, n), is not checked.
+    An n ladder at fixed ``u`` asks for these at every n, so ``model._memo``
+    keeps them for the last ``u`` asked of the pair; a new ``u`` replaces the
+    slot.  A solve that raises is not remembered.
     """
     slot = model._memo.get(u)
     if slot is None:
         model._memo.clear()
         slot = model._memo[u] = {}
-    key = (solve, *args)
-    value = slot.get(key)
-    if value is None:
-        value = slot[key] = solve(model, u, *args)
-    return value
+    triple = slot.get(regime)
+    if triple is None:
+        _require_rare(model, u)
+        if regime == "fast":  # the star jet's slope is (b * 1.0) * alpha'', bitwise b * alpha''
+            twist, value, slope = _solve_star(model.A, model.b, 1.0, u, "theta_star")
+            triple = twist, model.b * value - twist * u, math.sqrt(slope)
+        elif regime == "slow":  # a sqrt(beta'') rounds unlike the star jet's sqrt(a^2 beta'')
+            twist = _solve_star(model.B, model.a, model.a, u, "tau_star")[0]
+            b0, _, b2 = model.B.jet(model.a * twist, 2)
+            triple = twist, b0 - twist * u, model.a * math.sqrt(b2)
+        else:
+            twist, *_, value, slope = _twist_at_psi(model, u)
+            triple = twist, value - twist * u, math.sqrt(slope)
+        slot[regime] = triple
+    return triple
 
 
 def _theta_max(model: ModelPair, psi: float, start: float | None = None) -> float | None:
@@ -265,15 +279,16 @@ def _grid_edge(jA: Callable, a: float, target: float, top: float) -> float:
 def _twist_at_psi(model: ModelPair, u: float, psi: float = 1.0) -> tuple:
     """Core solve of ``beta'(alpha(theta) psi) alpha'(theta) = u`` on (0, theta_max).
 
-    Returns ``(root, residual, iterations, bracket, gamma_n(root) / phi_n)``,
-    none of which depends on n.  At psi = 1 it is the f = 1 (single-timescale) twist.
+    Returns ``(root, residual, iterations, bracket, gamma_n(root) / phi_n,
+    gamma_n''(root) / n)``, none of which depends on n.  At psi = 1 it is the
+    f = 1 (single-timescale) twist.
     """
     jet = _composed_jet(model, psi)  # [1] = gamma_n'/n, [2] its slope; +inf brackets the root
     # Start at theta_star + 1 when it exists, kept inside the domain edge
     # theta_max, which is computed only when it may move the start or the
     # bracket has to grow towards it.
     try:
-        start = _solved(model, u, _solve_theta_star) + 1.0
+        start = _solved(model, u, "fast")[0] + 1.0
     except NoSolutionError:
         start = None
     theta_max = _theta_max(model, psi, start)
@@ -295,7 +310,7 @@ def solve_twist(model: ModelPair, scaling: PowerScaling, n: float, u: float) -> 
     """
     _require_query(n, u)
     _require_rare(model, u)
-    *root, value = _twist_at_psi(model, u, scaling.psi(n))
+    *root, value, _ = _twist_at_psi(model, u, scaling.psi(n))
     return TwistSolution(*root, value * scaling.phi(n))
 
 
@@ -312,11 +327,12 @@ def _require_rare(model: ModelPair, u: float) -> None:
         raise NotRareError(f"u = {u} must exceed a*b = {ab} for a rare upper tail")
 
 
-def _solve_star(E: CharExponent, c: float, k: float, u: float, what: str) -> float:
-    """Root of the increasing ``g(x) = c E'(k x) - u`` on ``(0, E.domain_sup / k)``.
+def _solve_star(E: CharExponent, c: float, k: float, u: float, what: str) -> tuple[float, float, float]:
+    """Root, ``E(k x)`` and slope ``c k E''(k x)`` of the increasing ``g(x) = c E'(k x) - u``.
 
-    ``g(0) = a*b - u``.  Where ``E'`` lies past the float range its jet
-    reads +inf, and so does ``g``; where only ``E''`` does, the slope.
+    The root lies on ``(0, E.domain_sup / k)``; ``g(0) = a*b - u``.  Where
+    ``E'`` lies past the float range its jet reads +inf, and so does ``g``;
+    where only ``E''`` does, the slope.
 
     Where ``sup`` is finite, the one probe ``sup (1 - 1e-12)`` is both the
     start and the edge, so that point alone is tried (one closer to ``sup``
@@ -329,47 +345,13 @@ def _solve_star(E: CharExponent, c: float, k: float, u: float, what: str) -> flo
 
     edge = E.domain_sup / k * (1.0 - 1e-12)
     hi = edge if math.isfinite(edge) else 1.0
-    return _solve_increasing(jet, u, hi, lambda: edge, what, 1e-12)[0]
-
-
-def _solve_theta_star(model: ModelPair, u: float) -> float:
-    """Solve ``b alpha'(theta) = u`` on (0, A.domain_sup)."""
-    return _solve_star(model.A, model.b, 1.0, u, "theta_star")
-
-
-def _solve_tau_star(model: ModelPair, u: float) -> float:
-    """Solve ``a beta'(a tau) = u`` on (0, B.domain_sup / a)."""
-    return _solve_star(model.B, model.a, model.a, u, "tau_star")
+    root, *_, value, slope = _solve_increasing(jet, u, hi, lambda: edge, what, 1e-12)
+    return root, value, slope
 
 
 def _leading(model: ModelPair, regime: str, u: float) -> tuple[float, float, float]:
-    """Leading-order ``(twist, rate, sigma)`` of a regime at a rare ``u``.
-
-    fast: ``theta*``, ``b alpha(theta*) - theta* u``, sigma_plus; slow: ``tau*``,
-    ``beta(a tau*) - tau* u``, sigma_minus; single: the f = 1 twist ``t0``,
-    ``beta(alpha(t0)) - t0 u`` and sigma_0, with
-    ``sigma_0^2 = beta''(alpha(t0)) alpha'(t0)^2 + beta'(alpha(t0)) alpha''(t0)``.
-    The rate is per unit of the regime's clock (n, phi_n, n); one past the float range raises ParamError.
-    """
-    return _solved(model, u, _solve_leading, regime)
-
-
-def _solve_leading(model: ModelPair, u: float, regime: str) -> tuple[float, float, float]:
-    """:func:`_leading`, solved."""
-    _require_rare(model, u)
-    if regime == "fast":
-        twist = _solved(model, u, _solve_theta_star)
-        a0, _, a2 = model.A.jet(twist, 2)
-        rate, sigma = model.b * a0 - twist * u, math.sqrt(model.b * a2)
-    elif regime == "slow":
-        twist = _solved(model, u, _solve_tau_star)
-        a = model.a
-        b0, _, b2 = model.B.jet(a * twist, 2)
-        rate, sigma = b0 - twist * u, a * math.sqrt(b2)
-    else:
-        twist = _twist_at_psi(model, u)[0]
-        value, _, slope = _composed_jet(model, 1.0)(twist)
-        rate, sigma = value - twist * u, math.sqrt(slope)
+    """:func:`_solved`'s ``(twist, rate, sigma)``; a rate past the float range raises ParamError."""
+    twist, rate, sigma = _solved(model, u, regime)
     if not math.isfinite(rate):
         raise ParamError(f"the {regime}-regime rate {rate} at u = {u} lies past the float range")
     return twist, rate, sigma
@@ -394,7 +376,7 @@ def fast_expansion(model: ModelPair, u: float, order: int = 2) -> FastExpansion:
         raise OrderError(f"fast expansion supports orders 0..2, got {order}")
     require_finite(u=u)
     _require_rare(model, u)
-    theta_star = _solved(model, u, _solve_theta_star)
+    theta_star = _solved(model, u, "fast")[0]
     coeffs = [theta_star]
     if order >= 1:
         ja, jb = model.A.jet(theta_star, order + 1), model.B.jet(0.0, order + 1)
@@ -428,7 +410,7 @@ def slow_expansion(model: ModelPair, u: float, order: int = 2) -> SlowExpansion:
         raise OrderError(f"slow expansion supports orders 1..2, got {order}")
     require_finite(u=u)
     _require_rare(model, u)
-    tau_star = _solved(model, u, _solve_tau_star)
+    tau_star = _solved(model, u, "slow")[0]
     coeffs = [tau_star]
     if order >= 2:
         def curved(x: float) -> float:

@@ -3,8 +3,9 @@
 Usage: ``python tests/check_witness_ceilings.py BASE_REF``, run from the
 repository root, compares each ratchet file in the working tree with its copy
 at ``BASE_REF`` (for example ``origin/main``): ``tests/witness_ceilings.json``
-(one entry per witness point) and ``tests/relation_ceilings.json`` (one entry
-per stratum of twins).  A base without a file passes for that file; a ref
+(one entry per witness point), ``tests/relation_ceilings.json`` (one entry
+per stratum of twins) and ``tests/accuracy_ceilings.json`` (one entry per
+exact-tail query).  A base without a file passes for that file; a ref
 that names no commit is an error.  Exit 0 when every base entry is kept, with
 its query and a ceiling no higher than before.
 """
@@ -14,7 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-PATHS = ("tests/witness_ceilings.json", "tests/relation_ceilings.json")
+PATHS = ("tests/witness_ceilings.json", "tests/relation_ceilings.json", "tests/accuracy_ceilings.json")
 
 
 def _faults(base_ref: str, path: str) -> int:

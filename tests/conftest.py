@@ -147,9 +147,14 @@ FLOOR = 1e-14
 
 
 def ceiling(err: float) -> float:
-    """A ratchet's ceiling for ``err``: rounded up to two significant digits, and at least :data:`FLOOR`."""
+    """A ratchet's ceiling for ``err``: rounded up to two significant digits, and at least :data:`FLOOR`.
+
+    An infinite ``err`` (a point with no finite reference yet) keeps the ceiling +inf.
+    """
     if not err > FLOOR:
         return FLOOR
+    if err == math.inf:
+        return err
     e = math.floor(math.log10(err)) - 1
     m = math.ceil(err / 10.0 ** e)
     while float(f"{m}e{e}") < err:

@@ -692,6 +692,13 @@ class TestOverdispersion:
         assert code == 0, err
         assert json.loads(out)["pi_exact"] == 1.0
 
+    def test_exact_sum_past_the_cap_exits_2(self, capsys):
+        # The count's mean is 1e300, so the lower walk would sum all 1e9 counts
+        # below u_bar up from the mode at 0: it did not finish within 20 s.
+        code, out, err = run(capsys, ["overdispersion", "--K", "1", "--u-bar", "1e9", "--mu-bar", "1e-300"])
+        assert code == 2 and out == ""
+        assert err.startswith("ParamError: the exact sum reached 2002944 terms, past the cap of 2000000")
+
 
 class TestErrorSurface:
     def test_malformed_model_file(self, capsys, tmp_path):

@@ -273,7 +273,8 @@ def test_subsampled_lattice_matches_the_full_grid(n, points):
 # Richardson extrapolation ran a pilot and three twist solves).  Reading the
 # domain edge off its bisection grid, gamma_n(theta_n) off the solver's last
 # jet and solving the leading constants once per (pair, u, regime) took them
-# further, from 128 (f = 0.5) and 60 (f = 2).
+# further, from 128 (f = 0.5) and 60 (f = 2); reading sigma_plus off the
+# theta* solve's slope took f = 2 from 58.
 DIAGNOSTIC_BUDGET = [
     (0.5, 82,
      ((-4.466545785055822, -2.225483634818902e-05, 3.594298199396388e-27),
@@ -282,7 +283,7 @@ DIAGNOSTIC_BUDGET = [
       (3.382052815968426, 0.9986214152966745, 0.9973896441002592),
       (6.009432689530674, 0.9999999840430468, 0.9999950786239336)),
      0.004085963788220126),
-    (2.0, 58,
+    (2.0, 57,
      ((-6.024999999999997, -6.923609246329297e-10, 1.0260564788737282e-10),
       (-3.0249999999999986, 0.0009639840569484984, 0.0009865946561337822),
       (-0.024999999999999988, 0.4933488848830734, 0.49337576260216465),

@@ -18,6 +18,7 @@ from twoscale import (
     StatisticalBound,
     TwoscaleError,
     compound_poisson_gamma_tail,
+    exact_law,
     is_tail,
     negbin_tail,
     pi_exact,
@@ -293,6 +294,26 @@ class TestCompoundPoissonGammaTail:
             compound_poisson_gamma_tail(2.0, -1.0, 1.0, 3.0)
         with pytest.raises(ParamError):
             compound_poisson_gamma_tail(2.0, 1.0, 1.0, -3.0)
+
+
+class TestTermCap:
+    """Every exact sum stops past ``oracle._MAX_TERMS`` terms with a ParamError."""
+
+    REACHED = "the exact sum reached 2002944 terms, past the cap of 2000000"
+
+    @pytest.mark.parametrize("args", [(1.0, 1e-6, 2e6), (1e-300, 1e-30, 5.0), (1.0, 1e-7, 3e6)],
+                             ids=["upper-geometric", "upper-tiny-k", "lower-from-0"])
+    def test_negbin_walks_stop_at_the_cap(self, args):
+        # The first upper walk ran ~5e7 counts (4.4 s), the second ~1e30 (no end
+        # in 15 s); the lower walk sums 3e6 counts up from its mode at 0.
+        with pytest.raises(ParamError, match=self.REACHED):
+            negbin_tail(*args)
+
+    def test_compound_tail_stops_at_the_cap(self):
+        # A count mean of 1e10 puts ~3.9e6 terms within the sum's window.
+        law = exact_law(gp_pair(1.0, 1.0, 1.0), PowerScaling(2.5), 1e4)
+        with pytest.raises(ParamError, match=self.REACHED):
+            law.tail(2e4)
 
 
 class TestNonFiniteInput:

@@ -22,8 +22,10 @@ from twoscale import (
     UnsupportedSignError,
     approx_fast,
     approx_single_timescale,
+    approx_slow,
     fast_expansion,
     lmgf,
+    log_asymptote,
     slow_expansion,
     solve_twist,
 )
@@ -99,13 +101,13 @@ class TestSolveTwist:
         assert calls[0] == 41
 
     def test_direct_mode_derivative_budget(self, monkeypatch):
-        # Direct mode reads gamma_n(theta_n) from the solve's record: the
-        # solve's 41 evaluations and one jet of alpha at theta* for the rate
-        # and the prefactor.
+        # Direct mode reads gamma_n(theta_n) from the solve's record, and the
+        # rate and the prefactor from the theta* solve's value and slope: the
+        # solve's 41 evaluations and nothing more (42 with a jet of alpha at theta*).
         m = pg_pair(1.0, 1.0, 3.0)
         calls = count_derivs(monkeypatch, m)
         approx_fast(m, PowerScaling(1.5), 400.0, 1.0)
-        assert calls[0] == 42
+        assert calls[0] == 41
 
     def test_slow_regime_derivative_budget(self, monkeypatch):
         # Poisson(1) on Gamma(1, 3), f = 0.5, n = 400, u = 1 on a fresh pair:
@@ -116,6 +118,15 @@ class TestSolveTwist:
         calls = count_derivs(monkeypatch, m)
         solve_twist(m, PowerScaling(0.5), 400.0, 1.0)
         assert calls[0] == 55
+
+    def test_single_timescale_derivative_budget(self, monkeypatch):
+        # f = 1 on a fresh pair: the theta* solve for the start and the f = 1
+        # twist solve; the rate and sigma_0 are read off the twist solve's
+        # last jet (87 with a second composed jet at the root).
+        m = pg_pair(1.0, 1.0, 3.0)
+        calls = count_derivs(monkeypatch, m)
+        approx_single_timescale(m, 400.0, 1.0)
+        assert calls[0] == 85
 
     # A Poisson(1) outer process on a Gamma(1, 3) clock, written as user
     # code that overflows in one order only: the solve keeps the path, bit
@@ -672,6 +683,32 @@ class TestTiltRecord:
         sol = solve_twist(fresh, s, 50.0, u)
         assert solve_twist(used, s, 50.0, u) == sol
         assert sol.theta_n == twist._leading(fresh, "single", u)[0]
+
+
+class TestMemo:
+    """A pair's memo maps each regime to its leading triple, for the last ``u`` asked."""
+
+    def test_memo_holds_the_leading_triples_only(self):
+        u, fast, slow = 1.0, pg_pair(1.0, 1.0, 3.0), pg_pair(1.0, 1.0, 3.0)
+        approx_fast(fast, PowerScaling(1.5), 400.0, u)
+        assert fast._memo == {u: {"fast": twist._leading(pg_pair(1.0, 1.0, 3.0), "fast", u)}}
+        # The slow twist solve starts from theta*, so it leaves the fast triple too.
+        approx_slow(slow, PowerScaling(0.5), 400.0, u)
+        assert list(slow._memo) == [u] and set(slow._memo[u]) == {"slow", "fast"}
+        assert slow._memo[u]["slow"] == twist._leading(pg_pair(1.0, 1.0, 3.0), "slow", u)
+        assert slow._memo[u]["slow"][0] == slow_expansion(pg_pair(1.0, 1.0, 3.0), u, 1).tau_star
+
+    def test_rate_is_checked_on_every_read(self):
+        # pg(1, 1, 1) at u = 1e306 has theta*, whose fast rate reads -inf: the
+        # triple is remembered, each rate read refuses it, and the twist solve,
+        # which reads theta* alone, still finds no root.
+        m, s, u = pg_pair(1.0, 1.0, 1.0), PowerScaling(1.5), 1e306
+        for _ in range(2):
+            with pytest.raises(ParamError, match="fast-regime rate -inf"):
+                log_asymptote(m, s, u)
+        assert twist._solved(m, u, "fast")[1] == -math.inf
+        with pytest.raises(NoSolutionError, match="up to the domain edge"):
+            solve_twist(m, s, 400.0, u)
 
 
 class TestHugeThreshold:
