@@ -152,9 +152,9 @@ class CharExponent:
         dict is unhashable); equal exponents still hash equal.
     jet:
         ``jet(t, k)``, k in 0..3: ``(value, first, ..., k-th derivative)`` at
-        ``t`` from one evaluation, bit for bit the values :meth:`deriv` gives
-        one order at a time.  Raises :class:`DomainError` like :meth:`deriv`;
-        an order whose value lies past the float range reads +inf.
+        ``t`` from one evaluation; :meth:`deriv` reads its last entry.  Raises
+        :class:`DomainError` at or past ``domain_sup``; an order whose value
+        lies past the float range reads +inf.
     """
 
     kind: str
@@ -224,14 +224,10 @@ class CharExponent:
         return cls("custom", domain_sup, lattice_span, {}, derivs)
 
     def deriv(self, t: float, order: int = 0) -> float:
-        """Order-th derivative at ``t`` (order 0 is the value); +inf past the float range."""
+        """Order-th derivative at ``t`` (order 0 is the value): ``jet(t, order)[order]``."""
         if not isinstance(order, int) or order < 0 or order > _MAX_ORDER:
             raise _order_error(order)
-        if self.kind != "custom":
-            return self.jet(t, order)[order]
-        if t >= self.domain_sup:
-            raise _domain_error(t, self.domain_sup)
-        return _order_or_inf(self._derivs, t, order)
+        return self.jet(t, order)[order]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ geometric bound on the discarded tail, so its *log* probabilities stay accurate
 far below the float underflow; a pmf past the float range raises ParamError.
 ``compound_poisson_gamma_tail`` mixes regularized upper incomplete gamma tails
 over a Poisson count, truncated when the remaining Poisson mass provably cannot matter.
-Each raises ParamError once it has summed more than ``_MAX_TERMS`` terms.
+Each, and the compound ``cdf`` over all its points, raises ParamError past ``_MAX_TERMS`` terms.
 
 Monte Carlo
 -----------
@@ -406,19 +406,16 @@ class CompoundPoissonGammaLaw:
     def cdf(self, x):
         """P(X <= x) (scalar or array), summing the Poisson mixture over +-12 sigma.
 
-        The mass outside the window is far below any tolerance used here.
+        The mass outside the window is far below any tolerance used here.  Each
+        point sums the whole window; all of them together count against ``_MAX_TERMS``.
         """
         from scipy import special
 
         rate = self.rate
         j_lo = max(1, int(rate - 12.0 * math.sqrt(rate) - 60.0))
         j_hi = int(rate + 12.0 * math.sqrt(rate) + 60.0)
-        if j_hi - j_lo > _MAX_TERMS:
-            raise ParamError(
-                "the exact tilted compound mixture has too many relevant terms at "
-                f"this scale (Poisson rate {rate:.3g}); use a smaller n"
-            )
         ys = np.atleast_1d(np.asarray(x, dtype=float))
+        _require_terms(len(ys) * (j_hi - j_lo))
         js = np.arange(j_lo, j_hi + 1, dtype=float)
         weights = np.exp(-rate + js * math.log(rate) - special.gammaln(js + 1.0))
         atom = math.exp(-rate) if j_lo == 1 else 0.0

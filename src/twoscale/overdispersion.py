@@ -186,13 +186,13 @@ def pi_slow(q: ArrivalQuery, M: int | None = None) -> float:
 def pi_hat_fast(q: ArrivalQuery) -> float:
     """Crude fast-regime approximation: the exponential factor alone."""
     rho = q._require_rare()
-    return math.exp((1.0 - rho + math.log(rho)) * q.u_bar)
+    return _exp_of_log((1.0 - rho + math.log(rho)) * q.u_bar)
 
 
 def pi_hat_slow(q: ArrivalQuery) -> float:
     """Crude slow-regime approximation: the exponential factor alone."""
     rho = q._require_rare()
-    return math.exp((1.0 - 1.0 / rho + math.log(1.0 / rho)) * q.K)
+    return _exp_of_log((1.0 - 1.0 / rho + math.log(1.0 / rho)) * q.K)
 
 
 @dataclass(frozen=True)

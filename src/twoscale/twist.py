@@ -178,15 +178,16 @@ def _solved(model: ModelPair, u: float, regime: str) -> tuple[float, float, floa
         _require_rare(model, u)
         if regime == "fast":  # the star jet's slope is (b * 1.0) * alpha'', bitwise b * alpha''
             twist, value, slope = _solve_star(model.A, model.b, 1.0, u, "theta_star")
-            triple = twist, model.b * value - twist * u, math.sqrt(slope)
+            value *= model.b
         elif regime == "slow":  # a sqrt(beta'') rounds unlike the star jet's sqrt(a^2 beta'')
             twist = _solve_star(model.B, model.a, model.a, u, "tau_star")[0]
-            b0, _, b2 = model.B.jet(model.a * twist, 2)
-            triple = twist, b0 - twist * u, model.a * math.sqrt(b2)
+            value, _, slope = model.B.jet(model.a * twist, 2)
         else:
             twist, *_, value, slope = _twist_at_psi(model, u)
-            triple = twist, value - twist * u, math.sqrt(slope)
-        slot[regime] = triple
+        if slope < 0:
+            raise ParamError(f"the {regime} curvature at the twist is {slope} < 0: not convex")
+        sigma = math.sqrt(slope)
+        triple = slot[regime] = twist, value - twist * u, model.a * sigma if regime == "slow" else sigma
     return triple
 
 

@@ -630,6 +630,16 @@ class TestEdgeworth:
         assert all(math.isfinite(v) for row in payload["rows"] for v in row.values())
         assert payload["rows"][-1]["approx"] == 1.0
 
+    def test_compound_diagnostic_past_the_cap_exits_2(self, capsys):
+        # Each of the 90 points sums the tilted law's whole Poisson window of
+        # 108,865 terms; this ran for ~14 s and exited 0.
+        code, out, err = run(capsys, [
+            "edgeworth", "--gamma-poisson", "8.393457483889447", "0.8040984332050694",
+            "0.0767200686150629", "--f", "0.978741272765523", "--n", "64566.66928367825",
+            "--u", "9407.564527101838", "--points", "90"])
+        assert code == 2 and out == ""
+        assert err.startswith("ParamError: the exact sum reached 9797850 terms, past the cap of 2000000")
+
     def test_bytes_do_not_depend_on_the_blas_thread_count(self):
         # The compound law's CDF takes a dot product of ~1e5 weights here,
         # which OpenBLAS splits across its threads, moving the last bits.

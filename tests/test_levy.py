@@ -195,8 +195,8 @@ class TestJet:
         exponent = CharExponent.custom(derivs)
         seen.clear()
         exponent.jet(0.3, 3)
-        exponent.deriv(0.3, 2)
-        assert seen == [0, 1, 2, 3, 2]
+        exponent.deriv(0.3, 2)  # deriv reads the jet of its own order
+        assert seen == [0, 1, 2, 3, 0, 1, 2]
 
 
 class TestFloatEdge:
@@ -250,8 +250,10 @@ class TestFloatEdge:
         assert exponent.jet(2.0, 3) == (_drift_derivs(2.0, 0), math.inf, 1.7, 0.0)
         seen.clear()
         assert exponent.deriv(2.0, 1) == math.inf
+        assert seen == [0, 1, 0, 1]  # the jet to order 1, then each order on its own
+        seen.clear()
         assert exponent.deriv(2.0, 2) == 1.7
-        assert seen == [1, 2]
+        assert seen == [0, 1, 0, 1, 2]
 
 
 class TestModelPair:

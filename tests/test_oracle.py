@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -314,6 +315,26 @@ class TestTermCap:
         law = exact_law(gp_pair(1.0, 1.0, 1.0), PowerScaling(2.5), 1e4)
         with pytest.raises(ParamError, match=self.REACHED):
             law.tail(2e4)
+
+    def test_compound_cdf_charges_every_point(self):
+        # A window of 76,015 terms is under the cap, but 90 points sum 90 windows.
+        law = oracle.CompoundPoissonGammaLaw(1e7, 1.0, 1.0)
+        start = time.perf_counter()
+        with pytest.raises(ParamError, match="reached 6841350 terms, past the cap"):
+            law.cdf(np.linspace(0.9e7, 1.1e7, 90))
+        assert time.perf_counter() - start < 1.0
+
+    def test_compound_cdf_sums_a_window_just_under_the_cap(self):
+        # The window is 1,999,999 terms: one point sums it, two pass the cap.
+        rate = 6.9436e9
+        law = oracle.CompoundPoissonGammaLaw(rate, 1.0, 1.0)
+        with pytest.raises(ParamError, match="reached 3999998 terms"):
+            law.cdf([1.1 * rate, 1.1 * rate])
+        # The one point is the mixture sum, bit for bit.
+        spread = 12.0 * math.sqrt(rate)
+        js = np.arange(int(rate - spread - 60.0), int(rate + spread + 60.0) + 1, dtype=float)
+        weights = np.exp(-rate + js * math.log(rate) - special.gammaln(js + 1.0))
+        assert law.cdf(1.1 * rate) == float(weights @ special.gammainc(js, 1.1 * rate))
 
 
 class TestNonFiniteInput:

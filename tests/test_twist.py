@@ -747,3 +747,35 @@ class TestNonPositiveOuterMean:
         )
         with pytest.raises(UnsupportedSignError):
             ModelPair(neg, CharExponent.gamma(1.0, 2.0))
+
+
+
+def _bent(t, order):
+    # A first derivative of 1 + t with a second derivative of -1: not convex.
+    return (t + 0.5 * t * t, 1.0 + t, -1.0, 0.0)[order]
+
+
+class TestConvexityBreach:
+    """A custom exponent whose curvature at the root reads below 0 breaks the
+    convexity contract; every entry point that needs sigma refuses it."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: approx_fast(m, PowerScaling(2.0), 100.0, 1.0),
+            lambda m: approx_slow(m, PowerScaling(0.5), 100.0, 1.0),
+            lambda m: approx_single_timescale(m, 100.0, 1.0),
+            lambda m: fast_expansion(m, 1.0),
+            lambda m: solve_twist(m, PowerScaling(2.0), 100.0, 1.0),
+        ],
+        ids=["approx_fast", "approx_slow", "approx_single_timescale", "fast_expansion", "solve_twist"],
+    )
+    def test_negative_curvature_raises_param_error(self, call):
+        with pytest.raises(ParamError, match="fast curvature .* < 0"):
+            call(ModelPair(CharExponent.custom(_bent), CharExponent.gamma(1.0, 3.0)))
+
+    def test_negative_clock_curvature_raises_param_error(self):
+        # sigma_minus would be a * sqrt(beta'') with beta'' = -1.
+        model = ModelPair(CharExponent.poisson(1.0), CharExponent.custom(_bent))
+        with pytest.raises(ParamError, match="slow curvature .* < 0"):
+            slow_expansion(model, 2.0)
